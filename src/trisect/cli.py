@@ -55,10 +55,19 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return int(value.strip(), 10)
+            return int(text, 10)
         except ValueError:
-            raise DocumentError(f"{where}: {value!r} is not a decimal integer") from None
+            pass
+        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        limit = sys.get_int_max_str_digits()
+        if digits.isdecimal() and len(digits) > limit > 0:
+            raise DocumentError(
+                f"{where}: {shown} exceeds the {limit}-digit integer-conversion limit"
+            )
+        raise DocumentError(f"{where}: {shown} is not a decimal integer")
     raise DocumentError(f"{where}: expected an integer, got {type(value).__name__}")
 
 
@@ -135,6 +144,8 @@ def load_document(path: str) -> TorusDiagram | Genus2Diagram:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: invalid JSON ({e})") from None
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply") from None
     return parse_document(obj)
 
 
@@ -340,7 +351,7 @@ def _fmt_node_diagram(d: TorusDiagram) -> str:
 def cmd_orbit(args) -> int:
     d = load_document(args.path)
     if isinstance(d, Genus2Diagram):
-        graph = orbit(surgery_project(d), args.depth, include_sigma1=True, lift=d)
+        graph = orbit(surgery_project(d), args.depth, include_sigma1=True)
     else:
         graph = orbit(d, args.depth)
     if args.json:
@@ -417,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, "match the six vertical pieces against the families")
     p.add_argument("--oriented", action="store_true", help="compare lens spaces with orientation")
     add("check-theorem", cmd_check_theorem, "evaluate the certification hypotheses")
-    p = add("orbit", cmd_orbit, "breadth-first move orbit of the diagram")
-    p.add_argument("--depth", type=int, required=True, help="number of BFS levels")
+    p = add("orbit", cmd_orbit, "move orbit of the diagram")
+    p.add_argument("--depth", type=int, required=True, help="number of move levels")
     p.add_argument("--format", choices=("text", "dot"), default="text", help="output format")
     p = add("lens", cmd_lens, "compare two lens spaces L(p,q) and L(p2,q2)", with_path=False)
     p.add_argument("p", type=int)

@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import (
+    SymplecticReduction,
     Vec2,
     Vec4,
     is_primitive,
     pair2,
     pair4,
-    symplectic_reduce,
     transvect,
 )
 
@@ -184,7 +184,7 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     raises ExponentCoreMismatchError.
     """
     require_valid_genus2(d)
-    red = symplectic_reduce(d.a1)
+    red = SymplecticReduction(d.a1)
     total = tuple(x + y + z for x, y, z in zip(d.a1, d.b1, d.c1))
     core = red.project(total)
     if d.exponent == 0:

@@ -215,7 +215,3 @@ class SymplecticReduction:
             raise ValueError(f"{w} is not disjoint from the surgery class {a}")
         return (-pair4(f2, w), pair4(e2, w))
 
-
-def symplectic_reduce(a: Vec4) -> SymplecticReduction:
-    """Complete a primitive class to a symplectic basis, see SymplecticReduction."""
-    return SymplecticReduction(a)

@@ -19,6 +19,10 @@ Torus diagrams are compared up to unimodular basis change and individual
 sign flips of the classes, with exponent and sign field fixed:
 canonical_form computes a unique orbit representative and
 equivalent_torus produces an explicit witness.
+
+On canonical forms the moves generate a small graph, which orbit builds
+in closed form: the inner rotation cycles at most three nodes, because
+its cube is a basis change, and the outer rotation fixes every node.
 """
 
 from __future__ import annotations
@@ -29,14 +33,11 @@ from .diagram import (
     Genus2Diagram,
     Monodromy,
     TorusDiagram,
-    embed_torus,
     intersection_invariant,
     require_valid_genus2,
     require_valid_torus,
-    surgery_project,
 )
 from .lattice import (
-    MAT2_ID,
     Mat2,
     Vec2,
     mat2_apply,
@@ -369,53 +370,36 @@ def orbit(
     include_sigma1: bool = False,
     lift: Genus2Diagram | None = None,
 ) -> OrbitGraph:
-    """Breadth-first move orbit of the canonical form of start.
+    """Move orbit of the canonical form of start, in closed form.
 
-    Nodes are canonical torus diagrams; generators are the inner rotation
-    and its inverse, plus the outer rotation (both directions) when
-    include_sigma1 is set.  Outer rotations act through the standard
-    lift, except on the start node when an explicit lift is supplied.
-    Frontier expansion is ordered lexicographically by node key, so the
-    graph is reproducible.
+    Nodes are canonical torus diagrams.  The cube of the inner rotation is
+    a basis change, so the orbit is {V, s2 V, s2^2 V}: one node, or three
+    that the inner rotation cycles in index order.  The outer rotation
+    (both directions, when include_sigma1 is set) changes the projection
+    of any valid lift only by a basis change, so its edges are self-loops.
+    lift, a genus-2 diagram projecting to start, is accepted for callers
+    that hold one; it does not change the result.
+
+    Edges are listed in breadth-first order: node 0 at depth 1, then nodes
+    1 and 2 in lexicographic node-key order at depth 2 and beyond.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    start_c, _ = canonical_form(start)
-    start_key = _node_key(start_c)
-    index = {start_key: 0}
-    diagrams = [start_c]
+    v0, _ = canonical_form(start)
+    diagrams = [v0]
+    if depth > 0:
+        v1, _ = canonical_form(apply_sigma2(v0))
+        if v1 != v0:
+            diagrams += [v1, canonical_form(apply_sigma2(v1))[0]]
+    n = len(diagrams)
+    expanded = [0] if depth > 0 else []
+    if depth > 1:
+        expanded += sorted(range(1, n), key=lambda i: _node_key(diagrams[i]))
     edges = []
-    frontier = [start_key]
-
-    def expand(key):
-        node = diagrams[index[key]]
-        succs = [
-            (SIGMA2, canonical_form(apply_sigma2(node))[0]),
-            (SIGMA2_INV, canonical_form(apply_sigma2_inverse(node))[0]),
-        ]
+    for i in expanded:
+        edges += [(i, SIGMA2, (i + 1) % n), (i, SIGMA2_INV, (i - 1) % n)]
         if include_sigma1:
-            if lift is not None and key == start_key:
-                g = lift
-            else:
-                g = embed_torus(node)
-            for token, step in ((SIGMA1, apply_sigma1), (SIGMA1_INV, apply_sigma1_inverse)):
-                succs.append((token, canonical_form(surgery_project(step(g)))[0]))
-        return succs
-
-    for _level in range(depth):
-        new_keys = []
-        for key in frontier:
-            src = index[key]
-            for token, succ in expand(key):
-                skey = _node_key(succ)
-                if skey not in index:
-                    index[skey] = len(diagrams)
-                    diagrams.append(succ)
-                    new_keys.append(skey)
-                edges.append((src, token, index[skey]))
-        if not new_keys:
-            break
-        frontier = sorted(new_keys)
+            edges += [(i, SIGMA1, i), (i, SIGMA1_INV, i)]
 
     nodes = tuple(
         OrbitNode(index=i, diagram=dgm, invariant=intersection_invariant(dgm))

@@ -1,12 +1,15 @@
+import glob
 import json
 import shutil
 import subprocess
 import sys
 
+import trisect.cli
 from trisect import Monodromy, TorusDiagram, canonical_form, surgery_project
 from trisect.cli import document_text, load_document, main, parse_document
 
-from conftest import fixture
+from conftest import FIXTURES, fixture
+from test_moves import _orbit_bfs
 
 
 def run(capsys, *argv):
@@ -72,6 +75,37 @@ def test_document_value_rules(tmp_path, capsys):
     p.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "validate", str(p))
     assert code == 2 and "boolean" in err
+
+
+def test_deeply_nested_json_exit_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_overlong_decimal_string_exit_2(tmp_path, capsys):
+    # Past the interpreter's integer-conversion limit the value is still a
+    # decimal integer; the error says so and echoes only a prefix of it.
+    doc = {
+        "model": "torus",
+        "a2": ["1" * 5_001, "0"],
+        "b2": [0, 1],
+        "c2": [1, 1],
+        "monodromy": {"type": "identity"},
+        "sign": 1,
+    }
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert "a2[0]" in err and "4300-digit integer-conversion limit" in err
+    assert "not a decimal integer" not in err and len(err) < 200
+    doc["a2"][0] = "x" * 5_001
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2 and "not a decimal integer" in err and len(err) < 200
 
 
 def test_invariant_output(capsys):
@@ -275,6 +309,19 @@ def test_orbit_genus2_uses_outer_rotations(capsys):
 def test_orbit_negative_depth(capsys):
     code, _, err = run(capsys, "orbit", fixture("family2_q3.json"), "--depth", "-1")
     assert code == 2 and "depth must be nonnegative" in err
+
+
+def test_orbit_output_matches_bfs_oracle(capsys, monkeypatch):
+    paths = sorted(glob.glob(f"{FIXTURES}/*.json") + glob.glob(f"{FIXTURES}/invalid/*.json"))
+    calls = [
+        ["orbit", path, "--depth", str(depth), *fmt]
+        for path in paths
+        for depth in (0, 1, 2, 3, 6)
+        for fmt in ([], ["--format", "dot"], ["--json"])
+    ]
+    closed_form = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(trisect.cli, "orbit", _orbit_bfs)
+    assert [run(capsys, *argv) for argv in calls] == closed_form
 
 
 def test_lens_command(capsys):

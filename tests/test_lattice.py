@@ -6,6 +6,7 @@ import pytest
 from trisect import (
     MAT2_ID,
     NonPrimitiveError,
+    SymplecticReduction,
     ZeroVectorError,
     is_primitive,
     mat2_apply,
@@ -15,7 +16,6 @@ from trisect import (
     pair2,
     pair4,
     sl2_complete,
-    symplectic_reduce,
     transvect,
 )
 
@@ -140,14 +140,14 @@ def test_mat2_helpers():
 
 
 def test_symplectic_reduce_standard_position():
-    r = symplectic_reduce((1, 0, 0, 0))
+    r = SymplecticReduction((1, 0, 0, 0))
     assert r.basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert r.project((0, 0, 5, 7)) == (5, 7)
     assert r.project((3, 0, -2, 9)) == (-2, 9)
 
 
 def test_symplectic_reduce_swapped_block():
-    r = symplectic_reduce((0, 0, 1, 0))
+    r = SymplecticReduction((0, 0, 1, 0))
     a, f1, e2, f2 = r.basis
     assert a == (0, 0, 1, 0)
     # The projection of a class disjoint from a is a unit vector exactly
@@ -160,7 +160,7 @@ def test_symplectic_reduce_gram_identities():
     rng = random.Random(404)
     for _ in range(1_000):
         a = rand_primitive_vec4(rng, bound=15)
-        r = symplectic_reduce(a)
+        r = SymplecticReduction(a)
         e1, f1, e2, f2 = r.basis
         assert e1 == a
         assert pair4(e1, f1) == 1
@@ -180,13 +180,13 @@ def test_symplectic_reduce_gram_identities():
 
 
 def test_symplectic_reduce_projection_requires_disjoint():
-    r = symplectic_reduce((1, 0, 0, 0))
+    r = SymplecticReduction((1, 0, 0, 0))
     with pytest.raises(ValueError):
         r.project((0, 1, 0, 0))
 
 
 def test_symplectic_reduce_errors():
     with pytest.raises(ZeroVectorError):
-        symplectic_reduce((0, 0, 0, 0))
+        SymplecticReduction((0, 0, 0, 0))
     with pytest.raises(NonPrimitiveError):
-        symplectic_reduce((2, 0, 2, 0))
+        SymplecticReduction((2, 0, 2, 0))

@@ -10,6 +10,8 @@ from trisect import (
     SIGMA2,
     SIGMA2_INV,
     Monodromy,
+    OrbitGraph,
+    OrbitNode,
     TorusDiagram,
     WordError,
     apply_sigma1,
@@ -32,6 +34,7 @@ from trisect import (
     word_to_diagram,
     word_to_torus,
 )
+from trisect.moves import _node_key
 
 from conftest import rand_genus2_diagram, rand_torus_diagram, rand_unimodular
 
@@ -325,6 +328,73 @@ def test_equivalent_torus_degenerate_branch():
     d3 = TorusDiagram((1, 0), (0, 1), (1, 0), Monodromy.twist((1, 0), 1))
     assert equivalent_torus(d1, d3) is None
     assert equivalent_torus(d3, d1) is None
+
+
+def _orbit_bfs(start, depth, include_sigma1=False, lift=None):
+    """Reference orbit: breadth-first search over the four generators.
+
+    Outer rotations act through the standard lift, except on the start
+    node when an explicit lift is supplied.  Frontier expansion is ordered
+    lexicographically by node key.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    start_c, _ = canonical_form(start)
+    start_key = _node_key(start_c)
+    index = {start_key: 0}
+    diagrams = [start_c]
+    edges = []
+    frontier = [start_key]
+
+    def expand(key):
+        node = diagrams[index[key]]
+        succs = [
+            (SIGMA2, canonical_form(apply_sigma2(node))[0]),
+            (SIGMA2_INV, canonical_form(apply_sigma2_inverse(node))[0]),
+        ]
+        if include_sigma1:
+            if lift is not None and key == start_key:
+                g = lift
+            else:
+                g = embed_torus(node)
+            for token, step in ((SIGMA1, apply_sigma1), (SIGMA1_INV, apply_sigma1_inverse)):
+                succs.append((token, canonical_form(surgery_project(step(g)))[0]))
+        return succs
+
+    for _level in range(depth):
+        new_keys = []
+        for key in frontier:
+            src = index[key]
+            for token, succ in expand(key):
+                skey = _node_key(succ)
+                if skey not in index:
+                    index[skey] = len(diagrams)
+                    diagrams.append(succ)
+                    new_keys.append(skey)
+                edges.append((src, token, index[skey]))
+        if not new_keys:
+            break
+        frontier = sorted(new_keys)
+
+    nodes = tuple(
+        OrbitNode(index=i, diagram=dgm, invariant=intersection_invariant(dgm))
+        for i, dgm in enumerate(diagrams)
+    )
+    return OrbitGraph(nodes=nodes, edges=tuple(edges))
+
+
+def test_orbit_matches_bfs_oracle():
+    # Torus starts lift through the standard lift; genus-2 starts are
+    # projected and lifted by the diagram itself, off standard position.
+    rng = random.Random(2109)
+    starts = [(d, embed_torus(d)) for d in (rand_torus_diagram(rng) for _ in range(1_000))]
+    starts += [(surgery_project(g), g) for g in (rand_genus2_diagram(rng) for _ in range(1_000))]
+    for start, g in starts:
+        for depth in range(7):
+            for include_sigma1 in (False, True):
+                for lift in (None, g):
+                    args = (start, depth, include_sigma1, lift)
+                    assert orbit(*args) == _orbit_bfs(*args), args
 
 
 def test_orbit_frozen_shapes():
