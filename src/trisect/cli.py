@@ -12,7 +12,7 @@ identity monodromy is {"type": "identity"}.  Integer entries may be JSON
 numbers or decimal strings, so values beyond 64 bits survive any writer.
 
 Exit codes: 0 success (including negative verdicts), 1 invalid diagram,
-2 parse or usage errors.
+2 unreadable or malformed input, unwritable output, or usage errors.
 """
 
 from __future__ import annotations
@@ -142,6 +142,8 @@ def load_document(path: str) -> TorusDiagram | Genus2Diagram:
             obj = json.load(fh)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise DocumentError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: invalid JSON ({e})") from None
     except RecursionError:
@@ -244,8 +246,12 @@ def cmd_move(args) -> int:
         return 1
     text = document_text(moved)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
         _emit(args, {"word": list(word), "out": args.out}, f"wrote {args.out}")
     else:
         if args.json:

@@ -58,7 +58,7 @@ def transvect(core, k: int, x):
 
 def is_primitive(v) -> bool:
     """True when the entries of v have gcd exactly 1 (so v is nonzero)."""
-    return math.gcd(*(abs(c) for c in v)) == 1
+    return math.gcd(*v) == 1
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -141,7 +141,7 @@ def _solve_unit_functional(c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(u)
 
 
-def _echelon_basis(rows: list[Vec4]) -> list[Vec4]:
+def _echelon_basis(rows: list[list[int]]) -> list[Vec4]:
     # Integer row echelon basis of the lattice the rows generate, by
     # column-wise gcd elimination.  Each combining step acts on a row pair
     # by a determinant-one matrix, so the span is preserved exactly; the
@@ -183,6 +183,11 @@ class SymplecticReduction:
     """
 
     def __init__(self, a: Vec4):
+        if a == (1, 0, 0, 0):
+            # Standard position, where every standard lift starts: the
+            # general path below returns exactly the standard basis.
+            self.basis = (a, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+            return
         if not any(a):
             raise ZeroVectorError("cannot reduce along the zero class")
         if not is_primitive(a):
@@ -191,12 +196,15 @@ class SymplecticReduction:
         cf = (-a[1], a[0], -a[3], a[2])
         f1 = _solve_unit_functional(cf)
         # Project the standard basis onto the symplectic complement of
-        # span(a, f1), then extract a lattice basis of the image.
+        # span(a, f1), then extract a lattice basis of the image.  The
+        # i-th unit vector pairs with a as cf[i] and with f1 as cg[i], so
+        # its image is e_i - cf[i] * f1 + cg[i] * a.
+        cg = (-f1[1], f1[0], -f1[3], f1[2])
         imgs = []
         for i in range(4):
-            e = tuple(1 if j == i else 0 for j in range(4))
-            m1, m2 = pair4(a, e), pair4(f1, e)
-            imgs.append(tuple(ei - m1 * fi + m2 * ai for ei, fi, ai in zip(e, f1, a)))
+            img = [cg[i] * aj - cf[i] * fj for aj, fj in zip(a, f1)]
+            img[i] += 1
+            imgs.append(img)
         comp = _echelon_basis(imgs)
         if len(comp) != 2:
             raise AssertionError("complement rank is not 2")

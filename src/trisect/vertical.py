@@ -117,11 +117,19 @@ def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
             raise ZeroVectorError("meridian class is zero")
         if not is_primitive(u):
             raise NonPrimitiveError(f"meridian class {u} is not primitive")
+    return _lens(v, w)
+
+
+def _lens(v: Vec2, w: Vec2) -> LensSpace:
+    # lens_from_pair for classes already known to be primitive.  The
+    # canonical completion sends w to (q, pair2(v, w)), a primitive
+    # vector, so gcd(p, q) = 1 and q % p is already a normal form.
     p = abs(pair2(v, w))
     if p == 0:
         return S1XS2
-    m = mat2_apply(sl2_complete(v), w)[0]
-    return LensSpace.from_pq(p, m)
+    if p == 1:
+        return S3
+    return LensSpace(p, mat2_apply(sl2_complete(v), w)[0] % p)
 
 
 @dataclass(frozen=True)
@@ -158,14 +166,18 @@ class SixTuple:
 def six_tuple(d: TorusDiagram) -> SixTuple:
     """Compute the six vertical pieces of a valid torus diagram."""
     require_valid_torus(d)
+    # The classes are primitive once validated, and the monodromy is
+    # unimodular, so every pull-back is primitive too.
     pull = d.monodromy.inverse_apply
+    a, b, c = d.a2, d.b2, d.c2
+    pa, pb, pc = pull(a), pull(b), pull(c)
     return SixTuple(
-        aa=lens_from_pair(d.a2, pull(d.a2)),
-        bb=lens_from_pair(d.b2, pull(d.b2)),
-        cc=lens_from_pair(d.c2, pull(d.c2)),
-        ba=lens_from_pair(d.b2, pull(d.a2)),
-        cb=lens_from_pair(d.c2, d.b2),
-        ac=lens_from_pair(d.a2, pull(d.c2)),
+        aa=_lens(a, pa),
+        bb=_lens(b, pb),
+        cc=_lens(c, pc),
+        ba=_lens(b, pa),
+        cb=_lens(c, b),
+        ac=_lens(a, pc),
     )
 
 
@@ -278,7 +290,16 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
     All six symmetry images (three rotations, with and without the
     reflection) are searched, family parameters are solved for, and the
     lowest matching family index wins.  Returns None when nothing fits.
+
+    The search is skipped when the sorted slot orders p rule out every
+    family: each family has at least two S^3 slots, and either an
+    S^1 x S^2 slot or exactly family 3's orders (1, 1, 2, 4, 5, 9).  The
+    symmetries only permute the slots and mirroring keeps p, so this
+    condition is necessary and never changes the match found.
     """
+    ps = sorted(l.p for l in (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac))
+    if ps.count(1) < 2 or (ps[0] != 0 and ps != [1, 1, 2, 4, 5, 9]):
+        return None
     images = []
     for reflected in (False, True):
         img = reflect(t) if reflected else t

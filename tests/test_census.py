@@ -1,0 +1,60 @@
+"""Census of the radius-3 box of torus diagrams.
+
+The box: a2 = (1, 0), sign +1, b2, c2 and the twist core primitive with
+entries in [-3, 3], exponent in {+-1, +-4}.  Every diagram is reduced to
+its canonical form, and each form gets the answers of check-theorem and
+classify.  The tallies are fixed figures of the library; a change to
+canonical_form, six_tuple, classify, theorem_hypotheses or the invariant
+that alters any answer on the box moves at least one of them.
+"""
+
+import math
+from collections import Counter
+
+from trisect import (
+    Monodromy,
+    TorusDiagram,
+    apply_sigma2,
+    canonical_form,
+    classify,
+    intersection_invariant,
+    six_tuple,
+    theorem_hypotheses,
+)
+
+RADIUS = 3
+EXPONENTS = (1, -1, 4, -4)
+
+
+def test_census_radius_3():
+    prims = [
+        (x, y)
+        for x in range(-RADIUS, RADIUS + 1)
+        for y in range(-RADIUS, RADIUS + 1)
+        if math.gcd(x, y) == 1
+    ]
+    raw = 0
+    forms = set()
+    for b2 in prims:
+        for c2 in prims:
+            for core in prims:
+                for k in EXPONENTS:
+                    d = TorusDiagram((1, 0), b2, c2, Monodromy.twist(core, k), 1)
+                    forms.add(canonical_form(d)[0])
+                    raw += 1
+    families = Counter()
+    unmatched = ties = 0
+    for t in forms:
+        match = classify(six_tuple(t))
+        if match is None:
+            unmatched += 1
+        else:
+            families[match.family] += 1
+        t1 = apply_sigma2(t)
+        invariants = {intersection_invariant(x) for x in (t, t1, apply_sigma2(t1))}
+        ties += theorem_hypotheses(t).all_hold and len(invariants) < 3
+    assert raw == 131_072
+    assert len(forms) == 9_476
+    assert dict(families) == {2: 50, 3: 12, 4: 16, 5: 18}
+    assert unmatched == 9_380
+    assert ties == 172

@@ -1,3 +1,4 @@
+import errno
 import glob
 import importlib.metadata
 import json
@@ -132,6 +133,24 @@ def test_move_round_trip_is_byte_identical(tmp_path, capsys):
     assert code == 0
     with open(src, "rb") as f1, open(back, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_move_unwritable_out_exit_2(tmp_path, capsys):
+    src = fixture("family2_q3.json")
+    missing = str(tmp_path / "no_such_dir" / "x.json")
+    code, out, err = run(capsys, "move", src, "--word", "D2", "--out", missing)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {missing}: {os.strerror(errno.ENOENT)}\n"
+    code, out, err = run(capsys, "move", src, "--word", "D2", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and "Traceback" not in err
+
+
+def test_non_utf8_document_exit_2(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"model": "torus", "a2": ["\u00e9", 0]}'.encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out, err) == (2, "", f"error: {p}: not UTF-8 text\n")
 
 
 def test_move_prints_document(capsys):

@@ -100,6 +100,30 @@ def test_surgery_round_trip_randomized():
         assert surgery_project(embed_torus(d)) == d
 
 
+def test_surgery_standard_a1_lifts():
+    # Standard lifts moved by handle slides keep a1 = (1, 0, 0, 0), the
+    # class the reduction handles without the general echelon path.
+    rng = random.Random(515)
+    for _ in range(1_000):
+        d = rand_torus_diagram(rng)
+        g = embed_torus(d)
+        for _ in range(rng.randrange(5)):
+            g = handle_slide(g, rng.choice(("a2", "b2", "c2")), rng.choice((1, -1)))
+        assert g.a1 == (1, 0, 0, 0)
+        assert surgery_project(g) == d
+    # The refusals still happen on standard lifts: identity monodromy with
+    # a nonzero boundary class, and a non-primitive a2.
+    g = embed_torus(case_diagram(1))
+    with pytest.raises(ExponentCoreMismatchError):
+        surgery_project(Genus2Diagram(g.a1, g.b1, (-1, -1, 0, 1), g.a2, g.b2, g.c2, 0))
+    g = embed_torus(case_diagram(3))
+    bad = Genus2Diagram(g.a1, g.b1, g.c1, (0, 0, 2, 0), g.b2, g.c2, g.exponent)
+    assert validate_genus2(bad) == []
+    with pytest.raises(InvalidDiagramError) as e:
+        surgery_project(bad)
+    assert e.value.errors == ["NonPrimitive"]
+
+
 def test_embed_torus_both_signs():
     d = case_diagram(3)
     for sign in (1, -1):

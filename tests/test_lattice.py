@@ -18,6 +18,7 @@ from trisect import (
     sl2_complete,
     transvect,
 )
+from trisect.lattice import _echelon_basis, _solve_unit_functional
 
 from conftest import rand_primitive_vec2, rand_primitive_vec4
 
@@ -127,6 +128,24 @@ def test_is_primitive():
     assert not is_primitive((2, 2, 2, 2))
 
 
+def test_is_primitive_matches_abs_gcd():
+    # Reference: the gcd of the absolute values, which math.gcd computes
+    # anyway; zero, negative and wider-than-64-bit entries included.
+    big = 2**70
+    vectors = [
+        (), (0,), (0, 0), (0, 0, 0, 0), (1,), (-1,), (-1, 0), (0, -1), (-2, -4),
+        (-3, 5), (6, -10, 15, 0), (big, 1), (big, big + 1), (-big, 2 * big),
+        (3 * big, -5 * big, 0, 0), (2**64 + 1, -(2**64 - 1)), (-(2**63), 2**63 - 1),
+    ]
+    rng = random.Random(121)
+    for _ in range(2_000):
+        n = rng.choice((2, 4))
+        scale = rng.choice((1, 2, 3, big))
+        vectors.append(tuple(scale * rng.randint(-50, 50) for _ in range(n)))
+    for v in vectors:
+        assert is_primitive(v) == (math.gcd(*(abs(c) for c in v)) == 1), v
+
+
 def test_mat2_helpers():
     rng = random.Random(303)
     for _ in range(1_000):
@@ -144,6 +163,43 @@ def test_symplectic_reduce_standard_position():
     assert r.basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert r.project((0, 0, 5, 7)) == (5, 7)
     assert r.project((3, 0, -2, 9)) == (-2, 9)
+
+
+def test_symplectic_reduce_standard_shortcut_matches_general_path():
+    # The standard class takes a shortcut; a list with the same entries is
+    # not equal to the tuple (1, 0, 0, 0), so it takes the general path.
+    standard = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    fast = SymplecticReduction((1, 0, 0, 0))
+    general = SymplecticReduction([1, 0, 0, 0])
+    assert fast.basis == standard
+    assert (tuple(general.basis[0]),) + general.basis[1:] == standard
+    rng = random.Random(141)
+    for _ in range(200):
+        w = (rng.randint(-30, 30), 0, rng.randint(-30, 30), rng.randint(-30, 30))
+        assert fast.project(w) == general.project(w) == (w[2], w[3])
+
+
+def _reduction_basis_reference(a):
+    """Reference basis: the complement images built by pairing each unit
+    vector with a and f1, as the general path first did."""
+    f1 = _solve_unit_functional((-a[1], a[0], -a[3], a[2]))
+    imgs = []
+    for i in range(4):
+        e = tuple(1 if j == i else 0 for j in range(4))
+        m1, m2 = pair4(a, e), pair4(f1, e)
+        imgs.append(tuple(ei - m1 * fi + m2 * ai for ei, fi, ai in zip(e, f1, a)))
+    e2, f2 = _echelon_basis(imgs)
+    if pair4(e2, f2) == -1:
+        e2, f2 = f2, e2
+    return (a, f1, e2, f2)
+
+
+def test_symplectic_reduce_matches_reference():
+    rng = random.Random(161)
+    for bound in (1, 2, 15, 2**70):
+        for _ in range(1_000):
+            a = rand_primitive_vec4(rng, bound=bound)
+            assert SymplecticReduction(a).basis == _reduction_basis_reference(a), a
 
 
 def test_symplectic_reduce_swapped_block():

@@ -7,6 +7,7 @@ from trisect import (
     S1XS2,
     S3,
     LensSpace,
+    FamilyMatch,
     Monodromy,
     NonPrimitiveError,
     SixTuple,
@@ -24,6 +25,7 @@ from trisect import (
     six_tuple,
     sl2_complete,
 )
+from trisect.vertical import _match_family
 
 from conftest import (
     rand_primitive_vec2,
@@ -285,3 +287,64 @@ def test_six_tuple_matches_pair_table():
     assert t.cb == lens_from_pair(d.c2, d.b2)
     assert t.ba == lens_from_pair(d.b2, pull(d.a2))
     assert abs(pair2(d.b2, pull(d.b2))) == t.bb.p
+
+
+def _six_tuple_reference(d):
+    """Reference six-tuple: the slot recipe with lens_from_pair per slot."""
+    pull = d.monodromy.inverse_apply
+    return SixTuple(
+        aa=lens_from_pair(d.a2, pull(d.a2)),
+        bb=lens_from_pair(d.b2, pull(d.b2)),
+        cc=lens_from_pair(d.c2, pull(d.c2)),
+        ba=lens_from_pair(d.b2, pull(d.a2)),
+        cb=lens_from_pair(d.c2, d.b2),
+        ac=lens_from_pair(d.a2, pull(d.c2)),
+    )
+
+
+def _classify_reference(t, oriented=False):
+    """Reference classification: the full symmetry search, no prefilter."""
+    images = []
+    for reflected in (False, True):
+        img = reflect(t) if reflected else t
+        for r in (0, 1, 2):
+            images.append((reflected, r, img))
+            img = rotate(img)
+    for family in (1, 2, 3, 4, 5):
+        for reflected, r, img in images:
+            hit = _match_family(img, family, oriented)
+            if hit is not None:
+                q, eps = hit
+                return FamilyMatch(
+                    family=family, q=q, epsilon=eps, rotations=r, reflected=reflected
+                )
+    return None
+
+
+def _reference_inputs():
+    for family, kwargs in sweep_case_configs():
+        for sign in (1, -1):
+            yield case_diagram(family, sign=sign, **kwargs)
+    rng = random.Random(4041)
+    for _ in range(2_000):
+        yield rand_torus_diagram(rng)
+
+
+def test_six_tuple_matches_reference():
+    for d in _reference_inputs():
+        assert six_tuple(d) == _six_tuple_reference(d), d
+
+
+def test_classify_matches_reference():
+    matched = 0
+    for d in _reference_inputs():
+        t = six_tuple(d)
+        # every symmetry image, so that matches reach every branch
+        images = [t, rotate(t), rotate(rotate(t))]
+        images += [reflect(img) for img in images]
+        for img in images:
+            for oriented in (False, True):
+                want = _classify_reference(img, oriented)
+                assert classify(img, oriented) == want, (d, img, oriented)
+                matched += want is not None
+    assert matched > 1_000
