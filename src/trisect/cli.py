@@ -11,6 +11,10 @@ monodromy without a core field (the core is recovered by surgery).  The
 identity monodromy is {"type": "identity"}.  Integer entries may be JSON
 numbers or decimal strings, so values beyond 64 bits survive any writer.
 
+A genus-2 document is valid when it passes the genus-2 checks and
+surgery_project turns it into a valid torus diagram; every verb refuses
+the others.
+
 Exit codes: 0 success (including negative verdicts), 1 invalid diagram,
 2 unreadable or malformed input, unwritable output, or usage errors.
 """
@@ -22,15 +26,16 @@ import json
 import sys
 
 from .diagram import (
+    EXPONENT_CORE_MISMATCH,
     ExponentCoreMismatchError,
     Genus2Diagram,
     InvalidDiagramError,
     Monodromy,
     TorusDiagram,
     intersection_invariant,
+    require_valid_torus,
     surgery_project,
     theorem_hypotheses,
-    validate_genus2,
     validate_torus,
 )
 from .lattice import NonPrimitiveError, ZeroVectorError
@@ -72,6 +77,13 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_vec(value, n: int, where: str) -> tuple:
+    if type(value) is list and len(value) == n:
+        # Fast path for plain JSON integers; anything else is checked below.
+        for c in value:
+            if type(c) is not int:
+                break
+        else:
+            return tuple(value)
     if not isinstance(value, list) or len(value) != n:
         raise DocumentError(f"{where}: expected a list of {n} integers")
     return tuple(_as_int(c, f"{where}[{i}]") for i, c in enumerate(value))
@@ -209,9 +221,21 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _errors(d) -> list[str]:
+    """Validation error codes; a genus-2 diagram must also project."""
+    if not isinstance(d, Genus2Diagram):
+        return validate_torus(d)
+    try:
+        surgery_project(d)
+    except InvalidDiagramError as e:
+        return e.errors
+    except ExponentCoreMismatchError:
+        return [EXPONENT_CORE_MISMATCH]
+    return []
+
+
 def cmd_validate(args) -> int:
-    d = load_document(args.path)
-    errors = validate_genus2(d) if isinstance(d, Genus2Diagram) else validate_torus(d)
+    errors = _errors(load_document(args.path))
     if args.json:
         print(json.dumps({"ok": not errors, "errors": errors}, indent=2))
     else:
@@ -224,7 +248,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    inv = intersection_invariant(load_document(args.path))
+    inv = intersection_invariant(_as_torus(load_document(args.path)))
     _emit(args, {"invariant": list(inv)}, f"I = {_fmt_triple(inv)}")
     return 0
 
@@ -236,6 +260,8 @@ def cmd_move(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     d = load_document(args.path)
+    # Refuse what every other verb refuses, even for an empty word.
+    require_valid_torus(_as_torus(d))
     try:
         if isinstance(d, Genus2Diagram):
             moved = word_to_diagram(d, word)

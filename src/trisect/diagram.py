@@ -17,6 +17,7 @@ two of which meet once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .lattice import (
     SymplecticReduction,
@@ -38,6 +39,9 @@ IDENTITY_CASE_VIOLATION = "IdentityCaseViolation"
 NON_PRIMITIVE_A1 = "NonPrimitiveA1"
 TRIPLE_PAIRING_INVALID = "TriplePairingInvalid"
 A2_NOT_DISJOINT = "A2NotDisjoint"
+# Reported by the CLI's validate verb when surgery_project raises
+# ExponentCoreMismatchError.
+EXPONENT_CORE_MISMATCH = "ExponentCoreMismatch"
 
 
 class InvalidDiagramError(ValueError):
@@ -97,6 +101,10 @@ class TorusDiagram:
     monodromy: Monodromy
     sign: int = 1
 
+    # Validity mark (see _mark_torus); not a field, so ==, hash and repr
+    # ignore it.
+    _valid = False
+
     def classes(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.a2, self.b2, self.c2)
 
@@ -117,33 +125,48 @@ class Genus2Diagram:
     c2: Vec4
     exponent: int
 
+    # Validity mark (see _mark_genus2); not a field, so ==, hash and repr
+    # ignore it.
+    _valid = False
+
 
 def _pairwise_unit(x, y, z, pairing) -> bool:
     return all(abs(pairing(u, v)) == 1 for u, v in ((x, y), (y, z), (z, x)))
 
 
 def validate_torus(d: TorusDiagram) -> list[str]:
-    """Every violated invariant of the torus model, empty when valid."""
+    """Every violated invariant of the torus model, empty when valid.
+
+    A valid diagram is marked (see _mark_torus).
+    """
     errors = []
-    if not all(is_primitive(v) for v in d.classes()):
+    a, b, c = d.a2, d.b2, d.c2
+    if gcd(*a) != 1 or gcd(*b) != 1 or gcd(*c) != 1:
         errors.append(NON_PRIMITIVE)
     mono = d.monodromy
     if mono.exponent == 0:
         if mono.core is not None:
             errors.append(BAD_EXPONENT)
-        elif not _pairwise_unit(d.a2, d.b2, d.c2, pair2):
+        elif not _pairwise_unit(a, b, c, pair2):
             errors.append(IDENTITY_CASE_VIOLATION)
     elif mono.exponent not in TWIST_EXPONENTS or mono.core is None:
         errors.append(BAD_EXPONENT)
-    elif not is_primitive(mono.core):
+    elif gcd(*mono.core) != 1:
         errors.append(NON_PRIMITIVE)
     if d.sign not in (1, -1):
         errors.append(BAD_SIGN)
+    if not errors:
+        _mark_torus(d)
     return errors
 
 
 def validate_genus2(d: Genus2Diagram) -> list[str]:
-    """Every violated invariant of the genus-2 model, empty when valid."""
+    """Every violated invariant of the genus-2 model, empty when valid.
+
+    A valid diagram is marked (see _mark_genus2).  surgery_project can
+    still refuse it: when the twist exponent and the core disagree, or when
+    a projected class is not primitive.
+    """
     errors = []
     if not is_primitive(d.a1):
         errors.append(NON_PRIMITIVE_A1)
@@ -160,16 +183,60 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
         # pair4, so the identity-case constraint needs no projection.
         if not _pairwise_unit(d.a2, d.b2, d.c2, pair4):
             errors.append(IDENTITY_CASE_VIOLATION)
+    if not errors:
+        _mark_genus2(d)
     return errors
 
 
+def _mark_torus(d: TorusDiagram) -> TorusDiagram:
+    """Mark d, known to be valid, so that require_valid_torus trusts it.
+
+    validate_torus and the moves that preserve validity call this.  Only a
+    TorusDiagram whose classes and core are tuples is marked, since a list
+    could change after the check.  Returns d.
+    """
+    if (
+        type(d) is TorusDiagram
+        and type(d.a2) is tuple
+        and type(d.b2) is tuple
+        and type(d.c2) is tuple
+        and type(d.monodromy) is Monodromy
+        and (d.monodromy.core is None or type(d.monodromy.core) is tuple)
+    ):
+        object.__setattr__(d, "_valid", True)
+    return d
+
+
+def _mark_genus2(d: Genus2Diagram) -> Genus2Diagram:
+    """Mark d, known to be valid, so that require_valid_genus2 trusts it.
+
+    As _mark_torus: only a Genus2Diagram whose six classes are tuples is
+    marked.  Returns d.
+    """
+    if (
+        type(d) is Genus2Diagram
+        and type(d.a1) is tuple
+        and type(d.b1) is tuple
+        and type(d.c1) is tuple
+        and type(d.a2) is tuple
+        and type(d.b2) is tuple
+        and type(d.c2) is tuple
+    ):
+        object.__setattr__(d, "_valid", True)
+    return d
+
+
 def require_valid_torus(d: TorusDiagram) -> None:
+    if type(d) is TorusDiagram and d._valid:
+        return
     errors = validate_torus(d)
     if errors:
         raise InvalidDiagramError(errors)
 
 
 def require_valid_genus2(d: Genus2Diagram) -> None:
+    if type(d) is Genus2Diagram and d._valid:
+        return
     errors = validate_genus2(d)
     if errors:
         raise InvalidDiagramError(errors)
@@ -276,7 +343,7 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
     w = getattr(d, target)
     moved = tuple(wi + sign * ai for wi, ai in zip(w, d.a1))
     out = {target: moved}
-    return Genus2Diagram(
+    slid = Genus2Diagram(
         a1=d.a1,
         b1=d.b1,
         c1=d.c1,
@@ -285,6 +352,7 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
         c2=out.get("c2", d.c2),
         exponent=d.exponent,
     )
+    return _mark_genus2(slid)
 
 
 @dataclass(frozen=True)

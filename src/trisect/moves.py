@@ -33,6 +33,8 @@ from .diagram import (
     Genus2Diagram,
     Monodromy,
     TorusDiagram,
+    _mark_genus2,
+    _mark_torus,
     intersection_invariant,
     require_valid_genus2,
     require_valid_torus,
@@ -92,7 +94,7 @@ def apply_sigma1(d: Genus2Diagram) -> Genus2Diagram:
     """
     require_valid_genus2(d)
     core = transvect(d.a1, 1, d.b1)
-    return Genus2Diagram(
+    out = Genus2Diagram(
         a1=d.b1,
         b1=d.c1,
         c1=d.a1,
@@ -101,13 +103,14 @@ def apply_sigma1(d: Genus2Diagram) -> Genus2Diagram:
         c2=transvect(core, 1, d.c2),
         exponent=d.exponent,
     )
+    return _mark_genus2(out)
 
 
 def apply_sigma1_inverse(d: Genus2Diagram) -> Genus2Diagram:
     """Inverse of apply_sigma1: cycle to (c1, a1, b1), untwist along t_{c1}(a1)."""
     require_valid_genus2(d)
     core = transvect(d.c1, 1, d.a1)
-    return Genus2Diagram(
+    out = Genus2Diagram(
         a1=d.c1,
         b1=d.a1,
         c1=d.b1,
@@ -116,6 +119,7 @@ def apply_sigma1_inverse(d: Genus2Diagram) -> Genus2Diagram:
         c2=transvect(core, -1, d.c2),
         exponent=d.exponent,
     )
+    return _mark_genus2(out)
 
 
 def apply_sigma2(d):
@@ -129,7 +133,7 @@ def apply_sigma2(d):
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
         core = tuple(x + y + z for x, y, z in zip(d.a1, d.b1, d.c1))
-        return Genus2Diagram(
+        out = Genus2Diagram(
             a1=d.a1,
             b1=d.b1,
             c1=d.c1,
@@ -138,14 +142,16 @@ def apply_sigma2(d):
             c2=d.a2,
             exponent=d.exponent,
         )
+        return _mark_genus2(out)
     require_valid_torus(d)
-    return TorusDiagram(
+    out = TorusDiagram(
         a2=d.b2,
         b2=d.monodromy.inverse_apply(d.c2),
         c2=d.a2,
         monodromy=d.monodromy,
         sign=d.sign,
     )
+    return _mark_torus(out)
 
 
 def apply_sigma2_inverse(d):
@@ -153,7 +159,7 @@ def apply_sigma2_inverse(d):
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
         core = tuple(x + y + z for x, y, z in zip(d.a1, d.b1, d.c1))
-        return Genus2Diagram(
+        out = Genus2Diagram(
             a1=d.a1,
             b1=d.b1,
             c1=d.c1,
@@ -162,14 +168,16 @@ def apply_sigma2_inverse(d):
             c2=transvect(core, d.exponent, d.b2),
             exponent=d.exponent,
         )
+        return _mark_genus2(out)
     require_valid_torus(d)
-    return TorusDiagram(
+    out = TorusDiagram(
         a2=d.c2,
         b2=d.a2,
         c2=d.monodromy.apply(d.b2),
         monodromy=d.monodromy,
         sign=d.sign,
     )
+    return _mark_torus(out)
 
 
 def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
@@ -254,16 +262,14 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
     mono = d.monodromy
     if not mono.is_identity:
         mono = Monodromy.twist(_normalize_sign(mat2_apply(b, mono.core)), mono.exponent)
-    return (
-        TorusDiagram(
-            a2=_normalize_sign(mat2_apply(b, d.a2)),
-            b2=_normalize_sign(mat2_apply(b, d.b2)),
-            c2=_normalize_sign(mat2_apply(b, d.c2)),
-            monodromy=mono,
-            sign=d.sign,
-        ),
-        b,
+    out = TorusDiagram(
+        a2=_normalize_sign(mat2_apply(b, d.a2)),
+        b2=_normalize_sign(mat2_apply(b, d.b2)),
+        c2=_normalize_sign(mat2_apply(b, d.c2)),
+        monodromy=mono,
+        sign=d.sign,
     )
+    return _mark_torus(out), b
 
 
 @dataclass(frozen=True)

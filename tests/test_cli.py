@@ -6,12 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import trisect.cli
 from trisect import Monodromy, TorusDiagram, canonical_form, surgery_project
-from trisect.cli import document_text, load_document, main, parse_document
+from trisect.cli import DocumentError, document_text, load_document, main, parse_document
 
 from conftest import FIXTURES, fixture
 from test_moves import _orbit_bfs
@@ -111,6 +112,92 @@ def test_overlong_decimal_string_exit_2(tmp_path, capsys):
     p.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "validate", str(p))
     assert code == 2 and "not a decimal integer" in err and len(err) < 200
+
+
+def test_parse_document_integer_entries():
+    # Plain JSON integers take a fast path; every other entry gives the
+    # value or the error message it gave before that path existed.
+    base = {
+        "model": "torus",
+        "a2": [1, 0],
+        "b2": [0, 1],
+        "monodromy": {"type": "twist", "core": [-1, 1], "exponent": 1},
+        "sign": 1,
+    }
+    accepted = {
+        "7": (7, 0),
+        " -3 ": (-3, 0),
+        2**80: (2**80, 0),
+    }
+    for entry, c2 in accepted.items():
+        d = parse_document({**base, "c2": [entry, 0]})
+        assert d == TorusDiagram((1, 0), (0, 1), c2, Monodromy.twist((-1, 1), 1))
+        assert type(d.c2) is tuple and all(type(c) is int for c in d.c2)
+    refused = [
+        ([True, 0], "c2[0]: expected an integer, got a boolean"),
+        ([0, False], "c2[1]: expected an integer, got a boolean"),
+        ([1.0, 0], "c2[0]: expected an integer, got float"),
+        ([0, None], "c2[1]: expected an integer, got NoneType"),
+        (
+            ["1" * 5_001, 0],
+            "c2[0]: '11111111111111111111'... (5001 characters) exceeds the "
+            "4300-digit integer-conversion limit",
+        ),
+        (["x" * 50, 0], "c2[0]: 'xxxxxxxxxxxxxxxxxxxx'... (50 characters) is not a decimal integer"),
+        ([1], "c2: expected a list of 2 integers"),
+        ([1, 0, 0], "c2: expected a list of 2 integers"),
+        ((1, 0), "c2: expected a list of 2 integers"),
+        ({"x": 1}, "c2: expected a list of 2 integers"),
+        ("10", "c2: expected a list of 2 integers"),
+    ]
+    for c2, message in refused:
+        with pytest.raises(DocumentError) as info:
+            parse_document({**base, "c2": c2})
+        assert str(info.value) == message
+    genus2 = json.loads(Path(fixture("genus2_q3.json")).read_text(encoding="utf-8"))
+    for b2, message in (
+        ([0, 0, True, 1], "b2[2]: expected an integer, got a boolean"),
+        ([0, 0, 1, 1.0], "b2[3]: expected an integer, got float"),
+        ([0, 0, 1], "b2: expected a list of 4 integers"),
+    ):
+        with pytest.raises(DocumentError) as info:
+            parse_document({**genus2, "b2": b2})
+        assert str(info.value) == message
+
+
+def test_genus2_verbs_agree_on_validity(tmp_path, capsys):
+    # Both documents pass validate_genus2, but surgery_project refuses
+    # them, so every verb that reads a diagram exits 1.
+    doc = json.loads(Path(fixture("genus2_q3.json")).read_text(encoding="utf-8"))
+    cases = [
+        ({**doc, "a2": [0, 0, 2, 0]}, ["NonPrimitive"]),
+        ({**doc, "monodromy": {"type": "identity"}}, ["ExponentCoreMismatch"]),
+    ]
+    for i, (bad, errors) in enumerate(cases):
+        p = tmp_path / f"bad{i}.json"
+        p.write_text(json.dumps(bad), encoding="utf-8")
+        code, out, _ = run(capsys, "validate", str(p), "--json")
+        assert (code, json.loads(out)) == (1, {"ok": False, "errors": errors})
+        code, out, _ = run(capsys, "validate", str(p))
+        assert (code, out) == (1, "".join(e + "\n" for e in errors))
+        for argv in (
+            ["invariant"],
+            ["move", "--word", "D1,D2"],
+            ["move", "--word", ""],
+            ["six-tuple"],
+            ["classify"],
+            ["check-theorem"],
+            ["orbit", "--depth", "2"],
+        ):
+            code, out, _ = run(capsys, argv[0], str(p), *argv[1:])
+            assert (code, out) == (1, ""), argv
+
+
+def test_move_refuses_invalid_torus_with_empty_word(capsys):
+    code, out, err = run(capsys, "move", fixture("invalid/nonprimitive.json"), "--word", "")
+    assert (code, out, err) == (1, "", "NonPrimitive\n")
+    code, out, _ = run(capsys, "move", fixture("identity.json"), "--word", "")
+    assert code == 0 and out == document_text(load_document(fixture("identity.json")))
 
 
 def test_invariant_output(capsys):

@@ -1,24 +1,38 @@
+import dataclasses
 import random
 
 import pytest
 
+import trisect.diagram
 from trisect import (
     ExponentCoreMismatchError,
     Genus2Diagram,
     InvalidDiagramError,
     Monodromy,
     TorusDiagram,
+    apply_sigma1,
+    apply_sigma1_inverse,
+    apply_sigma2,
+    apply_sigma2_inverse,
     canonical_form,
     case_diagram,
+    classify,
     embed_torus,
+    equivalent_torus,
     handle_slide,
     intersection_invariant,
+    orbit,
+    sigma2_cubed_witness,
+    six_tuple,
     surgery_project,
     theorem_hypotheses,
     transvect,
     validate_genus2,
     validate_torus,
+    word_to_diagram,
+    word_to_torus,
 )
+from trisect.cli import parse_document, serialize_document
 
 from conftest import (
     rand_genus2_diagram,
@@ -298,3 +312,132 @@ def test_theorem_hypotheses_on_case_grid():
         if r.all_hold:
             triples = [intersection_invariant(x) for x in (d, apply_sigma2(d), apply_sigma2(apply_sigma2(d)))]
             assert len(set(triples)) == 3, (family, kwargs, triples)
+
+
+def good_torus():
+    return TorusDiagram((1, 0), (0, 1), (1, 1), twist((-1, 1), 1))
+
+
+# Every public entry point that takes a diagram of one model.
+TORUS_ENTRY_POINTS = (
+    six_tuple,
+    theorem_hypotheses,
+    apply_sigma2,
+    apply_sigma2_inverse,
+    intersection_invariant,
+    canonical_form,
+    sigma2_cubed_witness,
+    embed_torus,
+    lambda d: equivalent_torus(d, d),
+    lambda d: orbit(d, 2),
+    lambda d: word_to_torus(d, ("D2",)),
+)
+GENUS2_ENTRY_POINTS = (
+    surgery_project,
+    intersection_invariant,
+    lambda g: handle_slide(g, "b2"),
+    apply_sigma1,
+    apply_sigma1_inverse,
+    apply_sigma2,
+    apply_sigma2_inverse,
+    lambda g: word_to_diagram(g, ("D1",)),
+)
+
+
+def test_invalid_diagrams_are_never_marked():
+    good = good_torus()
+    bad_torus = [
+        dataclasses.replace(good, a2=(2, 0)),
+        dataclasses.replace(good, monodromy=twist((-1, 1), 2)),
+        dataclasses.replace(good, monodromy=twist((2, 2), 1)),
+        dataclasses.replace(good, monodromy=Monodromy((1, 0), 0)),
+        dataclasses.replace(good, monodromy=Monodromy.identity(), c2=(1, 2)),
+        dataclasses.replace(good, sign=2),
+    ]
+    lift = embed_torus(good)
+    bad_genus2 = [
+        dataclasses.replace(lift, a1=(2, 0, 0, 0)),
+        dataclasses.replace(lift, b1=(0, 2, 0, 0)),
+        dataclasses.replace(lift, a2=(0, 1, 1, 0)),
+        dataclasses.replace(lift, exponent=2),
+    ]
+    for entry_points, bad, validate in (
+        (TORUS_ENTRY_POINTS, bad_torus, validate_torus),
+        (GENUS2_ENTRY_POINTS, bad_genus2, validate_genus2),
+    ):
+        for d in bad:
+            assert validate(d)
+            for _ in range(2):
+                for f in entry_points:
+                    with pytest.raises(InvalidDiagramError):
+                        f(d)
+            assert not d._valid
+
+
+def test_list_fields_are_never_marked():
+    a2 = [1, 0]
+    d = dataclasses.replace(good_torus(), a2=a2)
+    assert validate_torus(d) == [] and theorem_hypotheses(d).all_hold
+    rotated = apply_sigma2_inverse(d)  # (c2, a2, mu(b2)): shares the list
+    assert intersection_invariant(rotated) == intersection_invariant(apply_sigma2_inverse(good_torus()))
+    assert not d._valid and not rotated._valid
+    a2[0] = 2
+    for x in (d, rotated):
+        with pytest.raises(InvalidDiagramError):
+            intersection_invariant(x)
+
+    core = [-1, 1]
+    d = TorusDiagram((1, 0), (0, 1), (1, 1), Monodromy(core, 1))
+    assert six_tuple(d) and not d._valid
+    core[:] = [2, 2]
+    with pytest.raises(InvalidDiagramError):
+        six_tuple(d)
+
+    a1 = [1, 0, 0, 0]
+    g = dataclasses.replace(embed_torus(good_torus()), a1=a1)
+    slid = handle_slide(g, "c2")
+    assert surgery_project(g) and surgery_project(slid)
+    assert not g._valid and not slid._valid
+    a1[0] = 2
+    for x in (g, slid):
+        with pytest.raises(InvalidDiagramError):
+            surgery_project(x)
+
+
+def test_mark_is_not_a_field():
+    for d, validate in ((good_torus(), validate_torus), (embed_torus(good_torus()), validate_genus2)):
+        fresh = dataclasses.replace(d)
+        assert validate(d) == [] and d._valid and not fresh._valid
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        assert "_valid" not in {f.name for f in dataclasses.fields(d)}
+
+
+def test_certification_path_validates_each_document_once(monkeypatch):
+    calls = []
+    real = trisect.diagram.validate_torus
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(trisect.diagram, "validate_torus", counting)
+    rng = random.Random(6061)
+    docs = [serialize_document(rand_torus_diagram(rng)) for _ in range(300)]
+    for doc in docs:
+        t = parse_document(doc)
+        calls.clear()
+        # The work of check-theorem and classify.
+        classify(six_tuple(t))
+        theorem_hypotheses(t)
+        t1 = apply_sigma2(t)
+        t2 = apply_sigma2(t1)
+        for x in (t, t1, t2):
+            intersection_invariant(x)
+        assert calls == [t]
+    # A genus-2 document is checked once more, after its projection.
+    g = parse_document(serialize_document(rand_genus2_diagram(rng)))
+    calls.clear()
+    t = surgery_project(g)
+    classify(six_tuple(t))
+    theorem_hypotheses(t)
+    assert calls == [t]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from trisect import (
     case_diagram,
     embed_torus,
     equivalent_torus,
+    handle_slide,
     intersection_invariant,
     mat2_apply,
     mat2_det,
@@ -31,6 +33,8 @@ from trisect import (
     sigma2_cubed_witness,
     surgery_project,
     transvect,
+    validate_genus2,
+    validate_torus,
     word_to_diagram,
     word_to_torus,
 )
@@ -205,6 +209,38 @@ def test_word_round_trip_genus2():
         g = rand_genus2_diagram(rng)
         w = rand_word(rng, rng.randrange(8))
         assert word_to_diagram(word_to_diagram(g, w), inverse_word(w)) == g
+
+
+def _trusted_outputs(rng):
+    """(output, validator) for every construction that marks its output.
+
+    Each construction is applied to a fresh random diagram and, to reach
+    inputs that are themselves marked outputs, to the output of a random
+    earlier step.
+    """
+    t = rand_torus_diagram(rng)
+    for _ in range(3):
+        outs = [apply_sigma2(t), apply_sigma2_inverse(t), canonical_form(t)[0]]
+        yield from ((out, validate_torus) for out in outs)
+        t = rng.choice(outs)
+    g = rand_genus2_diagram(rng)
+    for _ in range(3):
+        outs = [apply_sigma1(g), apply_sigma1_inverse(g), apply_sigma2(g), apply_sigma2_inverse(g)]
+        outs += [handle_slide(g, target, sign) for target in ("a2", "b2", "c2") for sign in (1, -1)]
+        yield from ((out, validate_genus2) for out in outs)
+        g = rng.choice(outs)
+
+
+def test_trusted_outputs_are_valid():
+    # A marked output skips validation downstream, so the full validator
+    # must accept an unmarked copy of it.
+    rng = random.Random(7207)
+    for _ in range(2000):
+        for out, validate in _trusted_outputs(rng):
+            assert out._valid
+            copy = dataclasses.replace(out)
+            assert not copy._valid
+            assert validate(copy) == [], out
 
 
 def test_canonical_form_shape_and_idempotence():
