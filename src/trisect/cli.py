@@ -61,18 +61,20 @@ def _as_int(value, where: str) -> int:
         return value
     if isinstance(value, str):
         text = value.strip()
-        try:
-            return int(text, 10)
-        except ValueError:
-            pass
-        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
         digits = text[1:] if text[:1] in ("+", "-") else text
-        limit = sys.get_int_max_str_digits()
-        if digits.isdecimal() and len(digits) > limit > 0:
+        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+        # Only ASCII [+-]?[0-9]+: int() alone also accepts underscores, as
+        # in "1_0", and non-ASCII decimal digits such as fullwidth ones.
+        if not (digits.isascii() and digits.isdigit()):
+            raise DocumentError(f"{where}: {shown} is not a decimal integer")
+        try:
+            return int(text)
+        except ValueError:
+            # On ASCII digits int() fails only past the int/str digit limit.
+            limit = sys.get_int_max_str_digits()
             raise DocumentError(
                 f"{where}: {shown} exceeds the {limit}-digit integer-conversion limit"
-            )
-        raise DocumentError(f"{where}: {shown} is not a decimal integer")
+            ) from None
     raise DocumentError(f"{where}: expected an integer, got {type(value).__name__}")
 
 

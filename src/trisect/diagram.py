@@ -26,7 +26,6 @@ from .lattice import (
     is_primitive,
     pair2,
     pair4,
-    transvect,
 )
 
 TWIST_EXPONENTS = (1, -1, 4, -4)
@@ -79,12 +78,19 @@ class Monodromy:
         """Image of x under the inverse monodromy, identity if trivial."""
         if self.exponent == 0:
             return tuple(x)
-        return transvect(self.core, -self.exponent, x)
+        c0, c1 = self.core
+        x0, x1 = x
+        m = self.exponent * (c1 * x0 - c0 * x1)
+        return (x0 + m * c0, x1 + m * c1)
 
     def apply(self, x: Vec2) -> Vec2:
+        """Image of x under the monodromy, identity if trivial."""
         if self.exponent == 0:
             return tuple(x)
-        return transvect(self.core, self.exponent, x)
+        c0, c1 = self.core
+        x0, x1 = x
+        m = self.exponent * (c0 * x1 - c1 * x0)
+        return (x0 + m * c0, x1 + m * c1)
 
 
 @dataclass(frozen=True)
@@ -323,9 +329,13 @@ def intersection_invariant(d: TorusDiagram | Genus2Diagram) -> tuple[int, int, i
         return tuple(abs(pair4(bc, w)) for w in (d.a2, d.b2, d.c2))
     require_valid_torus(d)
     mono = d.monodromy
-    if mono.is_identity:
+    if mono.exponent == 0:
         return (0, 0, 0)
-    return tuple(abs(pair2(mono.core, w)) for w in d.classes())
+    x, y = mono.core
+    a0, a1 = d.a2
+    b0, b1 = d.b2
+    c0, c1 = d.c2
+    return (abs(x * a1 - y * a0), abs(x * b1 - y * b0), abs(x * c1 - y * c0))
 
 
 def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
@@ -394,8 +404,12 @@ def theorem_hypotheses(d: TorusDiagram) -> HypothesisReport:
     """Evaluate the certification hypotheses on a valid torus diagram."""
     require_valid_torus(d)
     mono = d.monodromy
+    a0, a1 = d.a2
+    b0, b1 = d.b2
+    c0, c1 = d.c2
+    p0, p1 = mono.inverse_apply(d.c2)
     return HypothesisReport(
-        monodromy_nontrivial=not mono.is_identity,
-        b2_c2_independent=pair2(d.b2, d.c2) != 0,
-        a2_pulled_c2_independent=pair2(d.a2, mono.inverse_apply(d.c2)) != 0,
+        monodromy_nontrivial=mono.exponent != 0,
+        b2_c2_independent=b0 * c1 - b1 * c0 != 0,
+        a2_pulled_c2_independent=a0 * p1 - a1 * p0 != 0,
     )

@@ -9,6 +9,8 @@ block sum of two copies on coordinates (x1, y1, x2, y2).  Conventions:
 
 so transvect(c, 1, .) is the right-handed Dehn twist about a curve with
 homology class c, and transvect(c, -k, .) inverts transvect(c, k, .).
+diagram.Monodromy applies the rank-2 case in closed form,
+(x0 + m*c0, x1 + m*c1) with m = k * pair2(c, x), on the torus hot path.
 """
 
 from __future__ import annotations

@@ -222,12 +222,6 @@ def word_to_torus(d: TorusDiagram, word) -> TorusDiagram:
     return d
 
 
-def _normalize_sign(v: Vec2) -> Vec2:
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        return (-v[0], -v[1])
-    return v
-
-
 def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
     """Unique representative of the basis-change-and-flip orbit.
 
@@ -239,15 +233,16 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
     sign-normalize every class.  Idempotent, and constant on orbits.
     """
     require_valid_torus(d)
-    m0 = sl2_complete(d.a2)
-    rest = [d.b2, d.c2]
-    if not d.monodromy.is_identity:
-        rest.append(d.monodromy.core)
-    shear = 0
-    for v in rest:
-        x, y = mat2_apply(m0, v)
+    (p, q), (r, s) = sl2_complete(d.a2)
+    mono = d.monodromy
+    k = mono.exponent
+    rest = (d.b2, d.c2) if k == 0 else (d.b2, d.c2, mono.core)
+    t = 0
+    for v0, v1 in rest:
+        y = r * v0 + s * v1
         if y == 0:
             continue
+        x = p * v0 + q * v1
         m = abs(y)
         t0 = x % m
         if 2 * t0 < m:
@@ -256,20 +251,25 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
             target = t0 - m
         else:
             target = t0
-        shear = (target - x) // y
+        t = (target - x) // y
         break
-    b = mat2_mul(((1, shear), (0, 1)), m0)
-    mono = d.monodromy
-    if not mono.is_identity:
-        mono = Monodromy.twist(_normalize_sign(mat2_apply(b, mono.core)), mono.exponent)
+    # B is the shear ((1, t), (0, 1)) times the completion; the shear fixes
+    # (1, 0), so B sends a2 to (1, 0) exactly.
+    p += t * r
+    q += t * s
+    imgs = []
+    for v0, v1 in rest:
+        x = p * v0 + q * v1
+        y = r * v0 + s * v1
+        imgs.append((-x, -y) if x < 0 or (x == 0 and y < 0) else (x, y))
     out = TorusDiagram(
-        a2=_normalize_sign(mat2_apply(b, d.a2)),
-        b2=_normalize_sign(mat2_apply(b, d.b2)),
-        c2=_normalize_sign(mat2_apply(b, d.c2)),
-        monodromy=mono,
+        a2=(1, 0),
+        b2=imgs[0],
+        c2=imgs[1],
+        monodromy=mono if k == 0 else Monodromy(imgs[2], k),
         sign=d.sign,
     )
-    return _mark_torus(out), b
+    return _mark_torus(out), ((p, q), (r, s))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ from .lattice import (
     Vec2,
     ZeroVectorError,
     is_primitive,
-    mat2_apply,
-    pair2,
     sl2_complete,
 )
 
@@ -124,12 +122,15 @@ def _lens(v: Vec2, w: Vec2) -> LensSpace:
     # lens_from_pair for classes already known to be primitive.  The
     # canonical completion sends w to (q, pair2(v, w)), a primitive
     # vector, so gcd(p, q) = 1 and q % p is already a normal form.
-    p = abs(pair2(v, w))
+    v0, v1 = v
+    w0, w1 = w
+    p = abs(v0 * w1 - v1 * w0)
     if p == 0:
         return S1XS2
     if p == 1:
         return S3
-    return LensSpace(p, mat2_apply(sl2_complete(v), w)[0] % p)
+    u0, u1 = sl2_complete(v)[0]
+    return LensSpace(p, (u0 * w0 + u1 * w1) % p)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,7 @@ def test_parse_document_integer_entries():
     accepted = {
         "7": (7, 0),
         " -3 ": (-3, 0),
+        "+012": (12, 0),
         2**80: (2**80, 0),
     }
     for entry, c2 in accepted.items():
@@ -144,6 +145,11 @@ def test_parse_document_integer_entries():
             "4300-digit integer-conversion limit",
         ),
         (["x" * 50, 0], "c2[0]: 'xxxxxxxxxxxxxxxxxxxx'... (50 characters) is not a decimal integer"),
+        # int() accepts these three; a decimal string is ASCII [+-]?[0-9]+.
+        (["1_0", 0], "c2[0]: '1_0' is not a decimal integer"),
+        (["\uff13", 0], "c2[0]: '\uff13' is not a decimal integer"),
+        ([0, " -\u0663 "], "c2[1]: ' -\u0663 ' is not a decimal integer"),
+        (["+", 0], "c2[0]: '+' is not a decimal integer"),
         ([1], "c2: expected a list of 2 integers"),
         ([1, 0, 0], "c2: expected a list of 2 integers"),
         ((1, 0), "c2: expected a list of 2 integers"),

@@ -7,6 +7,7 @@ import trisect.diagram
 from trisect import (
     ExponentCoreMismatchError,
     Genus2Diagram,
+    HypothesisReport,
     InvalidDiagramError,
     Monodromy,
     TorusDiagram,
@@ -22,6 +23,7 @@ from trisect import (
     handle_slide,
     intersection_invariant,
     orbit,
+    pair2,
     sigma2_cubed_witness,
     six_tuple,
     surgery_project,
@@ -36,6 +38,7 @@ from trisect.cli import parse_document, serialize_document
 
 from conftest import (
     rand_genus2_diagram,
+    rand_primitive_vec2,
     rand_primitive_vec4,
     rand_torus_diagram,
     sweep_case_configs,
@@ -44,6 +47,69 @@ from conftest import (
 
 def twist(core, k):
     return Monodromy.twist(core, k)
+
+
+def test_monodromy_closed_form_matches_transvect():
+    rng = random.Random(5353)
+    for i in range(2_000):
+        # Every other case has entries far beyond 64 bits.
+        bound = 9 if i % 2 else 2**80
+        core = rand_primitive_vec2(rng, bound)
+        k = rng.choice((1, -1, 4, -4))
+        x = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if i % 5 == 0:
+            x = list(x)
+        mono = twist(core, k)
+        image, preimage = mono.apply(x), mono.inverse_apply(x)
+        assert image == transvect(core, k, x)
+        assert preimage == transvect(core, -k, x)
+        assert type(image) is tuple and type(preimage) is tuple
+        assert mono.inverse_apply(image) == tuple(x) == mono.apply(preimage)
+    ident = Monodromy.identity()
+    for x in ((3, -5), [3, -5]):
+        for out in (ident.apply(x), ident.inverse_apply(x)):
+            assert out == (3, -5) and type(out) is tuple
+
+
+def _invariant_reference(d):
+    """Torus intersection_invariant as a generator over the classes."""
+    mono = d.monodromy
+    if mono.is_identity:
+        return (0, 0, 0)
+    return tuple(abs(pair2(mono.core, w)) for w in d.classes())
+
+
+def _hypotheses_reference(d):
+    """theorem_hypotheses through pair2 and transvect."""
+    mono = d.monodromy
+    pulled = d.c2 if mono.is_identity else transvect(mono.core, -mono.exponent, d.c2)
+    return HypothesisReport(
+        monodromy_nontrivial=not mono.is_identity,
+        b2_c2_independent=pair2(d.b2, d.c2) != 0,
+        a2_pulled_c2_independent=pair2(d.a2, pulled) != 0,
+    )
+
+
+def _torus_reference_inputs():
+    for family, kwargs in sweep_case_configs():
+        yield case_diagram(family, **kwargs)
+    rng = random.Random(5454)
+    for _ in range(2_000):
+        yield rand_torus_diagram(rng)
+    big = 2**70
+    for _ in range(300):
+        a, b, c, core = (rand_primitive_vec2(rng, big) for _ in range(4))
+        yield TorusDiagram(a, b, c, twist(core, rng.choice((1, -1, 4, -4))))
+
+
+def test_invariant_and_hypotheses_match_reference():
+    held = 0
+    for d in _torus_reference_inputs():
+        assert intersection_invariant(d) == _invariant_reference(d), d
+        report = theorem_hypotheses(d)
+        assert report == _hypotheses_reference(d), d
+        held += report.all_hold
+    assert held > 1_000
 
 
 def test_validate_torus_examples():

@@ -1,0 +1,70 @@
+"""Start-up guard for the package's import graph.
+
+A single CLI call spends most of its time importing, so the package may
+import only its own modules and the standard-library modules below.  A
+new import, even one inside a function, fails this test until it is
+added here on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisect"
+STDLIB = {"__future__", "argparse", "dataclasses", "json", "math", "sys"}
+
+
+def _imported_modules(tree, siblings):
+    # (module, is_sibling) for every import statement anywhere in tree.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                yield alias.name, top == "trisect"
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                top = node.module.split(".")[0]
+                yield node.module, top == "trisect"
+            elif node.level == 1 and node.module is None:
+                for alias in node.names:
+                    yield "." + alias.name, alias.name in siblings
+            else:
+                yield "." * node.level + node.module, (
+                    node.level == 1 and node.module.split(".")[0] in siblings
+                )
+
+
+def test_package_imports_only_siblings_and_known_stdlib():
+    files = sorted(PACKAGE.glob("*.py"))
+    siblings = {p.stem for p in files}
+    assert {"cli", "diagram", "lattice", "moves", "vertical"} <= siblings
+    outside = set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module, is_sibling in _imported_modules(tree, siblings):
+            if not is_sibling and module not in STDLIB:
+                outside.add((path.name, module))
+    assert outside == set()
+
+
+def test_import_guard_catches_new_imports():
+    siblings = {"cli", "lattice"}
+    source = (
+        "import math\n"
+        "from .lattice import pair2\n"
+        "from . import cli\n"
+        "import inspect\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "from ..other import x\n"
+        "from . import nothere\n"
+    )
+    found = list(_imported_modules(ast.parse(source), siblings))
+    assert found == [
+        ("math", False),
+        (".lattice", True),
+        (".cli", True),
+        ("inspect", False),
+        ("..other", False),
+        (".nothere", False),
+        ("fractions", False),
+    ]

@@ -27,10 +27,12 @@ from trisect import (
     intersection_invariant,
     mat2_apply,
     mat2_det,
+    mat2_mul,
     orbit,
     parse_word,
     reduce_word,
     sigma2_cubed_witness,
+    sl2_complete,
     surgery_project,
     transvect,
     validate_genus2,
@@ -40,7 +42,12 @@ from trisect import (
 )
 from trisect.moves import _node_key
 
-from conftest import rand_genus2_diagram, rand_torus_diagram, rand_unimodular
+from conftest import (
+    rand_genus2_diagram,
+    rand_primitive_vec2,
+    rand_torus_diagram,
+    rand_unimodular,
+)
 
 
 def rand_word(rng, n):
@@ -291,6 +298,69 @@ def test_canonical_form_all_parallel():
     d = TorusDiagram((1, 0), (-1, 0), (1, 0), Monodromy.twist((-1, 0), 4))
     c, _ = canonical_form(d)
     assert (c.a2, c.b2, c.c2, c.monodromy.core) == ((1, 0), (1, 0), (1, 0), (1, 0))
+
+
+def _normalize_sign(v):
+    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
+        return (-v[0], -v[1])
+    return v
+
+
+def _canonical_form_reference(d):
+    """Reference canonical_form: the same recipe through mat2_apply and
+    mat2_mul, with B the shear times the completion."""
+    m0 = sl2_complete(d.a2)
+    rest = [d.b2, d.c2]
+    if not d.monodromy.is_identity:
+        rest.append(d.monodromy.core)
+    shear = 0
+    for v in rest:
+        x, y = mat2_apply(m0, v)
+        if y == 0:
+            continue
+        m = abs(y)
+        t0 = x % m
+        if 2 * t0 < m:
+            target = t0
+        elif 2 * t0 > m or y > 0:
+            target = t0 - m
+        else:
+            target = t0
+        shear = (target - x) // y
+        break
+    b = mat2_mul(((1, shear), (0, 1)), m0)
+    mono = d.monodromy
+    if not mono.is_identity:
+        mono = Monodromy.twist(_normalize_sign(mat2_apply(b, mono.core)), mono.exponent)
+    out = TorusDiagram(
+        a2=_normalize_sign(mat2_apply(b, d.a2)),
+        b2=_normalize_sign(mat2_apply(b, d.b2)),
+        c2=_normalize_sign(mat2_apply(b, d.c2)),
+        monodromy=mono,
+        sign=d.sign,
+    )
+    return out, b
+
+
+def test_canonical_form_matches_reference():
+    rng = random.Random(5555)
+    inputs = [rand_torus_diagram(rng) for _ in range(2_000)]
+    for _ in range(200):
+        # Every class parallel to a2, so no shear is chosen.
+        v = rand_primitive_vec2(rng, rng.choice((9, 2**70)))
+        b, c, core = ((f * v[0], f * v[1]) for f in rng.choices((1, -1), k=3))
+        k = rng.choice((1, -1, 4, -4))
+        inputs.append(TorusDiagram(v, b, c, Monodromy.twist(core, k), rng.choice((1, -1))))
+    for _ in range(300):
+        a, b, c, core = (rand_primitive_vec2(rng, 2**70) for _ in range(4))
+        inputs.append(TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4)))))
+    identities = 0
+    for d in inputs:
+        out, b = canonical_form(d)
+        assert (out, b) == _canonical_form_reference(d), d
+        assert out._valid
+        identities += d.monodromy.is_identity
+    assert identities > 400
 
 
 def test_equivalent_torus_reflexive_and_symmetric():
