@@ -60,7 +60,9 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        text = value.strip()
+        # Only JSON whitespace: str.strip() would also take any Unicode
+        # space and the C0 and C1 separators, as in "\x1c7".
+        text = value.strip(" \t\r\n")
         digits = text[1:] if text[:1] in ("+", "-") else text
         shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
         # Only ASCII [+-]?[0-9]+: int() alone also accepts underscores, as

@@ -258,8 +258,10 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     """
     require_valid_genus2(d)
     red = SymplecticReduction(d.a1)
-    total = tuple(x + y + z for x, y, z in zip(d.a1, d.b1, d.c1))
-    core = red.project(total)
+    a1, b1, c1 = d.a1, d.b1, d.c1
+    core = red.project(
+        (a1[0] + b1[0] + c1[0], a1[1] + b1[1] + c1[1], a1[2] + b1[2] + c1[2], a1[3] + b1[3] + c1[3])
+    )
     if d.exponent == 0:
         if core != (0, 0):
             raise ExponentCoreMismatchError(
@@ -273,11 +275,7 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
             )
         mono = Monodromy.twist(core, d.exponent)
     out = TorusDiagram(
-        a2=red.project(d.a2),
-        b2=red.project(d.b2),
-        c2=red.project(d.c2),
-        monodromy=mono,
-        sign=pair4(d.a1, d.b1),
+        red.project(d.a2), red.project(d.b2), red.project(d.c2), mono, pair4(a1, b1)
     )
     require_valid_torus(out)
     return out

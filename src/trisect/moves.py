@@ -18,11 +18,13 @@ fixed.
 Torus diagrams are compared up to unimodular basis change and individual
 sign flips of the classes, with exponent and sign field fixed:
 canonical_form computes a unique orbit representative and
-equivalent_torus produces an explicit witness.
+equivalent_torus reads an explicit witness off the two canonical forms.
 
 On canonical forms the moves generate a small graph, which orbit builds
 in closed form: the inner rotation cycles at most three nodes, because
 its cube is a basis change, and the outer rotation fixes every node.
+Each rotation (b2, mu^-1(c2), a2) is canonicalised straight from its
+classes, without building the rotated diagram.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .lattice import (
     mat2_apply,
     mat2_inv,
     mat2_mul,
-    pair2,
     sl2_complete,
     transvect,
 )
@@ -233,10 +234,14 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
     sign-normalize every class.  Idempotent, and constant on orbits.
     """
     require_valid_torus(d)
-    (p, q), (r, s) = sl2_complete(d.a2)
-    mono = d.monodromy
+    return _canonical(d.a2, d.b2, d.c2, d.monodromy, d.sign)
+
+
+def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
+    """canonical_form on the classes of a diagram known to be valid."""
+    (p, q), (r, s) = sl2_complete(a2)
     k = mono.exponent
-    rest = (d.b2, d.c2) if k == 0 else (d.b2, d.c2, mono.core)
+    rest = (b2, c2) if k == 0 else (b2, c2, mono.core)
     t = 0
     for v0, v1 in rest:
         y = r * v0 + s * v1
@@ -263,13 +268,12 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
         y = r * v0 + s * v1
         imgs.append((-x, -y) if x < 0 or (x == 0 and y < 0) else (x, y))
     out = TorusDiagram(
-        a2=(1, 0),
-        b2=imgs[0],
-        c2=imgs[1],
-        monodromy=mono if k == 0 else Monodromy(imgs[2], k),
-        sign=d.sign,
+        (1, 0), imgs[0], imgs[1], Monodromy(None, 0) if k == 0 else Monodromy(imgs[2], k), sign
     )
-    return _mark_torus(out), ((p, q), (r, s))
+    # Every class and the monodromy were built here as exact tuples and an
+    # exact Monodromy, which is all _mark_torus would check.
+    object.__setattr__(out, "_valid", True)
+    return out, ((p, q), (r, s))
 
 
 @dataclass(frozen=True)
@@ -300,52 +304,25 @@ def equivalent_torus(d1: TorusDiagram, d2: TorusDiagram) -> EquivalenceWitness |
     """
     require_valid_torus(d1)
     require_valid_torus(d2)
-    if d1.sign != d2.sign or d1.monodromy.exponent != d2.monodromy.exponent:
+    # The canonical form keeps the exponent and the sign field, so equal
+    # forms agree on both.
+    c1, b1 = _canonical(d1.a2, d1.b2, d1.c2, d1.monodromy, d1.sign)
+    c2, b2 = _canonical(d2.a2, d2.b2, d2.c2, d2.monodromy, d2.sign)
+    if c1 != c2:
         return None
-    vs = _witness_classes(d1)
-    ws = _witness_classes(d2)
-    n = len(vs)
-    pivot = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pair2(vs[i], vs[j]) != 0:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
-    if pivot is None:
-        # Every source class is parallel to vs[0]; the basis change is
-        # determined up to the stabilizer, any completion works.
-        if any(pair2(ws[i], ws[j]) != 0 for i in range(n) for j in range(i + 1, n)):
-            return None
-        m = mat2_mul(mat2_inv(sl2_complete(ws[0])), sl2_complete(vs[0]))
-        return _finish_witness(m, vs, ws)
-    i, j = pivot
-    p = pair2(vs[i], vs[j])
-    vm = ((vs[i][0], vs[j][0]), (vs[i][1], vs[j][1]))
-    adj = ((vm[1][1], -vm[0][1]), (-vm[1][0], vm[0][0]))
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            wm = ((e1 * ws[i][0], e2 * ws[j][0]), (e1 * ws[i][1], e2 * ws[j][1]))
-            num = mat2_mul(wm, adj)
-            if any(c % p for row in num for c in row):
-                continue
-            m = tuple(tuple(c // p for c in row) for row in num)
-            if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
-                continue
-            witness = _finish_witness(m, vs, ws)
-            if witness is not None:
-                return witness
-    return None
+    # b1 and b2 carry each class of d1 and d2 to the same canonical class up
+    # to sign, so b2^-1 b1 carries d1 to d2 up to sign.
+    return _finish_witness(mat2_mul(mat2_inv(b2), b1), _witness_classes(d1), _witness_classes(d2))
 
 
 def _finish_witness(m: Mat2, vs, ws) -> EquivalenceWitness | None:
     flips = []
-    for v, w in zip(vs, ws):
+    for v, (w0, w1) in zip(vs, ws):
+        # Compared as tuples, so a class given as a list matches too.
         img = mat2_apply(m, v)
-        if img == w:
+        if img == (w0, w1):
             flips.append(1)
-        elif img == (-w[0], -w[1]):
+        elif img == (-w0, -w1):
             flips.append(-1)
         else:
             return None
@@ -368,6 +345,14 @@ class OrbitGraph:
 def _node_key(d: TorusDiagram):
     core = d.monodromy.core if d.monodromy.core is not None else (0, 0)
     return (d.monodromy.exponent, core, d.a2, d.b2, d.c2, d.sign)
+
+
+def _rotated_form(v: TorusDiagram) -> TorusDiagram:
+    """Canonical form of the inner rotation of the valid diagram v, computed
+    from the rotated classes (b2, mu^-1(c2), a2) without building the
+    rotated diagram."""
+    mono = v.monodromy
+    return _canonical(v.b2, mono.inverse_apply(v.c2), v.a2, mono, v.sign)[0]
 
 
 def orbit(
@@ -394,21 +379,18 @@ def orbit(
     v0, _ = canonical_form(start)
     diagrams = [v0]
     if depth > 0:
-        v1, _ = canonical_form(apply_sigma2(v0))
+        v1 = _rotated_form(v0)
         if v1 != v0:
-            diagrams += [v1, canonical_form(apply_sigma2(v1))[0]]
+            diagrams += [v1, _rotated_form(v1)]
     n = len(diagrams)
     expanded = [0] if depth > 0 else []
-    if depth > 1:
-        expanded += sorted(range(1, n), key=lambda i: _node_key(diagrams[i]))
+    if depth > 1 and n == 3:
+        expanded += [1, 2] if _node_key(diagrams[1]) <= _node_key(diagrams[2]) else [2, 1]
     edges = []
     for i in expanded:
         edges += [(i, SIGMA2, (i + 1) % n), (i, SIGMA2_INV, (i - 1) % n)]
         if include_sigma1:
             edges += [(i, SIGMA1, i), (i, SIGMA1_INV, i)]
 
-    nodes = tuple(
-        OrbitNode(index=i, diagram=dgm, invariant=intersection_invariant(dgm))
-        for i, dgm in enumerate(diagrams)
-    )
-    return OrbitGraph(nodes=nodes, edges=tuple(edges))
+    nodes = tuple(OrbitNode(i, dgm, intersection_invariant(dgm)) for i, dgm in enumerate(diagrams))
+    return OrbitGraph(nodes, tuple(edges))

@@ -127,6 +127,7 @@ def test_parse_document_integer_entries():
     accepted = {
         "7": (7, 0),
         " -3 ": (-3, 0),
+        "\t\r\n 5\n": (5, 0),
         "+012": (12, 0),
         2**80: (2**80, 0),
     }
@@ -150,6 +151,10 @@ def test_parse_document_integer_entries():
         (["\uff13", 0], "c2[0]: '\uff13' is not a decimal integer"),
         ([0, " -\u0663 "], "c2[1]: ' -\u0663 ' is not a decimal integer"),
         (["+", 0], "c2[0]: '+' is not a decimal integer"),
+        # str.strip() removes these; JSON whitespace is only space, tab, CR, LF.
+        (["\u3000 7 ", 0], "c2[0]: '\\u3000 7 ' is not a decimal integer"),
+        (["\x1c7", 0], "c2[0]: '\\x1c7' is not a decimal integer"),
+        ([0, "\x857"], "c2[1]: '\\x857' is not a decimal integer"),
         ([1], "c2: expected a list of 2 integers"),
         ([1, 0, 0], "c2: expected a list of 2 integers"),
         ((1, 0), "c2: expected a list of 2 integers"),

@@ -27,8 +27,10 @@ from trisect import (
     intersection_invariant,
     mat2_apply,
     mat2_det,
+    mat2_inv,
     mat2_mul,
     orbit,
+    pair2,
     parse_word,
     reduce_word,
     sigma2_cubed_witness,
@@ -40,7 +42,8 @@ from trisect import (
     word_to_diagram,
     word_to_torus,
 )
-from trisect.moves import _node_key
+from trisect import diagram as diagram_module
+from trisect.moves import _canonical, _finish_witness, _node_key, _rotated_form, _witness_classes
 
 from conftest import (
     rand_genus2_diagram,
@@ -436,6 +439,109 @@ def test_equivalent_torus_degenerate_branch():
     assert equivalent_torus(d3, d1) is None
 
 
+def _equivalent_torus_reference(d1, d2):
+    """Reference equivalent_torus: solve for the basis change on a pair of
+    independent source classes, trying every sign pattern on the targets."""
+    if d1.sign != d2.sign or d1.monodromy.exponent != d2.monodromy.exponent:
+        return None
+    vs = _witness_classes(d1)
+    ws = _witness_classes(d2)
+    n = len(vs)
+    pivot = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pair2(vs[i], vs[j]) != 0:
+                pivot = (i, j)
+                break
+        if pivot:
+            break
+    if pivot is None:
+        # Every source class is parallel to vs[0]; the basis change is
+        # determined up to the stabilizer, any completion works.
+        if any(pair2(ws[i], ws[j]) != 0 for i in range(n) for j in range(i + 1, n)):
+            return None
+        m = mat2_mul(mat2_inv(sl2_complete(ws[0])), sl2_complete(vs[0]))
+        return _finish_witness(m, vs, ws)
+    i, j = pivot
+    p = pair2(vs[i], vs[j])
+    vm = ((vs[i][0], vs[j][0]), (vs[i][1], vs[j][1]))
+    adj = ((vm[1][1], -vm[0][1]), (-vm[1][0], vm[0][0]))
+    for e1 in (1, -1):
+        for e2 in (1, -1):
+            wm = ((e1 * ws[i][0], e2 * ws[j][0]), (e1 * ws[i][1], e2 * ws[j][1]))
+            num = mat2_mul(wm, adj)
+            if any(c % p for row in num for c in row):
+                continue
+            m = tuple(tuple(c // p for c in row) for row in num)
+            if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
+                continue
+            witness = _finish_witness(m, vs, ws)
+            if witness is not None:
+                return witness
+    return None
+
+
+def _moved(rng, d):
+    """d under a random unimodular basis change and per-class sign flips."""
+    m = rand_unimodular(rng)
+    flips = [rng.choice((1, -1)) for _ in range(4)]
+
+    def img(v, f):
+        u = mat2_apply(m, v)
+        return (f * u[0], f * u[1])
+
+    mono = d.monodromy
+    if not mono.is_identity:
+        mono = Monodromy.twist(img(mono.core, flips[3]), mono.exponent)
+    return TorusDiagram(img(d.a2, flips[0]), img(d.b2, flips[1]), img(d.c2, flips[2]), mono, d.sign)
+
+
+def test_equivalent_torus_matches_pivot_reference():
+    # Whether a witness exists agrees with the pivot search, and every
+    # witness has determinant 1 and carries each class to +-its target.
+    rng = random.Random(7301)
+    pairs = []
+    for _ in range(400):
+        d = rand_torus_diagram(rng)
+        pairs += [(d, d), (d, word_to_torus(d, (SIGMA2, SIGMA2, SIGMA2))), (d, _moved(rng, d))]
+        pairs.append((d, rand_torus_diagram(rng)))
+        pairs.append((d, apply_sigma2(d)))
+    for _ in range(100):
+        a, b, c, core = (rand_primitive_vec2(rng, 2**70) for _ in range(4))
+        d = TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))))
+        pairs += [(d, d), (d, word_to_torus(d, (SIGMA2, SIGMA2, SIGMA2))), (d, apply_sigma2(d))]
+    found = 0
+    for d1, d2 in pairs:
+        w = equivalent_torus(d1, d2)
+        assert (w is None) == (_equivalent_torus_reference(d1, d2) is None), (d1, d2)
+        if w is None:
+            continue
+        found += 1
+        assert mat2_det(w.matrix) == 1
+        targets = _witness_classes(d2)
+        assert len(w.flips) == len(targets)
+        for f, v, t in zip(w.flips, _witness_classes(d1), targets):
+            assert f in (1, -1)
+            assert mat2_apply(w.matrix, v) == (f * t[0], f * t[1])
+    # 1,400 pairs are equivalent by construction; most of the rest are not.
+    assert 1_400 <= found < len(pairs) - 500
+
+
+def test_equivalent_torus_list_classes():
+    # validate_torus accepts classes given as lists; a witness still exists
+    # exactly when the canonical forms agree, and it verifies.
+    rng = random.Random(7303)
+    for _ in range(300):
+        d = rand_torus_diagram(rng)
+        e = _moved(rng, d)
+        listed = TorusDiagram(list(e.a2), list(e.b2), list(e.c2), e.monodromy, e.sign)
+        for src, dst in ((d, listed), (listed, d)):
+            w = equivalent_torus(src, dst)
+            assert w is not None and mat2_det(w.matrix) == 1
+            for f, v, t in zip(w.flips, _witness_classes(src), _witness_classes(dst)):
+                assert mat2_apply(w.matrix, v) == (f * t[0], f * t[1])
+
+
 def _orbit_bfs(start, depth, include_sigma1=False, lift=None):
     """Reference orbit: breadth-first search over the four generators.
 
@@ -542,3 +648,126 @@ def test_orbit_with_outer_rotation():
 def test_orbit_rejects_negative_depth():
     with pytest.raises(ValueError):
         orbit(case_diagram(1), -1)
+
+
+def _rotation_reference(v):
+    """The rotation recipe orbit used before: canonical_form(apply_sigma2(v))."""
+    return canonical_form(apply_sigma2(v))
+
+
+def _rotation_kernel(v):
+    mono = v.monodromy
+    out, b = _canonical(v.b2, mono.inverse_apply(v.c2), v.a2, mono, v.sign)
+    assert _rotated_form(v) == out
+    return out, b
+
+
+def test_rotation_kernel_matches_reference():
+    rng = random.Random(7311)
+    inputs = [rand_torus_diagram(rng) for _ in range(2_000)]
+    for _ in range(300):
+        a, b, c, core = (rand_primitive_vec2(rng, 2**70) for _ in range(4))
+        k = rng.choice((1, -1, 4, -4))
+        inputs.append(TorusDiagram(a, b, c, Monodromy.twist(core, k), rng.choice((1, -1))))
+    inputs += [surgery_project(rand_genus2_diagram(rng)) for _ in range(1_000)]
+    identities = 0
+    for v in inputs:
+        for d in (v, canonical_form(v)[0]):
+            out, b = _rotation_kernel(d)
+            assert (out, b) == _rotation_reference(d), d
+            assert out._valid and type(out.monodromy) is Monodromy
+        identities += v.monodromy.is_identity
+    assert identities > 400
+
+
+def _orbit_rotate_reference(start, depth, include_sigma1=False, lift=None):
+    """The closed-form orbit as built before: each rotation through an
+    apply_sigma2 diagram, expanded nodes ordered by sorted()."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    v0, _ = canonical_form(start)
+    diagrams = [v0]
+    if depth > 0:
+        v1, _ = canonical_form(apply_sigma2(v0))
+        if v1 != v0:
+            diagrams += [v1, canonical_form(apply_sigma2(v1))[0]]
+    n = len(diagrams)
+    expanded = [0] if depth > 0 else []
+    if depth > 1:
+        expanded += sorted(range(1, n), key=lambda i: _node_key(diagrams[i]))
+    edges = []
+    for i in expanded:
+        edges += [(i, SIGMA2, (i + 1) % n), (i, SIGMA2_INV, (i - 1) % n)]
+        if include_sigma1:
+            edges += [(i, SIGMA1, i), (i, SIGMA1_INV, i)]
+    nodes = tuple(
+        OrbitNode(index=i, diagram=dgm, invariant=intersection_invariant(dgm))
+        for i, dgm in enumerate(diagrams)
+    )
+    return OrbitGraph(nodes=nodes, edges=tuple(edges))
+
+
+def test_orbit_matches_rotate_reference():
+    rng = random.Random(7321)
+    starts = [rand_torus_diagram(rng) for _ in range(500)]
+    starts += [surgery_project(rand_genus2_diagram(rng)) for _ in range(500)]
+    for _ in range(100):
+        a, b, c, core = (rand_primitive_vec2(rng, 2**70) for _ in range(4))
+        starts.append(TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4)))))
+    for start in starts:
+        for depth in range(4):
+            for include_sigma1 in (False, True):
+                got = orbit(start, depth, include_sigma1)
+                want = _orbit_rotate_reference(start, depth, include_sigma1)
+                assert got.nodes == want.nodes, (start, depth)
+                assert got.edges == want.edges, (start, depth)
+
+
+class _SubMonodromy(Monodromy):
+    pass
+
+
+def test_orbit_and_canonical_outputs_are_marked():
+    # Outputs that skip validation downstream must pass the full validator
+    # as unmarked copies.
+    rng = random.Random(7331)
+    for _ in range(500):
+        d = rand_torus_diagram(rng)
+        outs = [canonical_form(d)[0]]
+        outs += [node.diagram for node in orbit(d, 2).nodes]
+        for out in outs:
+            assert out._valid and type(out.monodromy) is Monodromy
+            copy = dataclasses.replace(out)
+            assert not copy._valid
+            assert validate_torus(copy) == []
+    # A Monodromy subclass is never carried into a marked output.
+    ident = case_diagram(1)
+    sub = TorusDiagram(ident.a2, ident.b2, ident.c2, _SubMonodromy(None, 0), ident.sign)
+    assert validate_torus(sub) == [] and not sub._valid
+    out, _ = canonical_form(sub)
+    assert type(out.monodromy) is Monodromy and out._valid
+    assert out == canonical_form(ident)[0]
+
+
+def test_orbit_validates_its_start_once(monkeypatch):
+    calls = []
+    real = diagram_module.validate_torus
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(diagram_module, "validate_torus", counting)
+    rng = random.Random(7341)
+    for _ in range(200):
+        d = rand_torus_diagram(rng)
+        for depth in range(4):
+            for include_sigma1 in (False, True):
+                unmarked = dataclasses.replace(d)
+                calls.clear()
+                orbit(unmarked, depth, include_sigma1)
+                assert len(calls) == 1
+                marked = canonical_form(d)[0]
+                calls.clear()
+                orbit(marked, depth, include_sigma1)
+                assert calls == []
