@@ -23,7 +23,6 @@ from .lattice import (
     SymplecticReduction,
     Vec2,
     Vec4,
-    is_primitive,
     pair2,
     pair4,
 )
@@ -147,19 +146,35 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     """
     errors = []
     a, b, c = d.a2, d.b2, d.c2
-    if gcd(*a) != 1 or gcd(*b) != 1 or gcd(*c) != 1:
+    # gcd takes only integers: a class with a float or other non-integer
+    # entry is reported as not primitive.
+    try:
+        primitive = gcd(*a) == 1 and gcd(*b) == 1 and gcd(*c) == 1
+    except TypeError:
+        primitive = False
+    if not primitive:
         errors.append(NON_PRIMITIVE)
     mono = d.monodromy
-    if mono.exponent == 0:
+    k = mono.exponent
+    # The exponent and the sign must be exactly int: 4.0, 1.0 and True
+    # compare equal to valid values but would carry floats into the maths.
+    if type(k) is not int:
+        errors.append(BAD_EXPONENT)
+    elif k == 0:
         if mono.core is not None:
             errors.append(BAD_EXPONENT)
         elif not _pairwise_unit(a, b, c, pair2):
             errors.append(IDENTITY_CASE_VIOLATION)
-    elif mono.exponent not in TWIST_EXPONENTS or mono.core is None:
+    elif k not in TWIST_EXPONENTS or mono.core is None:
         errors.append(BAD_EXPONENT)
-    elif gcd(*mono.core) != 1:
-        errors.append(NON_PRIMITIVE)
-    if d.sign not in (1, -1):
+    else:
+        try:
+            primitive = gcd(*mono.core) == 1
+        except TypeError:
+            primitive = False
+        if not primitive:
+            errors.append(NON_PRIMITIVE)
+    if type(d.sign) is not int or d.sign not in (1, -1):
         errors.append(BAD_SIGN)
     if not errors:
         _mark_torus(d)
@@ -174,7 +189,11 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
     a projected class is not primitive.
     """
     errors = []
-    if not is_primitive(d.a1):
+    try:
+        primitive = gcd(*d.a1) == 1
+    except TypeError:  # a non-integer entry
+        primitive = False
+    if not primitive:
         errors.append(NON_PRIMITIVE_A1)
     p_ab, p_bc, p_ca = pair4(d.a1, d.b1), pair4(d.b1, d.c1), pair4(d.c1, d.a1)
     if not (p_ab == p_bc == p_ca and p_ab in (1, -1)):
@@ -182,9 +201,10 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
     disjoint = all(pair4(d.a1, w) == 0 for w in (d.a2, d.b2, d.c2))
     if not disjoint:
         errors.append(A2_NOT_DISJOINT)
-    if d.exponent != 0 and d.exponent not in TWIST_EXPONENTS:
+    k = d.exponent
+    if type(k) is not int or (k != 0 and k not in TWIST_EXPONENTS):
         errors.append(BAD_EXPONENT)
-    if d.exponent == 0 and disjoint:
+    elif k == 0 and disjoint:
         # For classes disjoint from a1 the surgered pairing agrees with
         # pair4, so the identity-case constraint needs no projection.
         if not _pairwise_unit(d.a2, d.b2, d.c2, pair4):

@@ -126,53 +126,49 @@ def sl2_complete(v: Vec2) -> Mat2:
     return ((u, w), (-y, x))
 
 
-def _solve_unit_functional(c: tuple[int, ...]) -> tuple[int, ...]:
-    # Deterministic integer solution u of sum(c[i]*u[i]) == 1; requires c
-    # primitive.  Built by chaining extended gcds through the coordinates.
-    g = 0
-    u = [0] * len(c)
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        g2, s, t = _xgcd(g, ci)
-        u = [s * x for x in u]
-        u[i] += t
-        g = g2
-    if g != 1:
-        raise NonPrimitiveError(f"functional {c} is not primitive (gcd {g})")
-    return tuple(u)
+def _echelon4(rows) -> list[Vec4]:
+    """Integer row echelon basis of the lattice the rank-4 rows generate.
 
-
-def _echelon_basis(rows: list[list[int]]) -> list[Vec4]:
-    # Integer row echelon basis of the lattice the rows generate, by
-    # column-wise gcd elimination.  Each combining step acts on a row pair
-    # by a determinant-one matrix, so the span is preserved exactly; the
-    # result has strictly increasing positive pivots and is deterministic
-    # in the input order.
-    work = [list(r) for r in rows if any(r)]
-    out: list[list[int]] = []
+    Column by column, the first row with a nonzero entry is the pivot.
+    Each later such row r is merged into it by the Bezout step of
+    _xgcd(pivot[col], r[col]) = (g, s, t): pivot <- s*pivot + t*r, and r
+    leaves the remainder (pivot[col]/g)*r - (r[col]/g)*pivot, which is
+    zero in this column.  The pair moves by a determinant-one matrix, so
+    the span is preserved exactly.  The next column works on the rows that
+    were zero here, in order, then the nonzero remainders, in order.  A
+    negative pivot is negated.  The result has strictly increasing
+    positive pivots and is deterministic in the input order.
+    """
+    work = [r for r in rows if r != (0, 0, 0, 0)]
+    out = []
     for col in range(4):
-        rest = [r for r in work if r[col] == 0]
-        sel = [r for r in work if r[col] != 0]
-        if not sel:
-            work = rest
-            continue
-        pivot = sel[0]
-        for r in sel[1:]:
-            g, s, t = _xgcd(pivot[col], r[col])
-            merged = [s * pi + t * ri for pi, ri in zip(pivot, r)]
-            remainder = [
-                (pivot[col] // g) * ri - (r[col] // g) * pi
-                for pi, ri in zip(pivot, r)
-            ]
-            pivot = merged
-            if any(remainder):
-                rest.append(remainder)
-        if pivot[col] < 0:
-            pivot = [-c for c in pivot]
-        out.append(pivot)
-        work = rest
-    return [tuple(b) for b in out]
+        if not work:
+            break
+        rest = []
+        remainders = []
+        pivot = None
+        for r in work:
+            rc = r[col]
+            if not rc:
+                rest.append(r)
+            elif pivot is None:
+                pivot = r
+            else:
+                pc = pivot[col]
+                g, s, t = _xgcd(pc, rc)
+                x, y = pc // g, rc // g
+                p0, p1, p2, p3 = pivot
+                r0, r1, r2, r3 = r
+                pivot = (s * p0 + t * r0, s * p1 + t * r1, s * p2 + t * r2, s * p3 + t * r3)
+                rem = (x * r0 - y * p0, x * r1 - y * p1, x * r2 - y * p2, x * r3 - y * p3)
+                if rem != (0, 0, 0, 0):
+                    remainders.append(rem)
+        if pivot is not None:
+            if pivot[col] < 0:
+                pivot = (-pivot[0], -pivot[1], -pivot[2], -pivot[3])
+            out.append(pivot)
+        work = rest + remainders
+    return out
 
 
 class SymplecticReduction:
@@ -182,6 +178,14 @@ class SymplecticReduction:
     pairings vanish.  For any w with pair4(e1, w) = 0 the coordinates of
     w in the complement plane span(e2, f2) are returned by project(); this
     is the class of w in the surgered torus.
+
+    Off the standard class the basis is built in two exact steps, each
+    unrolled over rank 4 on tuples.  f1 solves pair4(a, f1) = 1 by a
+    Bezout chain over the functional's coefficients (-a1, a0, -a3, a2),
+    in that order.  Then _echelon4 reduces the projections of the four
+    unit vectors, in coordinate order, onto the complement of
+    span(a, f1).  The two rows it returns are e2 and f2, swapped if they
+    pair to -1.
     """
 
     def __init__(self, a: Vec4):
@@ -194,20 +198,43 @@ class SymplecticReduction:
             raise ZeroVectorError("cannot reduce along the zero class")
         if not is_primitive(a):
             raise NonPrimitiveError(f"{a} is not primitive")
-        # pair4(a, w) as a functional in w has this coefficient vector.
-        cf = (-a[1], a[0], -a[3], a[2])
-        f1 = _solve_unit_functional(cf)
-        # Project the standard basis onto the symplectic complement of
-        # span(a, f1), then extract a lattice basis of the image.  The
-        # i-th unit vector pairs with a as cf[i] and with f1 as cg[i], so
-        # its image is e_i - cf[i] * f1 + cg[i] * a.
-        cg = (-f1[1], f1[0], -f1[3], f1[2])
-        imgs = []
-        for i in range(4):
-            img = [cg[i] * aj - cf[i] * fj for aj, fj in zip(a, f1)]
-            img[i] += 1
-            imgs.append(img)
-        comp = _echelon_basis(imgs)
+        a0, a1, a2, a3 = a[0], a[1], a[2], a[3]
+        # The Bezout chain for f1 skips zero coefficients: the running gcd
+        # g is merged with each coefficient c by _xgcd(g, c) = (g', s, t),
+        # the entries found so far are scaled by s and t is the new entry.
+        # Since a is primitive, the chain ends at g = 1.
+        g = u0 = u1 = u2 = u3 = 0
+        if a1:
+            g, _, u0 = _xgcd(g, -a1)
+        if a0:
+            g, s, u1 = _xgcd(g, a0)
+            u0 *= s
+        if a3:
+            g, s, u2 = _xgcd(g, -a3)
+            u0 *= s
+            u1 *= s
+        if a2:
+            g, s, u3 = _xgcd(g, a2)
+            u0 *= s
+            u1 *= s
+            u2 *= s
+        f1 = (u0, u1, u2, u3)
+        # The unit vector e_i projects to e_i - pair4(a, e_i) f1 +
+        # pair4(f1, e_i) a.  In the minors m_ij = a_i u_j - a_j u_i, with
+        # m01 + m23 = pair4(a, f1) = 1, the four projections are the rows
+        # below.
+        m01 = a0 * u1 - a1 * u0
+        m02 = a0 * u2 - a2 * u0
+        m03 = a0 * u3 - a3 * u0
+        m12 = a1 * u2 - a2 * u1
+        m13 = a1 * u3 - a3 * u1
+        m23 = a2 * u3 - a3 * u2
+        comp = _echelon4((
+            (m23, 0, m12, m13),
+            (0, m23, -m02, -m03),
+            (-m03, -m13, m01, 0),
+            (m02, m12, 0, m01),
+        ))
         if len(comp) != 2:
             raise AssertionError("complement rank is not 2")
         e2, f2 = comp

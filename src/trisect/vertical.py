@@ -20,13 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import Monodromy, TorusDiagram, require_valid_torus
-from .lattice import (
-    NonPrimitiveError,
-    Vec2,
-    ZeroVectorError,
-    is_primitive,
-    sl2_complete,
-)
+from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _xgcd, is_primitive
 
 
 @dataclass(frozen=True)
@@ -90,47 +84,74 @@ S3 = LensSpace(1, 0)
 S1XS2 = LensSpace(0, 1)
 
 
+def _lens_key(p: int, q: int, oriented: bool) -> int:
+    """Class key of L(p, q) among the lens spaces of order p.
+
+    L(p, q) = L(p, q') iff q' = q^{+-1} mod p, oriented, and iff
+    q' = +-q^{+-1} mod p, unoriented.  Inversion and negation generate a
+    group acting on the units mod p, and each class is one orbit, so the
+    least residue of the orbit, min{q, q^-1} or min{+-q, +-q^-1} mod p,
+    names the class.  S^3 and S^1 x S^2 are alone in their orders, and
+    key 0.  q need not be reduced; p is the order, at least 0.
+    """
+    if p < 2:
+        return 0
+    q %= p
+    inv = pow(q, -1, p)
+    if oriented:
+        return min(q, inv)
+    return min(q, inv, p - q, p - inv)
+
+
 def lens_equiv(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> bool:
-    """Homeomorphism of lens spaces: q' = q^{+-1} mod p, also negated
-    when orientation is ignored.  S^3 and S^1 x S^2 only match themselves."""
-    if l1.p != l2.p:
-        return False
-    p = l1.p
-    if p <= 1:
-        return True
-    allowed = {l2.q, pow(l2.q, -1, p)}
-    if not oriented:
-        allowed |= {(p - q) % p for q in list(allowed)}
-    return l1.q in allowed
+    """Homeomorphism of lens spaces: equal orders and equal class keys
+    (q' = q^{+-1} mod p, also negated when orientation is ignored).
+    S^3 and S^1 x S^2 only match themselves."""
+    return l1.p == l2.p and _lens_key(l1.p, l1.q, oriented) == _lens_key(
+        l2.p, l2.q, oriented
+    )
 
 
 def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
     """Double solid torus with meridian classes v and w.
 
     Requires both classes primitive.  p = |pair2(v, w)|; q is the first
-    coordinate of w after the canonical basis change taking v to (1, 0).
+    coordinate of w after a basis change taking v to (1, 0).
     """
     for u in (v, w):
-        if u == (0, 0):
+        if not any(u):
             raise ZeroVectorError("meridian class is zero")
         if not is_primitive(u):
             raise NonPrimitiveError(f"meridian class {u} is not primitive")
-    return _lens(v, w)
+    return _lens_pair(v, w, w)[0]
 
 
-def _lens(v: Vec2, w: Vec2) -> LensSpace:
-    # lens_from_pair for classes already known to be primitive.  The
-    # canonical completion sends w to (q, pair2(v, w)), a primitive
-    # vector, so gcd(p, q) = 1 and q % p is already a normal form.
+_SMALL = (S1XS2, S3)  # the lens spaces of order p = 0 and p = 1
+
+
+def _lens_pair(v: Vec2, w: Vec2, x: Vec2) -> tuple[LensSpace, LensSpace]:
+    """Lens spaces of the pairs (v, w) and (v, x) of primitive classes.
+
+    v is completed once.  Any Bezout row u of v (u . v = 1) is the first
+    row of a determinant-one matrix with second row (-v1, v0), which takes
+    v to (1, 0) and w to (u . w, pair2(v, w)) = (q, +-p); that vector is
+    primitive, so gcd(p, q) = 1.  q mod p does not depend on the row: two
+    Bezout rows differ by t * (-v1, v0), which moves u . w by
+    t * pair2(v, w) = +-t * p.  So the raw _xgcd row serves, and q % p is
+    the normal form.
+    """
     v0, v1 = v
     w0, w1 = w
+    x0, x1 = x
     p = abs(v0 * w1 - v1 * w0)
-    if p == 0:
-        return S1XS2
-    if p == 1:
-        return S3
-    u0, u1 = sl2_complete(v)[0]
-    return LensSpace(p, (u0 * w0 + u1 * w1) % p)
+    r = abs(v0 * x1 - v1 * x0)
+    if p < 2 and r < 2:
+        return _SMALL[p], _SMALL[r]
+    _, u0, u1 = _xgcd(v0, v1)
+    return (
+        _SMALL[p] if p < 2 else LensSpace(p, (u0 * w0 + u1 * w1) % p),
+        _SMALL[r] if r < 2 else LensSpace(r, (u0 * x0 + u1 * x1) % r),
+    )
 
 
 @dataclass(frozen=True)
@@ -168,18 +189,15 @@ def six_tuple(d: TorusDiagram) -> SixTuple:
     """Compute the six vertical pieces of a valid torus diagram."""
     require_valid_torus(d)
     # The classes are primitive once validated, and the monodromy is
-    # unimodular, so every pull-back is primitive too.
+    # unimodular, so every pull-back is primitive too.  Each of a, b, c
+    # is completed once, for the two slots it opens.
     pull = d.monodromy.inverse_apply
     a, b, c = d.a2, d.b2, d.c2
-    pa, pb, pc = pull(a), pull(b), pull(c)
-    return SixTuple(
-        aa=_lens(a, pa),
-        bb=_lens(b, pb),
-        cc=_lens(c, pc),
-        ba=_lens(b, pa),
-        cb=_lens(c, b),
-        ac=_lens(a, pc),
-    )
+    pa, pc = pull(a), pull(c)
+    aa, ac = _lens_pair(a, pa, pc)
+    bb, ba = _lens_pair(b, pull(b), pa)
+    cc, cb = _lens_pair(c, pc, b)
+    return SixTuple(aa, bb, cc, ba, cb, ac)
 
 
 def reflect(t: SixTuple) -> SixTuple:
@@ -215,74 +233,74 @@ class FamilyMatch:
     reflected: bool
 
 
-def _eq(l: LensSpace, p: int, q: int, oriented: bool) -> bool:
-    return lens_equiv(l, LensSpace.from_pq(p, q), oriented)
+# The six symmetry images in search order: unreflected with r = 0, 1, 2
+# rotations, then reflected.  Slot i of an image, in the order
+# (aa, bb, cc, ba, cb, ac), is slot perm[i] of the tuple, mirrored when
+# reflected: rotate reads (cc, aa, bb, ac, ba, cb), reflect reads
+# (aa, cc, bb, ac, cb, ba), and rotating the reflection composes them.
+_IMAGES = (
+    (False, 0, (0, 1, 2, 3, 4, 5)),
+    (False, 1, (2, 0, 1, 5, 3, 4)),
+    (False, 2, (1, 2, 0, 4, 5, 3)),
+    (True, 0, (0, 2, 1, 5, 4, 3)),
+    (True, 1, (1, 0, 2, 3, 5, 4)),
+    (True, 2, (2, 1, 0, 4, 3, 5)),
+)
 
 
-def _match_family(t: SixTuple, family: int, oriented: bool):
-    if family == 1:
-        if (
-            t.aa.is_s1xs2
-            and t.bb.is_s1xs2
-            and t.cc.is_s1xs2
-            and t.ba.is_s3
-            and t.cb.is_s3
-            and t.ac.is_s3
-        ):
-            return (None, None)
-        return None
-    if family == 2:
-        if not (t.aa.is_s3 and t.bb.is_s3 and t.ba.is_s1xs2):
-            return None
-        root = math.isqrt(t.cc.p)
-        if root * root != t.cc.p or root == 0:
-            return None
-        for q in (1 + root, 1 - root):
-            for eps in (1, -1):
-                if (
-                    _eq(t.cc, (q - 1) ** 2, eps * q, oriented)
-                    and _eq(t.cb, q - 2, eps, oriented)
-                    and _eq(t.ac, q, -eps, oriented)
-                ):
-                    return (q, eps)
-        return None
-    if family == 3:
-        for eps in (1, -1):
-            if (
-                t.aa.is_s3
-                and _eq(t.bb, 9, 2 * eps, oriented)
-                and _eq(t.cc, 4, eps, oriented)
-                and _eq(t.ba, 2, 1, oriented)
-                and _eq(t.cb, 5, eps, oriented)
-                and t.ac.is_s3
-            ):
-                return (None, eps)
-        return None
-    if family == 4:
-        for eps in (1, -1):
-            if (
-                t.aa.is_s1xs2
-                and _eq(t.bb, 4, 1, oriented)
-                and _eq(t.cc, 4, 1, oriented)
-                and t.ba.is_s3
-                and _eq(t.cb, 4 + eps, 1, oriented)
-                and t.ac.is_s3
-            ):
-                return (None, eps)
-        return None
-    if family == 5:
-        for eps in (1, -1):
-            if (
-                t.aa.is_s1xs2
-                and t.bb.is_s3
-                and t.cc.is_s3
-                and t.ba.is_s3
-                and _eq(t.cb, 1 + eps, 1, oriented)
-                and t.ac.is_s3
-            ):
-                return (None, eps)
-        return None
-    raise ValueError(f"no family {family}")
+def _target(p: int, q: int, oriented: bool) -> tuple[int, int]:
+    # (order, class key) of LensSpace.from_pq(p, q), without building it.
+    if p < 0:
+        p, q = -p, -q
+    return p, _lens_key(p, q, oriented)
+
+
+def _fixed_targets(oriented: bool) -> dict:
+    # Families 1, 3, 4 and 5 as (q, epsilon, slot targets) in the order
+    # they are tried; a slot target is the (order, key) of the family's
+    # lens space there.
+    s3, s1xs2 = (1, 0), (0, 0)
+
+    def lens(p, q):
+        return _target(p, q, oriented)
+
+    return {
+        1: [(None, None, (s1xs2, s1xs2, s1xs2, s3, s3, s3))],
+        3: [
+            (None, eps, (s3, lens(9, 2 * eps), lens(4, eps), lens(2, 1), lens(5, eps), s3))
+            for eps in (1, -1)
+        ],
+        4: [
+            (None, eps, (s1xs2, lens(4, 1), lens(4, 1), s3, lens(4 + eps, 1), s3))
+            for eps in (1, -1)
+        ],
+        5: [(None, eps, (s1xs2, s3, s3, s3, lens(1 + eps, 1), s3)) for eps in (1, -1)],
+    }
+
+
+_FIXED_TARGETS = {oriented: _fixed_targets(oriented) for oriented in (False, True)}
+
+
+def _family2_targets(image: tuple, oriented: bool) -> list:
+    # Family 2: aa = bb = S^3, ba = S^1 x S^2, cc = L((q-1)^2, eps*q),
+    # cb = L(q-2, eps), ac = L(q, -eps), with q - 1 = +-sqrt(p) for the
+    # order p of cc, tried as q = 1 + root, 1 - root, then eps = 1, -1.
+    if image[0] != (1, 0) or image[1] != (1, 0) or image[3] != (0, 0):
+        return []
+    p = image[2][0]
+    root = math.isqrt(p)
+    if root * root != p or root == 0:
+        return []
+    return [
+        (
+            q,
+            eps,
+            ((1, 0), (1, 0), _target(p, eps * q, oriented), (0, 0),
+             _target(q - 2, eps, oriented), _target(q, -eps, oriented)),
+        )
+        for q in (1 + root, 1 - root)
+        for eps in (1, -1)
+    ]
 
 
 def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
@@ -290,7 +308,14 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
 
     All six symmetry images (three rotations, with and without the
     reflection) are searched, family parameters are solved for, and the
-    lowest matching family index wins.  Returns None when nothing fits.
+    lowest matching family index wins; within a family the first image,
+    then the family's own q/epsilon order.  Returns None when nothing
+    fits.
+
+    Slots are compared as (order, class key) pairs (see _lens_key), so
+    an image is six such pairs read off the tuple by index; mirroring
+    keeps the order and maps q to -q, which changes only the oriented
+    key.
 
     The search is skipped when the sorted slot orders p rule out every
     family: each family has at least two S^3 slots, and either an
@@ -298,23 +323,24 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
     symmetries only permute the slots and mirroring keeps p, so this
     condition is necessary and never changes the match found.
     """
-    ps = sorted(l.p for l in (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac))
+    slots = (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac)
+    ps = sorted([l.p for l in slots])
     if ps.count(1) < 2 or (ps[0] != 0 and ps != [1, 1, 2, 4, 5, 9]):
         return None
+    oriented = bool(oriented)
+    keyed = [(l.p, _lens_key(l.p, l.q, oriented)) for l in slots]
+    mirrored = [(l.p, _lens_key(l.p, -l.q, oriented)) for l in slots] if oriented else keyed
     images = []
-    for reflected in (False, True):
-        img = reflect(t) if reflected else t
-        for r in (0, 1, 2):
-            images.append((reflected, r, img))
-            img = rotate(img)
+    for reflected, r, (aa, bb, cc, ba, cb, ac) in _IMAGES:
+        k = mirrored if reflected else keyed
+        images.append((reflected, r, (k[aa], k[bb], k[cc], k[ba], k[cb], k[ac])))
+    fixed = _FIXED_TARGETS[oriented]
     for family in (1, 2, 3, 4, 5):
-        for reflected, r, img in images:
-            hit = _match_family(img, family, oriented)
-            if hit is not None:
-                q, eps = hit
-                return FamilyMatch(
-                    family=family, q=q, epsilon=eps, rotations=r, reflected=reflected
-                )
+        for reflected, r, image in images:
+            targets = _family2_targets(image, oriented) if family == 2 else fixed[family]
+            for q, eps, target in targets:
+                if image == target:
+                    return FamilyMatch(family, q, eps, r, reflected)
     return None
 
 

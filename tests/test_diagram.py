@@ -138,6 +138,22 @@ def test_validate_torus_examples():
     assert validate_torus(TorusDiagram((1, 0), (0, 1), (1, 1), Monodromy(None, 1))) == [
         "BadExponent"
     ]
+    # Only exact ints: equal floats and bools are refused, and a
+    # non-integer class entry is not primitive.
+    ok_core = (-1, 1)
+    for mono, sign, codes in (
+        (Monodromy(ok_core, 4.0), 1, ["BadExponent"]),
+        (Monodromy(ok_core, True), 1, ["BadExponent"]),
+        (Monodromy(None, 0.0), 1, ["BadExponent"]),
+        (twist(ok_core, 1), 1.0, ["BadSign"]),
+        (twist(ok_core, 1), True, ["BadSign"]),
+        (Monodromy((-1.0, 1), 1), 1, ["NonPrimitive"]),
+        (Monodromy(ok_core, 4.0), 1.0, ["BadExponent", "BadSign"]),
+    ):
+        assert validate_torus(TorusDiagram((1, 0), (0, 1), (1, 1), mono, sign)) == codes
+    assert validate_torus(TorusDiagram((1.0, 0), (0, 1), (1, 1), twist(ok_core, 1))) == [
+        "NonPrimitive"
+    ]
 
 
 def test_validate_genus2_examples():
@@ -157,6 +173,20 @@ def test_validate_genus2_examples():
     assert validate_genus2(
         Genus2Diagram(g.a1, g.b1, g.c1, g.a2, g.b2, g.c2, 3)
     ) == ["BadExponent"]
+    for exponent in (1.0, 0.0, True):
+        assert validate_genus2(
+            Genus2Diagram(g.a1, g.b1, g.c1, g.a2, g.b2, g.c2, exponent)
+        ) == ["BadExponent"]
+    assert validate_genus2(
+        Genus2Diagram((1.0, 0, 0, 0), g.b1, g.c1, g.a2, g.b2, g.c2, g.exponent)
+    ) == ["NonPrimitiveA1"]
+    # A float entry off a1 passes the genus-2 checks, and the projection
+    # refuses it as a non-primitive torus class instead of carrying it.
+    floaty = Genus2Diagram(g.a1, g.b1, g.c1, (0, 0, 1.0, 0), g.b2, g.c2, g.exponent)
+    assert validate_genus2(floaty) == []
+    with pytest.raises(InvalidDiagramError) as e:
+        surgery_project(floaty)
+    assert e.value.errors == ["NonPrimitive"]
     ident = embed_torus(case_diagram(1))
     assert validate_genus2(ident) == []
     assert "IdentityCaseViolation" in validate_genus2(
@@ -419,6 +449,13 @@ def test_invalid_diagrams_are_never_marked():
         dataclasses.replace(good, monodromy=Monodromy((1, 0), 0)),
         dataclasses.replace(good, monodromy=Monodromy.identity(), c2=(1, 2)),
         dataclasses.replace(good, sign=2),
+        # Values equal to valid integers but of another type.
+        dataclasses.replace(good, monodromy=Monodromy((1, 1), 4.0)),
+        dataclasses.replace(good, monodromy=Monodromy(None, 0.0)),
+        dataclasses.replace(good, sign=1.0),
+        dataclasses.replace(good, sign=True),
+        dataclasses.replace(good, a2=(1.0, 0)),
+        dataclasses.replace(good, monodromy=Monodromy((-1.0, 1), 1)),
     ]
     lift = embed_torus(good)
     bad_genus2 = [
@@ -426,6 +463,8 @@ def test_invalid_diagrams_are_never_marked():
         dataclasses.replace(lift, b1=(0, 2, 0, 0)),
         dataclasses.replace(lift, a2=(0, 1, 1, 0)),
         dataclasses.replace(lift, exponent=2),
+        dataclasses.replace(lift, exponent=1.0),
+        dataclasses.replace(lift, a1=(1.0, 0, 0, 0)),
     ]
     for entry_points, bad, validate in (
         (TORUS_ENTRY_POINTS, bad_torus, validate_torus),

@@ -18,9 +18,8 @@ from trisect import (
     sl2_complete,
     transvect,
 )
-from trisect.lattice import _echelon_basis, _solve_unit_functional
 
-from conftest import rand_primitive_vec2, rand_primitive_vec4
+from conftest import rand_genus2_diagram, rand_primitive_vec2, rand_primitive_vec4
 
 
 def test_pairing_values():
@@ -179,6 +178,70 @@ def test_symplectic_reduce_standard_shortcut_matches_general_path():
         assert fast.project(w) == general.project(w) == (w[2], w[3])
 
 
+# The general reduction path as first written: a list-based Bezout chain
+# and echelon elimination, kept verbatim (with the extended gcd they
+# share) as the reference for the unrolled rank-4 kernel.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    # Returns (g, u, v) with u*a + v*b = g and g = gcd(a, b) >= 0.
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def _solve_unit_functional(c: tuple[int, ...]) -> tuple[int, ...]:
+    # Deterministic integer solution u of sum(c[i]*u[i]) == 1; requires c
+    # primitive.  Built by chaining extended gcds through the coordinates.
+    g = 0
+    u = [0] * len(c)
+    for i, ci in enumerate(c):
+        if ci == 0:
+            continue
+        g2, s, t = _xgcd(g, ci)
+        u = [s * x for x in u]
+        u[i] += t
+        g = g2
+    if g != 1:
+        raise NonPrimitiveError(f"functional {c} is not primitive (gcd {g})")
+    return tuple(u)
+
+
+def _echelon_basis(rows: list[list[int]]) -> list[tuple]:
+    # Integer row echelon basis of the lattice the rows generate, by
+    # column-wise gcd elimination.  Each combining step acts on a row pair
+    # by a determinant-one matrix, so the span is preserved exactly; the
+    # result has strictly increasing positive pivots and is deterministic
+    # in the input order.
+    work = [list(r) for r in rows if any(r)]
+    out: list[list[int]] = []
+    for col in range(4):
+        rest = [r for r in work if r[col] == 0]
+        sel = [r for r in work if r[col] != 0]
+        if not sel:
+            work = rest
+            continue
+        pivot = sel[0]
+        for r in sel[1:]:
+            g, s, t = _xgcd(pivot[col], r[col])
+            merged = [s * pi + t * ri for pi, ri in zip(pivot, r)]
+            remainder = [
+                (pivot[col] // g) * ri - (r[col] // g) * pi
+                for pi, ri in zip(pivot, r)
+            ]
+            pivot = merged
+            if any(remainder):
+                rest.append(remainder)
+        if pivot[col] < 0:
+            pivot = [-c for c in pivot]
+        out.append(pivot)
+        work = rest
+    return [tuple(b) for b in out]
+
+
 def _reduction_basis_reference(a):
     """Reference basis: the complement images built by pairing each unit
     vector with a and f1, as the general path first did."""
@@ -188,7 +251,9 @@ def _reduction_basis_reference(a):
         e = tuple(1 if j == i else 0 for j in range(4))
         m1, m2 = pair4(a, e), pair4(f1, e)
         imgs.append(tuple(ei - m1 * fi + m2 * ai for ei, fi, ai in zip(e, f1, a)))
-    e2, f2 = _echelon_basis(imgs)
+    comp = _echelon_basis(imgs)
+    assert len(comp) == 2
+    e2, f2 = comp
     if pair4(e2, f2) == -1:
         e2, f2 = f2, e2
     return (a, f1, e2, f2)
@@ -196,10 +261,32 @@ def _reduction_basis_reference(a):
 
 def test_symplectic_reduce_matches_reference():
     rng = random.Random(161)
+    classes = []
     for bound in (1, 2, 15, 2**70):
-        for _ in range(1_000):
-            a = rand_primitive_vec4(rng, bound=bound)
-            assert SymplecticReduction(a).basis == _reduction_basis_reference(a), a
+        classes += [rand_primitive_vec4(rng, bound=bound) for _ in range(1_000)]
+    # a1 of genus-2 lifts moved off the standard position, as the
+    # general path meets them in surgery_project.
+    moved = 0
+    while moved < 1_000:
+        a1 = rand_genus2_diagram(rng, mixes=4).a1
+        if a1 != (1, 0, 0, 0):
+            classes.append(a1)
+            moved += 1
+    # Near 2^70: a large multiple of a small class plus a unit shift.
+    big = 2**70
+    for _ in range(300):
+        v = rand_primitive_vec4(rng, bound=3)
+        classes.append(tuple(big * c + rng.randint(-2, 2) for c in v))
+    checked = 0
+    for a in classes:
+        if math.gcd(*a) != 1:
+            continue
+        assert SymplecticReduction(a).basis == _reduction_basis_reference(a), a
+        # A list takes the same general path and gives the same basis.
+        basis = SymplecticReduction(list(a)).basis
+        assert (tuple(basis[0]),) + basis[1:] == _reduction_basis_reference(a), a
+        checked += 1
+    assert checked > 5_000
 
 
 def test_symplectic_reduce_swapped_block():

@@ -15,6 +15,7 @@ from trisect import (
     ZeroVectorError,
     canonical_form,
     case_diagram,
+    surgery_project,
     classify,
     lens_equiv,
     lens_from_pair,
@@ -25,9 +26,9 @@ from trisect import (
     six_tuple,
     sl2_complete,
 )
-from trisect.vertical import _match_family
 
 from conftest import (
+    rand_genus2_diagram,
     rand_primitive_vec2,
     rand_torus_diagram,
     rand_unimodular,
@@ -107,6 +108,10 @@ def test_lens_from_pair_frozen_values():
     assert lens_from_pair((2, 1), (0, 1)) == LensSpace(2, 1)
     with pytest.raises(ZeroVectorError):
         lens_from_pair((0, 0), (1, 0))
+    with pytest.raises(ZeroVectorError):
+        lens_from_pair([0, 0], (1, 0))
+    with pytest.raises(ZeroVectorError):
+        lens_from_pair((1, 0), [0, 0])
     with pytest.raises(NonPrimitiveError):
         lens_from_pair((2, 0), (0, 1))
     with pytest.raises(NonPrimitiveError):
@@ -289,17 +294,116 @@ def test_six_tuple_matches_pair_table():
     assert abs(pair2(d.b2, pull(d.b2))) == t.bb.p
 
 
+# References: the per-slot lens recipe, the set-based lens comparison and
+# the family matcher on SixTuple objects, as first written.  They build
+# on sl2_complete, LensSpace.from_pq, reflect and rotate only.
+def _lens_reference(v, w):
+    v0, v1 = v
+    w0, w1 = w
+    p = abs(v0 * w1 - v1 * w0)
+    if p == 0:
+        return S1XS2
+    if p == 1:
+        return S3
+    u0, u1 = sl2_complete(v)[0]
+    return LensSpace(p, (u0 * w0 + u1 * w1) % p)
+
+
 def _six_tuple_reference(d):
-    """Reference six-tuple: the slot recipe with lens_from_pair per slot."""
+    """Reference six-tuple: the slot recipe, one completion per slot."""
     pull = d.monodromy.inverse_apply
+    a, b, c = d.a2, d.b2, d.c2
+    pa, pb, pc = pull(a), pull(b), pull(c)
     return SixTuple(
-        aa=lens_from_pair(d.a2, pull(d.a2)),
-        bb=lens_from_pair(d.b2, pull(d.b2)),
-        cc=lens_from_pair(d.c2, pull(d.c2)),
-        ba=lens_from_pair(d.b2, pull(d.a2)),
-        cb=lens_from_pair(d.c2, d.b2),
-        ac=lens_from_pair(d.a2, pull(d.c2)),
+        aa=_lens_reference(a, pa),
+        bb=_lens_reference(b, pb),
+        cc=_lens_reference(c, pc),
+        ba=_lens_reference(b, pa),
+        cb=_lens_reference(c, b),
+        ac=_lens_reference(a, pc),
     )
+
+
+def _lens_equiv_reference(l1, l2, oriented=False):
+    if l1.p != l2.p:
+        return False
+    p = l1.p
+    if p <= 1:
+        return True
+    allowed = {l2.q, pow(l2.q, -1, p)}
+    if not oriented:
+        allowed |= {(p - q) % p for q in list(allowed)}
+    return l1.q in allowed
+
+
+def _eq(l, p, q, oriented):
+    return _lens_equiv_reference(l, LensSpace.from_pq(p, q), oriented)
+
+
+def _match_family(t, family, oriented):
+    if family == 1:
+        if (
+            t.aa.is_s1xs2
+            and t.bb.is_s1xs2
+            and t.cc.is_s1xs2
+            and t.ba.is_s3
+            and t.cb.is_s3
+            and t.ac.is_s3
+        ):
+            return (None, None)
+        return None
+    if family == 2:
+        if not (t.aa.is_s3 and t.bb.is_s3 and t.ba.is_s1xs2):
+            return None
+        root = math.isqrt(t.cc.p)
+        if root * root != t.cc.p or root == 0:
+            return None
+        for q in (1 + root, 1 - root):
+            for eps in (1, -1):
+                if (
+                    _eq(t.cc, (q - 1) ** 2, eps * q, oriented)
+                    and _eq(t.cb, q - 2, eps, oriented)
+                    and _eq(t.ac, q, -eps, oriented)
+                ):
+                    return (q, eps)
+        return None
+    if family == 3:
+        for eps in (1, -1):
+            if (
+                t.aa.is_s3
+                and _eq(t.bb, 9, 2 * eps, oriented)
+                and _eq(t.cc, 4, eps, oriented)
+                and _eq(t.ba, 2, 1, oriented)
+                and _eq(t.cb, 5, eps, oriented)
+                and t.ac.is_s3
+            ):
+                return (None, eps)
+        return None
+    if family == 4:
+        for eps in (1, -1):
+            if (
+                t.aa.is_s1xs2
+                and _eq(t.bb, 4, 1, oriented)
+                and _eq(t.cc, 4, 1, oriented)
+                and t.ba.is_s3
+                and _eq(t.cb, 4 + eps, 1, oriented)
+                and t.ac.is_s3
+            ):
+                return (None, eps)
+        return None
+    if family == 5:
+        for eps in (1, -1):
+            if (
+                t.aa.is_s1xs2
+                and t.bb.is_s3
+                and t.cc.is_s3
+                and t.ba.is_s3
+                and _eq(t.cb, 1 + eps, 1, oriented)
+                and t.ac.is_s3
+            ):
+                return (None, eps)
+        return None
+    raise ValueError(f"no family {family}")
 
 
 def _classify_reference(t, oriented=False):
@@ -321,6 +425,15 @@ def _classify_reference(t, oriented=False):
     return None
 
 
+def _basis_change(d, m):
+    mono = d.monodromy
+    if not mono.is_identity:
+        mono = Monodromy.twist(mat2_apply(m, mono.core), mono.exponent)
+    return TorusDiagram(
+        mat2_apply(m, d.a2), mat2_apply(m, d.b2), mat2_apply(m, d.c2), mono, d.sign
+    )
+
+
 def _reference_inputs():
     for family, kwargs in sweep_case_configs():
         for sign in (1, -1):
@@ -328,11 +441,55 @@ def _reference_inputs():
     rng = random.Random(4041)
     for _ in range(2_000):
         yield rand_torus_diagram(rng)
+    # Projections of genus-2 lifts moved off the standard position.
+    moved = 0
+    while moved < 1_000:
+        g = rand_genus2_diagram(rng, mixes=4)
+        if g.a1 != (1, 0, 0, 0):
+            yield surgery_project(g)
+            moved += 1
+    # Entries near 2^70: random classes, whose slots are huge, and large
+    # basis changes of calibrated and random diagrams, whose slots are not.
+    big = 2**70
+    configs = sweep_case_configs()
+    for i in range(300):
+        if i % 2:
+            a, b, c, core = (rand_primitive_vec2(rng, big) for _ in range(4))
+            yield TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))))
+            continue
+        if i % 4:
+            d = rand_torus_diagram(rng)
+        else:
+            family, kwargs = configs[rng.randrange(len(configs))]
+            d = case_diagram(family, **kwargs)
+        v = (big + rng.randrange(big), big + rng.randrange(big))
+        while math.gcd(*v) != 1:
+            v = (v[0] + 1, v[1])
+        yield _basis_change(d, sl2_complete(v))
 
 
 def test_six_tuple_matches_reference():
     for d in _reference_inputs():
         assert six_tuple(d) == _six_tuple_reference(d), d
+
+
+def test_lens_equiv_matches_reference():
+    rng = random.Random(4051)
+    spaces = [S3, S1XS2]
+    for p in list(range(2, 40)) + [2**70 + 1, 2**89 - 1]:
+        for _ in range(6):
+            q = rng.randrange(1, p)
+            if math.gcd(p, q) == 1:
+                inv = pow(q, -1, p)
+                spaces += [LensSpace(p, x) for x in (q, inv, p - q, p - inv)]
+    for l1 in spaces:
+        for l2 in spaces:
+            if l1.p != l2.p and rng.random() < 0.9:
+                continue
+            for oriented in (False, True):
+                assert lens_equiv(l1, l2, oriented) == _lens_equiv_reference(
+                    l1, l2, oriented
+                ), (l1, l2, oriented)
 
 
 def test_classify_matches_reference():

@@ -1,0 +1,273 @@
+"""Print the answers of the public API on a fixed-seed corpus, one line per call.
+
+Each line is a label and either the repr of the result or the type and
+message of the exception raised.  The corpus is deterministic: seeded
+torus and genus-2 diagrams (some with entries near 2^70), invalid
+variants of both models, lens spaces, and every fixture through
+trisect.cli.main.  To compare two checkouts, run on each
+
+    PYTHONPATH=<tree>/src python3 tools/answers.py > <tree>.txt
+
+and diff the two files.  Only the standard library and trisect are used.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import math
+import os
+import random
+import sys
+from pathlib import Path
+
+import trisect
+from trisect import (
+    Genus2Diagram,
+    LensSpace,
+    Monodromy,
+    SymplecticReduction,
+    TorusDiagram,
+    apply_sigma1,
+    apply_sigma1_inverse,
+    apply_sigma2,
+    apply_sigma2_inverse,
+    canonical_form,
+    case_diagram,
+    classify,
+    embed_torus,
+    equivalent_torus,
+    handle_slide,
+    intersection_invariant,
+    lens_equiv,
+    lens_from_pair,
+    orbit,
+    reflect,
+    rotate,
+    sigma2_cubed_witness,
+    six_tuple,
+    surgery_project,
+    theorem_hypotheses,
+    transvect,
+    validate_genus2,
+    validate_torus,
+    word_to_diagram,
+    word_to_torus,
+)
+from trisect.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SEED = 8080
+BIG = 2**70
+
+
+def show(label: str, f, *args, **kwargs) -> None:
+    try:
+        out = repr(f(*args, **kwargs))
+    except Exception as e:  # every refusal is an answer too
+        out = f"{type(e).__name__}: {e}"
+    print(f"{label} -> {out}")
+
+
+def primitive2(rng, bound=9):
+    while True:
+        v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if math.gcd(*v) == 1:
+            return v
+
+
+def primitive4(rng, bound=2):
+    while True:
+        v = tuple(rng.randint(-bound, bound) for _ in range(4))
+        if math.gcd(*v) == 1:
+            return v
+
+
+def unimodular(rng):
+    m = ((1, 0), (0, 1))
+    for _ in range(rng.randrange(1, 6)):
+        t = rng.randrange(-3, 4)
+        e = rng.choice((((1, t), (0, 1)), ((1, 0), (t, 1)), ((0, -1), (1, 0))))
+        m = tuple(
+            tuple(sum(m[i][k] * e[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+        )
+    return m
+
+
+def apply(m, v):
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+def torus(rng, bound=9):
+    sign = rng.choice((1, -1))
+    if rng.random() < 0.3:
+        m = unimodular(rng)
+        a, b, c = (
+            tuple(s * x for x in apply(m, v))
+            for v, s in zip(((1, 0), (0, 1), (1, 1)), (rng.choice((1, -1)) for _ in range(3)))
+        )
+        return TorusDiagram(a, b, c, Monodromy.identity(), sign)
+    a, b, c, core = (primitive2(rng, bound) for _ in range(4))
+    return TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))), sign)
+
+
+def genus2(rng):
+    g = embed_torus(torus(rng))
+    for _ in range(rng.randrange(4)):
+        g = handle_slide(g, rng.choice(("a2", "b2", "c2")), rng.choice((1, -1)))
+    for _ in range(rng.randrange(4)):
+        v, k = primitive4(rng), rng.choice((1, -1))
+        g = Genus2Diagram(*(transvect(v, k, w) for w in dataclasses.astuple(g)[:6]), g.exponent)
+    return g
+
+
+def torus_inputs(rng):
+    for family, kwargs in (
+        (1, {}), (2, {"q": 3}), (2, {"q": -4, "upper": False}), (3, {}), (3, {"upper": False}),
+        (4, {"eps2": -1}), (5, {"epsilon": 1}), (5, {"epsilon": -1, "upper": False}),
+    ):
+        yield case_diagram(family, **kwargs)
+    for _ in range(400):
+        yield torus(rng)
+    for _ in range(50):
+        yield torus(rng, BIG)
+    good = TorusDiagram((1, 0), (0, 1), (1, 1), Monodromy.twist((-1, 1), 1))
+    for bad in (
+        dataclasses.replace(good, a2=(2, 0)),
+        dataclasses.replace(good, a2=[0, 0]),
+        dataclasses.replace(good, monodromy=Monodromy((-1, 1), 2)),
+        dataclasses.replace(good, monodromy=Monodromy((2, 2), 1)),
+        dataclasses.replace(good, monodromy=Monodromy((1, 0), 0)),
+        dataclasses.replace(good, monodromy=Monodromy(None, 1)),
+        dataclasses.replace(good, monodromy=Monodromy.identity(), c2=(1, 2)),
+        dataclasses.replace(good, sign=2),
+        dataclasses.replace(good, monodromy=Monodromy((1, 1), 4.0)),
+        dataclasses.replace(good, monodromy=Monodromy(None, 0.0)),
+        dataclasses.replace(good, sign=1.0),
+        dataclasses.replace(good, sign=True),
+        dataclasses.replace(good, a2=(1.0, 0)),
+        dataclasses.replace(good, monodromy=Monodromy((-1.0, 1), 1)),
+        dataclasses.replace(good, a2=[1, 0]),
+    ):
+        yield bad
+
+
+def genus2_inputs(rng):
+    for _ in range(300):
+        yield genus2(rng)
+    lift = embed_torus(case_diagram(3))
+    for bad in (
+        dataclasses.replace(lift, a1=(2, 0, 0, 0)),
+        dataclasses.replace(lift, b1=(0, 2, 0, 0)),
+        dataclasses.replace(lift, a2=(0, 1, 1, 0)),
+        dataclasses.replace(lift, a2=(0, 0, 2, 0)),
+        dataclasses.replace(lift, exponent=2),
+        dataclasses.replace(lift, exponent=0),
+        dataclasses.replace(lift, exponent=1.0),
+        dataclasses.replace(lift, a1=(1.0, 0, 0, 0)),
+        dataclasses.replace(lift, a2=(0, 0, 1.0, 0)),
+        dataclasses.replace(lift, a1=[1, 0, 0, 0]),
+    ):
+        yield bad
+
+
+def torus_answers(i: int, d) -> None:
+    tag = f"torus[{i}]"
+    show(f"{tag} validate_torus", validate_torus, d)
+    show(f"{tag} six_tuple", six_tuple, d)
+    try:
+        t = six_tuple(d)
+    except Exception:
+        t = None
+    if t is not None:
+        images = [t, rotate(t), rotate(rotate(t))]
+        for j, img in enumerate(images + [reflect(x) for x in images]):
+            for oriented in (False, True):
+                show(f"{tag} classify[{j}, oriented={oriented}]", classify, img, oriented)
+    show(f"{tag} theorem_hypotheses", theorem_hypotheses, d)
+    show(f"{tag} intersection_invariant", intersection_invariant, d)
+    show(f"{tag} apply_sigma2", apply_sigma2, d)
+    show(f"{tag} apply_sigma2_inverse", apply_sigma2_inverse, d)
+    show(f"{tag} canonical_form", canonical_form, d)
+    show(f"{tag} sigma2_cubed_witness", sigma2_cubed_witness, d)
+    show(f"{tag} embed_torus", embed_torus, d)
+    show(f"{tag} orbit", orbit, d, 2)
+    show(f"{tag} word_to_torus", word_to_torus, d, ("D2", "D2", "D2'"))
+    show(f"{tag} equivalent_torus", equivalent_torus, d, d)
+
+
+def genus2_answers(i: int, g) -> None:
+    tag = f"genus2[{i}]"
+    show(f"{tag} validate_genus2", validate_genus2, g)
+    show(f"{tag} SymplecticReduction", lambda a: SymplecticReduction(a).basis, g.a1)
+    show(f"{tag} surgery_project", surgery_project, g)
+    show(f"{tag} intersection_invariant", intersection_invariant, g)
+    show(f"{tag} handle_slide", handle_slide, g, "b2", -1)
+    show(f"{tag} apply_sigma1", apply_sigma1, g)
+    show(f"{tag} apply_sigma1_inverse", apply_sigma1_inverse, g)
+    show(f"{tag} apply_sigma2", apply_sigma2, g)
+    show(f"{tag} word_to_diagram", word_to_diagram, g, ("D1", "D2"))
+
+
+def lens_answers(rng) -> None:
+    pairs = [((0, 0), (1, 0)), ([0, 0], (1, 0)), ((1, 0), [0, 0]), ((2, 0), (0, 1)),
+             ((1, 0), (2, 2)), ([2, 1], [0, 1]), ((1, 0), (1, 0)), ((1, 0), (0, 1))]
+    pairs += [(primitive2(rng, 30), primitive2(rng, 30)) for _ in range(300)]
+    pairs += [(primitive2(rng, BIG), primitive2(rng, BIG)) for _ in range(30)]
+    for i, (v, w) in enumerate(pairs):
+        show(f"lens_from_pair[{i}] {v!r} {w!r}", lens_from_pair, v, w)
+    spaces = [LensSpace(1, 0), LensSpace(0, 1)]
+    for p in range(2, 14):
+        spaces += [LensSpace(p, q) for q in range(1, p) if math.gcd(p, q) == 1]
+    for l1 in spaces:
+        for l2 in spaces:
+            if l1.p == l2.p:
+                for oriented in (False, True):
+                    show(f"lens_equiv {l1} {l2} oriented={oriented}", lens_equiv, l1, l2, oriented)
+    for p in range(-6, 10):
+        for q in range(-6, 10):
+            show(f"from_pq {p} {q}", LensSpace.from_pq, p, q)
+
+
+def cli_answers() -> None:
+    names = sorted(p.name for p in FIXTURES.glob("*.json"))
+    names += sorted("invalid/" + p.name for p in (FIXTURES / "invalid").glob("*.json"))
+    forms = [
+        ["validate"], ["invariant"], ["six-tuple"], ["classify"], ["classify", "--oriented"],
+        ["check-theorem"], ["orbit", "--depth", "2"], ["orbit", "--depth", "1", "--format", "dot"],
+        ["move", "--word", "D2,D2'"], ["move", "--word", "D1"],
+    ]
+    argvs = [[verb, name, *rest, *js] for name in names for verb, *rest in forms
+             for js in ([], ["--json"])]
+    argvs += [["lens", *map(str, pq), *js] for pq in ((5, 2, 5, 3), (7, 2, 7, 4), (0, 1, 1, 0))
+              for js in ([], ["--json"], ["--oriented"])]
+    here = os.getcwd()
+    os.chdir(FIXTURES)
+    try:
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except Exception as e:
+                    code = f"{type(e).__name__}: {e}"
+            print(f"main {argv!r} -> {code!r} {out.getvalue()!r} {err.getvalue()!r}")
+    finally:
+        os.chdir(here)
+
+
+def run() -> None:
+    rng = random.Random(SEED)
+    print(f"# trisect answers, seed {SEED}, package {Path(trisect.__file__).parent.name}")
+    for i, d in enumerate(torus_inputs(rng)):
+        torus_answers(i, d)
+    for i, g in enumerate(genus2_inputs(rng)):
+        genus2_answers(i, g)
+    lens_answers(rng)
+    cli_answers()
+
+
+if __name__ == "__main__":
+    run()
+    sys.stdout.flush()
