@@ -93,10 +93,19 @@ def _as_vec(value, n: int, where: str) -> tuple:
     return tuple(_as_int(c, f"{where}[{i}]") for i, c in enumerate(value))
 
 
-def _check_keys(obj: dict, required, optional, where: str):
-    keys = set(obj)
-    missing = set(required) - keys
-    unknown = keys - set(required) - set(optional)
+# The exact key sets of the schema.  A document whose key set matches is
+# read without further key checks; any other key set goes to _check_keys,
+# which names what is missing or unknown.
+_TORUS_KEYS = frozenset(("model", "a2", "b2", "c2", "monodromy", "sign"))
+_GENUS2_KEYS = frozenset(("model", "a1", "b1", "c1", "a2", "b2", "c2", "monodromy"))
+_TWIST_CORE_KEYS = frozenset(("type", "core", "exponent"))
+_TWIST_KEYS = frozenset(("type", "exponent"))
+_IDENTITY_KEYS = frozenset(("type",))
+
+
+def _check_keys(obj: dict, fields: frozenset, where: str):
+    missing = fields - obj.keys()
+    unknown = obj.keys() - fields
     if missing:
         raise DocumentError(f"{where}: missing fields {sorted(missing)}")
     if unknown:
@@ -109,11 +118,13 @@ def _parse_monodromy(obj, with_core: bool) -> tuple:
         raise DocumentError("monodromy: expected an object")
     kind = obj.get("type")
     if kind == "identity":
-        _check_keys(obj, ["type"], [], "monodromy")
+        if obj.keys() != _IDENTITY_KEYS:
+            _check_keys(obj, _IDENTITY_KEYS, "monodromy")
         return (None, 0)
     if kind == "twist":
-        fields = ["type", "exponent"] + (["core"] if with_core else [])
-        _check_keys(obj, fields, [], "monodromy")
+        fields = _TWIST_CORE_KEYS if with_core else _TWIST_KEYS
+        if obj.keys() != fields:
+            _check_keys(obj, fields, "monodromy")
         core = _as_vec(obj["core"], 2, "monodromy.core") if with_core else None
         return (core, _as_int(obj["exponent"], "monodromy.exponent"))
     raise DocumentError(f"monodromy.type: expected 'identity' or 'twist', got {kind!r}")
@@ -125,29 +136,29 @@ def parse_document(obj) -> TorusDiagram | Genus2Diagram:
         raise DocumentError("document: expected a JSON object")
     model = obj.get("model")
     if model == "torus":
-        _check_keys(obj, ["model", "a2", "b2", "c2", "monodromy", "sign"], [], "document")
+        if obj.keys() != _TORUS_KEYS:
+            _check_keys(obj, _TORUS_KEYS, "document")
+        # The monodromy is read first, so its errors come first.
         core, exponent = _parse_monodromy(obj["monodromy"], with_core=True)
-        mono = Monodromy.identity() if exponent == 0 and core is None else Monodromy(core, exponent)
         return TorusDiagram(
-            a2=_as_vec(obj["a2"], 2, "a2"),
-            b2=_as_vec(obj["b2"], 2, "b2"),
-            c2=_as_vec(obj["c2"], 2, "c2"),
-            monodromy=mono,
-            sign=_as_int(obj["sign"], "sign"),
+            _as_vec(obj["a2"], 2, "a2"),
+            _as_vec(obj["b2"], 2, "b2"),
+            _as_vec(obj["c2"], 2, "c2"),
+            Monodromy(core, exponent),
+            _as_int(obj["sign"], "sign"),
         )
     if model == "genus2":
-        _check_keys(
-            obj, ["model", "a1", "b1", "c1", "a2", "b2", "c2", "monodromy"], [], "document"
-        )
+        if obj.keys() != _GENUS2_KEYS:
+            _check_keys(obj, _GENUS2_KEYS, "document")
         _core, exponent = _parse_monodromy(obj["monodromy"], with_core=False)
         return Genus2Diagram(
-            a1=_as_vec(obj["a1"], 4, "a1"),
-            b1=_as_vec(obj["b1"], 4, "b1"),
-            c1=_as_vec(obj["c1"], 4, "c1"),
-            a2=_as_vec(obj["a2"], 4, "a2"),
-            b2=_as_vec(obj["b2"], 4, "b2"),
-            c2=_as_vec(obj["c2"], 4, "c2"),
-            exponent=exponent,
+            _as_vec(obj["a1"], 4, "a1"),
+            _as_vec(obj["b1"], 4, "b1"),
+            _as_vec(obj["c1"], 4, "c1"),
+            _as_vec(obj["a2"], 4, "a2"),
+            _as_vec(obj["b2"], 4, "b2"),
+            _as_vec(obj["c2"], 4, "c2"),
+            exponent,
         )
     raise DocumentError(f"model: expected 'torus' or 'genus2', got {model!r}")
 

@@ -147,11 +147,12 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     errors = []
     a, b, c = d.a2, d.b2, d.c2
     # gcd takes only integers: a class with a float or other non-integer
-    # entry is reported as not primitive.
+    # entry is reported as not primitive, and is not paired below.
     try:
-        primitive = gcd(*a) == 1 and gcd(*b) == 1 and gcd(*c) == 1
+        primitive = (gcd(*a), gcd(*b), gcd(*c)) == (1, 1, 1)
+        integral = True
     except TypeError:
-        primitive = False
+        primitive = integral = False
     if not primitive:
         errors.append(NON_PRIMITIVE)
     mono = d.monodromy
@@ -163,7 +164,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     elif k == 0:
         if mono.core is not None:
             errors.append(BAD_EXPONENT)
-        elif not _pairwise_unit(a, b, c, pair2):
+        elif integral and not _pairwise_unit(a, b, c, pair2):
             errors.append(IDENTITY_CASE_VIOLATION)
     elif k not in TWIST_EXPONENTS or mono.core is None:
         errors.append(BAD_EXPONENT)
@@ -189,16 +190,24 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
     a projected class is not primitive.
     """
     errors = []
+    a1 = d.a1
     try:
-        primitive = gcd(*d.a1) == 1
+        primitive = gcd(*a1) == 1
     except TypeError:  # a non-integer entry
         primitive = False
     if not primitive:
         errors.append(NON_PRIMITIVE_A1)
-    p_ab, p_bc, p_ca = pair4(d.a1, d.b1), pair4(d.b1, d.c1), pair4(d.c1, d.a1)
+    # The other classes need no gcd of their own (they project to the torus
+    # classes, which surgery_project checks), but every entry must be an
+    # integer, and one gcd call refuses anything else.
+    try:
+        gcd(*d.b1, *d.c1, *d.a2, *d.b2, *d.c2)
+    except TypeError:
+        errors.append(NON_PRIMITIVE)
+    p_ab, p_bc, p_ca = pair4(a1, d.b1), pair4(d.b1, d.c1), pair4(d.c1, a1)
     if not (p_ab == p_bc == p_ca and p_ab in (1, -1)):
         errors.append(TRIPLE_PAIRING_INVALID)
-    disjoint = all(pair4(d.a1, w) == 0 for w in (d.a2, d.b2, d.c2))
+    disjoint = pair4(a1, d.a2) == 0 and pair4(a1, d.b2) == 0 and pair4(a1, d.c2) == 0
     if not disjoint:
         errors.append(A2_NOT_DISJOINT)
     k = d.exponent
@@ -275,29 +284,64 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     boundary of the three-curve configuration.  A nonzero twist exponent
     with a vanishing core (or the converse) is geometrically impossible and
     raises ExponentCoreMismatchError.
+
+    With (a1, f1, e2, f2) the basis of SymplecticReduction(a1), a class w
+    disjoint from a1 projects to (-pair4(f2, w), pair4(e2, w)), computed
+    inline.  The output is not passed through validate_torus: on a valid
+    genus-2 diagram, every torus rule but primitivity already holds.
+    - Exponent: validate_genus2 admits only an exact int in {0, +-1, +-4},
+      and the exponent-core check pairs 0 with the identity and the
+      others with a nonzero core.
+    - Sign: pair4(a1, b1) is +-1 by the triple pairing.  It is an exact
+      int when the entries are; entries of another integer type (any
+      that gcd takes) are refused with BadSign, as validate_torus does.
+    - Identity case: for classes disjoint from a1, pair2 of the
+      projections equals pair4 of the classes, which validate_genus2
+      requires to be +-1 pairwise.
+    - Disjointness: A2NotDisjoint covers a2, b2 and c2, and
+      pair4(a1, a1+b1+c1) = pair4(a1, b1) - pair4(c1, a1) = s - s = 0
+      covers the core.
+    A projected class or a nonzero core can still have gcd > 1: the lift
+    ((1,0,0,0), (0,1,0,0), (-1,-1,2,0), (0,0,0,1), (0,0,1,1), (0,0,1,0), 1)
+    passes validate_genus2 and projects to core (2, 0).  So primitivity is
+    checked here, and refused with InvalidDiagramError(["NonPrimitive"])
+    as validate_torus would.  validate_genus2 admits integer entries
+    only, so the output is built of tuples and exact Monodromy and is
+    marked here.
     """
     require_valid_genus2(d)
-    red = SymplecticReduction(d.a1)
-    a1, b1, c1 = d.a1, d.b1, d.c1
-    core = red.project(
-        (a1[0] + b1[0] + c1[0], a1[1] + b1[1] + c1[1], a1[2] + b1[2] + c1[2], a1[3] + b1[3] + c1[3])
-    )
-    if d.exponent == 0:
+    _a, _f1, (e0, e1, e2, e3), (f0, f1, f2, f3) = SymplecticReduction(d.a1).basis
+    x, y, z = d.a1, d.b1, d.c1
+    boundary = (x[0] + y[0] + z[0], x[1] + y[1] + z[1], x[2] + y[2] + z[2], x[3] + y[3] + z[3])
+    core, a2, b2, c2 = [
+        (f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2)
+        for w0, w1, w2, w3 in (boundary, d.a2, d.b2, d.c2)
+    ]
+    k = d.exponent
+    if k == 0:
         if core != (0, 0):
             raise ExponentCoreMismatchError(
                 f"identity monodromy but a1+b1+c1 projects to {core}"
             )
-        mono = Monodromy.identity()
+        mono = Monodromy(None, 0)
+        primitive = True
     else:
         if core == (0, 0):
             raise ExponentCoreMismatchError(
-                f"twist exponent {d.exponent} but a1+b1+c1 projects to zero"
+                f"twist exponent {k} but a1+b1+c1 projects to zero"
             )
-        mono = Monodromy.twist(core, d.exponent)
-    out = TorusDiagram(
-        red.project(d.a2), red.project(d.b2), red.project(d.c2), mono, pair4(a1, b1)
-    )
-    require_valid_torus(out)
+        mono = Monodromy(core, k)
+        primitive = gcd(*core) == 1
+    sign = pair4(x, y)
+    errors = []
+    if not (primitive and gcd(*a2) == 1 and gcd(*b2) == 1 and gcd(*c2) == 1):
+        errors.append(NON_PRIMITIVE)
+    if type(sign) is not int:
+        errors.append(BAD_SIGN)
+    if errors:
+        raise InvalidDiagramError(errors)
+    out = TorusDiagram(a2, b2, c2, mono, sign)
+    object.__setattr__(out, "_valid", True)
     return out
 
 
@@ -427,7 +471,5 @@ def theorem_hypotheses(d: TorusDiagram) -> HypothesisReport:
     c0, c1 = d.c2
     p0, p1 = mono.inverse_apply(d.c2)
     return HypothesisReport(
-        monodromy_nontrivial=mono.exponent != 0,
-        b2_c2_independent=b0 * c1 - b1 * c0 != 0,
-        a2_pulled_c2_independent=a0 * p1 - a1 * p0 != 0,
+        mono.exponent != 0, b0 * c1 - b1 * c0 != 0, a0 * p1 - a1 * p0 != 0
     )

@@ -145,14 +145,8 @@ def apply_sigma2(d):
         )
         return _mark_genus2(out)
     require_valid_torus(d)
-    out = TorusDiagram(
-        a2=d.b2,
-        b2=d.monodromy.inverse_apply(d.c2),
-        c2=d.a2,
-        monodromy=d.monodromy,
-        sign=d.sign,
-    )
-    return _mark_torus(out)
+    mono = d.monodromy
+    return _mark_rotated(d, TorusDiagram(d.b2, mono.inverse_apply(d.c2), d.a2, mono, d.sign))
 
 
 def apply_sigma2_inverse(d):
@@ -171,13 +165,21 @@ def apply_sigma2_inverse(d):
         )
         return _mark_genus2(out)
     require_valid_torus(d)
-    out = TorusDiagram(
-        a2=d.c2,
-        b2=d.a2,
-        c2=d.monodromy.apply(d.b2),
-        monodromy=d.monodromy,
-        sign=d.sign,
-    )
+    mono = d.monodromy
+    return _mark_rotated(d, TorusDiagram(d.c2, d.a2, mono.apply(d.b2), mono, d.sign))
+
+
+def _mark_rotated(d: TorusDiagram, out: TorusDiagram) -> TorusDiagram:
+    """Mark out, an inner rotation of the valid torus diagram d.
+
+    A marked d has tuple classes and core and an exact Monodromy, and out
+    takes two classes and the monodromy from d and one class from
+    Monodromy.apply or inverse_apply, which return tuples; so out is marked
+    directly.  Otherwise _mark_torus checks out.
+    """
+    if type(d) is TorusDiagram and d._valid:
+        object.__setattr__(out, "_valid", True)
+        return out
     return _mark_torus(out)
 
 

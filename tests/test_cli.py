@@ -3,6 +3,7 @@ import glob
 import importlib.metadata
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import trisect.cli
-from trisect import Monodromy, TorusDiagram, canonical_form, surgery_project
+from trisect import Genus2Diagram, Monodromy, TorusDiagram, canonical_form, surgery_project
 from trisect.cli import DocumentError, document_text, load_document, main, parse_document
 
 from conftest import FIXTURES, fixture
@@ -174,6 +175,112 @@ def test_parse_document_integer_entries():
         with pytest.raises(DocumentError) as info:
             parse_document({**genus2, "b2": b2})
         assert str(info.value) == message
+
+
+def test_parse_document_key_sets():
+    # A document whose key set is exactly the schema's takes a fast path;
+    # every near miss gives the message it gave before that path existed.
+    torus = {
+        "model": "torus",
+        "a2": [1, 0],
+        "b2": [0, 1],
+        "c2": [1, 1],
+        "monodromy": {"type": "twist", "core": [-1, 1], "exponent": 1},
+        "sign": 1,
+    }
+    genus2 = json.loads(Path(fixture("genus2_q3.json")).read_text(encoding="utf-8"))
+
+    def without(doc, *keys):
+        return {k: v for k, v in doc.items() if k not in keys}
+
+    def renamed(doc, key, new):
+        return {(new if k == key else k): v for k, v in doc.items()}
+
+    refused = [
+        (renamed(torus, "a2", "A2"), "document: missing fields ['a2']"),
+        ({**torus, "color": "red"}, "document: unknown fields ['color']"),
+        (without(torus, "sign"), "document: missing fields ['sign']"),
+        (without(torus, "b2", "sign"), "document: missing fields ['b2', 'sign']"),
+        ({**renamed(torus, "sign", "sgn"), "x": 1}, "document: missing fields ['sign']"),
+        (renamed(genus2, "c1", "c3"), "document: missing fields ['c1']"),
+        ({**genus2, "core": [1, 0]}, "document: unknown fields ['core']"),
+        (without(genus2, "monodromy"), "document: missing fields ['monodromy']"),
+        (
+            {**torus, "monodromy": {"type": "twist", "exponent": 1}},
+            "monodromy: missing fields ['core']",
+        ),
+        (
+            {**torus, "monodromy": {**torus["monodromy"], "name": "t"}},
+            "monodromy: unknown fields ['name']",
+        ),
+        (
+            {**torus, "monodromy": {"type": "twist", "core": [-1, 1]}},
+            "monodromy: missing fields ['exponent']",
+        ),
+        (
+            {**torus, "monodromy": {"type": "identity", "core": [-1, 1]}},
+            "monodromy: unknown fields ['core']",
+        ),
+        (
+            {**genus2, "monodromy": {"type": "identity", "exponent": 0}},
+            "monodromy: unknown fields ['exponent']",
+        ),
+        (
+            {**genus2, "monodromy": {"type": "twist", "core": [1, 0], "exponent": 1}},
+            "monodromy: unknown fields ['core']",
+        ),
+        (
+            {**genus2, "monodromy": {"type": "twist", "exp": 1}},
+            "monodromy: missing fields ['exponent']",
+        ),
+        # The monodromy is read before the classes.
+        (
+            {**torus, "a2": [1], "monodromy": {"type": "twist", "core": [1], "exponent": 1}},
+            "monodromy.core: expected a list of 2 integers",
+        ),
+        (
+            {**genus2, "a1": [1], "monodromy": {"type": "twist", "exponent": "x"}},
+            "monodromy.exponent: 'x' is not a decimal integer",
+        ),
+    ]
+    for doc, message in refused:
+        with pytest.raises(DocumentError) as info:
+            parse_document(doc)
+        assert str(info.value) == message
+    # Valid documents parse to the same diagram in any key order.
+    identity = {"type": "identity"}
+    expected = [
+        (torus, TorusDiagram((1, 0), (0, 1), (1, 1), Monodromy((-1, 1), 1), 1)),
+        (
+            {**torus, "c2": [-1, -1], "monodromy": identity},
+            TorusDiagram((1, 0), (0, 1), (-1, -1), Monodromy(None, 0), 1),
+        ),
+        (
+            genus2,
+            Genus2Diagram(
+                (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, -1, 1),
+                (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1), 1,
+            ),
+        ),
+        (
+            {**genus2, "c1": [-1, -1, 0, 0], "monodromy": identity},
+            Genus2Diagram(
+                (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0),
+                (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1), 0,
+            ),
+        ),
+    ]
+    rng = random.Random(4242)
+    for doc, diagram in expected:
+        for _ in range(50):
+            items = list(doc.items())
+            rng.shuffle(items)
+            shuffled = dict(items)
+            mono = list(doc["monodromy"].items())
+            rng.shuffle(mono)
+            shuffled["monodromy"] = dict(mono)
+            d = parse_document(shuffled)
+            assert d == diagram and type(d) is type(diagram)
 
 
 def test_genus2_verbs_agree_on_validity(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from trisect import (
     HypothesisReport,
     InvalidDiagramError,
     Monodromy,
+    SymplecticReduction,
     TorusDiagram,
     apply_sigma1,
     apply_sigma1_inverse,
@@ -24,6 +26,7 @@ from trisect import (
     intersection_invariant,
     orbit,
     pair2,
+    pair4,
     sigma2_cubed_witness,
     six_tuple,
     surgery_project,
@@ -35,6 +38,7 @@ from trisect import (
     word_to_torus,
 )
 from trisect.cli import parse_document, serialize_document
+from trisect.diagram import require_valid_genus2, require_valid_torus
 
 from conftest import (
     rand_genus2_diagram,
@@ -154,6 +158,15 @@ def test_validate_torus_examples():
     assert validate_torus(TorusDiagram((1.0, 0), (0, 1), (1, 1), twist(ok_core, 1))) == [
         "NonPrimitive"
     ]
+    # A class that is not a sequence of integers is not primitive, and with
+    # identity monodromy it is not paired either; integer classes still are.
+    ident = Monodromy.identity()
+    for a2 in (None, (1.0, 0), ("1", "0")):
+        assert validate_torus(TorusDiagram(a2, (0, 1), (1, 1), ident)) == ["NonPrimitive"]
+    assert validate_torus(TorusDiagram((2, 0), (0, 1), (1, 2), ident)) == [
+        "NonPrimitive",
+        "IdentityCaseViolation",
+    ]
 
 
 def test_validate_genus2_examples():
@@ -180,13 +193,17 @@ def test_validate_genus2_examples():
     assert validate_genus2(
         Genus2Diagram((1.0, 0, 0, 0), g.b1, g.c1, g.a2, g.b2, g.c2, g.exponent)
     ) == ["NonPrimitiveA1"]
-    # A float entry off a1 passes the genus-2 checks, and the projection
-    # refuses it as a non-primitive torus class instead of carrying it.
+    # A float entry off a1 is refused as not primitive, so no move or
+    # projection carries it.
     floaty = Genus2Diagram(g.a1, g.b1, g.c1, (0, 0, 1.0, 0), g.b2, g.c2, g.exponent)
-    assert validate_genus2(floaty) == []
+    assert validate_genus2(floaty) == ["NonPrimitive"]
     with pytest.raises(InvalidDiagramError) as e:
         surgery_project(floaty)
     assert e.value.errors == ["NonPrimitive"]
+    for move in (lambda x: handle_slide(x, "a2"), apply_sigma1):
+        with pytest.raises(InvalidDiagramError) as e:
+            move(floaty)
+        assert e.value.errors == ["NonPrimitive"]
     ident = embed_torus(case_diagram(1))
     assert validate_genus2(ident) == []
     assert "IdentityCaseViolation" in validate_genus2(
@@ -277,6 +294,163 @@ def test_projection_block_swap_lift():
     assert swapped.a1 == (0, 0, 1, 0)
     assert validate_genus2(swapped) == []
     assert canonical_form(surgery_project(swapped))[0] == canonical_form(d)[0]
+
+
+def _surgery_project_reference(d):
+    """surgery_project as four SymplecticReduction.project calls,
+    Monodromy.twist and a full validate_torus of the output."""
+    require_valid_genus2(d)
+    red = SymplecticReduction(d.a1)
+    a1, b1, c1 = d.a1, d.b1, d.c1
+    core = red.project(
+        (a1[0] + b1[0] + c1[0], a1[1] + b1[1] + c1[1], a1[2] + b1[2] + c1[2], a1[3] + b1[3] + c1[3])
+    )
+    if d.exponent == 0:
+        if core != (0, 0):
+            raise ExponentCoreMismatchError(
+                f"identity monodromy but a1+b1+c1 projects to {core}"
+            )
+        mono = Monodromy.identity()
+    else:
+        if core == (0, 0):
+            raise ExponentCoreMismatchError(
+                f"twist exponent {d.exponent} but a1+b1+c1 projects to zero"
+            )
+        mono = Monodromy.twist(core, d.exponent)
+    out = TorusDiagram(
+        red.project(d.a2), red.project(d.b2), red.project(d.c2), mono, pair4(a1, b1)
+    )
+    require_valid_torus(out)
+    return out
+
+
+class _Integer:
+    """An integer type other than int: math.gcd takes it through __index__,
+    and its arithmetic stays in the type."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+    def _lift(op):
+        return lambda self, other: _Integer(op(self.n, operator.index(other)))
+
+    __add__ = __radd__ = _lift(operator.add)
+    __mul__ = __rmul__ = _lift(operator.mul)
+    __sub__ = _lift(operator.sub)
+    __rsub__ = _lift(lambda x, y: y - x)
+
+    def __neg__(self):
+        return _Integer(-self.n)
+
+    def __eq__(self, other):
+        return self.n == other
+
+    def __hash__(self):
+        return hash(self.n)
+
+    def __repr__(self):
+        return f"_Integer({self.n})"
+
+
+def _projection_inputs(rng):
+    """Genus-2 diagrams for the projection: valid lifts, standard and moved
+    off standard, some with entries near 2^70, and lifts that
+    validate_genus2 or the projection refuses."""
+
+    def moved(g):
+        # Global symplectic transvections keep every genus-2 check and
+        # change the projection only by a basis change.
+        for _ in range(rng.randrange(4)):
+            v, k = rand_primitive_vec4(rng), rng.choice((1, -1))
+            g = Genus2Diagram(
+                *(transvect(v, k, w) for w in dataclasses.astuple(g)[:6]), g.exponent
+            )
+        return g
+
+    for _ in range(400):
+        yield rand_genus2_diagram(rng, mixes=1)
+        yield rand_genus2_diagram(rng)
+    big = 2**70
+    for _ in range(100):
+        k = rng.choice((1, -1, 4, -4))
+        core = rand_primitive_vec2(rng, big)
+        classes = [rand_primitive_vec2(rng, big) for _ in range(3)]
+        d = TorusDiagram(*classes, Monodromy.twist(core, k), rng.choice((1, -1)))
+        yield embed_torus(d)
+        yield moved(embed_torus(d))
+    for _ in range(100):
+        lift = embed_torus(rand_torus_diagram(rng, allow_identity=False))
+        m = rng.choice((0, 2, 3, 2**70))
+        # A non-primitive (or zero) projected a2, b2 or c2.
+        x, y = rand_primitive_vec2(rng)
+        target = rng.choice(("a2", "b2", "c2"))
+        yield moved(dataclasses.replace(lift, **{target: (0, 0, m * x, m * y)}))
+        # A non-primitive core: the second block of c1, and so the core, is
+        # a multiple of (x, y).
+        x, y = rand_primitive_vec2(rng)
+        c1 = (lift.c1[0], lift.c1[1], max(m, 2) * x, max(m, 2) * y)
+        yield moved(dataclasses.replace(lift, c1=c1))
+        # Both exponent-core mismatches, and identity monodromy on classes
+        # that do not pair to +-1.
+        yield moved(dataclasses.replace(lift, c1=(lift.c1[0], lift.c1[1], 0, 0)))
+        ident = rand_torus_diagram(rng)
+        while not ident.monodromy.is_identity:
+            ident = rand_torus_diagram(rng)
+        ident = embed_torus(ident)
+        yield moved(dataclasses.replace(ident, c1=(ident.c1[0], ident.c1[1], x, y)))
+        yield moved(dataclasses.replace(lift, exponent=0))
+        # A float entry in any class, and an integer type other than int.
+        name, i = rng.choice(("a1", "b1", "c1", "a2", "b2", "c2")), rng.randrange(4)
+        w = list(getattr(lift, name))
+        w[i] = float(w[i])
+        yield moved(dataclasses.replace(lift, **{name: tuple(w)}))
+        w = list(getattr(lift, name))
+        w[i] = _Integer(w[i])
+        yield dataclasses.replace(lift, **{name: tuple(w)})
+    yield Genus2Diagram(
+        (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 2, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 0), 1
+    )
+
+
+def _projection_outcome(project, g):
+    # A fresh copy, so that neither implementation sees the other's mark.
+    try:
+        out = project(dataclasses.replace(g))
+    except (InvalidDiagramError, ExponentCoreMismatchError) as e:
+        return type(e), getattr(e, "errors", None), str(e)
+    return out, out._valid
+
+
+def test_surgery_project_matches_reference():
+    rng = random.Random(7373)
+    outcomes = {}
+    for g in _projection_inputs(rng):
+        got = _projection_outcome(surgery_project, g)
+        assert got == _projection_outcome(_surgery_project_reference, g), g
+        if isinstance(got[0], TorusDiagram):
+            out = got[0]
+            assert out._valid
+            entries = [*out.a2, *out.b2, *out.c2, *(out.monodromy.core or ()), out.sign]
+            assert all(type(c) is int for c in entries) or _Integer in map(type, entries)
+            outcome = "projected"
+        else:
+            # The mismatch message starts "identity" or "twist".
+            outcome = (got[0].__name__, tuple(got[1] or got[2].split()[:1]))
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    # Every kind of outcome is reached, and each more than once.
+    assert set(outcomes) == {
+        "projected",
+        ("ExponentCoreMismatchError", ("identity",)),
+        ("ExponentCoreMismatchError", ("twist",)),
+        ("InvalidDiagramError", ("NonPrimitive",)),
+        ("InvalidDiagramError", ("NonPrimitiveA1",)),
+        ("InvalidDiagramError", ("IdentityCaseViolation",)),
+        ("InvalidDiagramError", ("BadSign",)),
+    }, outcomes
+    assert min(outcomes.values()) > 1, outcomes
 
 
 def test_exponent_core_mismatch():
@@ -539,10 +713,13 @@ def test_certification_path_validates_each_document_once(monkeypatch):
         for x in (t, t1, t2):
             intersection_invariant(x)
         assert calls == [t]
-    # A genus-2 document is checked once more, after its projection.
-    g = parse_document(serialize_document(rand_genus2_diagram(rng)))
-    calls.clear()
-    t = surgery_project(g)
-    classify(six_tuple(t))
-    theorem_hypotheses(t)
-    assert calls == [t]
+    # A genus-2 document is checked by validate_genus2 alone: the projection
+    # checks primitivity itself and marks its output.
+    for _ in range(100):
+        g = parse_document(serialize_document(rand_genus2_diagram(rng)))
+        calls.clear()
+        t = surgery_project(g)
+        classify(six_tuple(t))
+        theorem_hypotheses(t)
+        intersection_invariant(apply_sigma2(t))
+        assert calls == [] and t._valid

@@ -149,6 +149,7 @@ def torus_inputs(rng):
         dataclasses.replace(good, a2=(1.0, 0)),
         dataclasses.replace(good, monodromy=Monodromy((-1.0, 1), 1)),
         dataclasses.replace(good, a2=[1, 0]),
+        dataclasses.replace(good, a2=None, monodromy=Monodromy.identity(), c2=(-1, -1)),
     ):
         yield bad
 
@@ -168,6 +169,12 @@ def genus2_inputs(rng):
         dataclasses.replace(lift, a1=(1.0, 0, 0, 0)),
         dataclasses.replace(lift, a2=(0, 0, 1.0, 0)),
         dataclasses.replace(lift, a1=[1, 0, 0, 0]),
+        dataclasses.replace(lift, b1=(0, 1.0, 0, 0)),
+        dataclasses.replace(lift, c2=(0, 0, 5, -1.0)),
+        # Passes validate_genus2; the core projects to (2, 0).
+        Genus2Diagram(
+            (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 2, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 0), 1
+        ),
     ):
         yield bad
 
