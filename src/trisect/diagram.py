@@ -156,7 +156,10 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     if not primitive:
         errors.append(NON_PRIMITIVE)
     mono = d.monodromy
-    k = mono.exponent
+    try:
+        k = mono.exponent
+    except AttributeError:  # not a Monodromy: refused as BadExponent below
+        k = None
     # The exponent and the sign must be exactly int: 4.0, 1.0 and True
     # compare equal to valid values but would carry floats into the maths.
     if type(k) is not int:
@@ -204,12 +207,19 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
         gcd(*d.b1, *d.c1, *d.a2, *d.b2, *d.c2)
     except TypeError:
         errors.append(NON_PRIMITIVE)
-    p_ab, p_bc, p_ca = pair4(a1, d.b1), pair4(d.b1, d.c1), pair4(d.c1, a1)
-    if not (p_ab == p_bc == p_ca and p_ab in (1, -1)):
-        errors.append(TRIPLE_PAIRING_INVALID)
-    disjoint = pair4(a1, d.a2) == 0 and pair4(a1, d.b2) == 0 and pair4(a1, d.c2) == 0
-    if not disjoint:
-        errors.append(A2_NOT_DISJOINT)
+    try:
+        p_ab, p_bc, p_ca = pair4(a1, d.b1), pair4(d.b1, d.c1), pair4(d.c1, a1)
+        if not (p_ab == p_bc == p_ca and p_ab in (1, -1)):
+            errors.append(TRIPLE_PAIRING_INVALID)
+        disjoint = pair4(a1, d.a2) == 0 and pair4(a1, d.b2) == 0 and pair4(a1, d.c2) == 0
+        if not disjoint:
+            errors.append(A2_NOT_DISJOINT)
+    except TypeError:
+        # A class that is not a sequence of integers, which the guards
+        # above have recorded; the pairing-based checks are skipped.
+        if not errors:
+            raise
+        disjoint = False
     k = d.exponent
     if type(k) is not int or (k != 0 and k not in TWIST_EXPONENTS):
         errors.append(BAD_EXPONENT)

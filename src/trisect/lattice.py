@@ -11,6 +11,11 @@ so transvect(c, 1, .) is the right-handed Dehn twist about a curve with
 homology class c, and transvect(c, -k, .) inverts transvect(c, k, .).
 diagram.Monodromy applies the rank-2 case in closed form,
 (x0 + m*c0, x1 + m*c1) with m = k * pair2(c, x), on the torus hot path.
+Since pair(c, transvect(c, k, x)) = pair(c, x), the inner rotation in
+moves cycles the intersection invariant, I(s2 V) = (I_b, I_c, I_a), so
+I(V) separates the three rotations exactly when its entries are not all
+equal.  sl2_complete takes its Bezout entry from pow(x, -1, |y|); _xgcd
+stays where its exact coefficients fix a basis (SymplecticReduction).
 """
 
 from __future__ import annotations
@@ -112,18 +117,28 @@ def sl2_complete(v: Vec2) -> Mat2:
     x, y = v
     if x == 0 and y == 0:
         raise ZeroVectorError("cannot complete the zero vector")
-    g, u, w = _xgcd(x, y)
+    g = math.gcd(x, y)
     if g != 1:
         raise NonPrimitiveError(f"{v} is not primitive (gcd {g})")
-    if y != 0:
+    p, q, r, s = _complete(x, y)
+    return ((p, q), (r, s))
+
+
+def _complete(x: int, y: int) -> tuple[int, int, int, int]:
+    """Entries (p, q, r, s) of sl2_complete((x, y)) for a primitive (x, y).
+
+    Every first row (p, q) with p*x + q*y = 1 has p = x^-1 mod |y|, so the
+    modular inverse moved into the window (-|y|/2, |y|/2] is the canonical
+    p, and y divides 1 - p*x exactly.  For y = 0, x is +-1 and the matrix
+    is x times the identity.  The caller has checked primitivity.
+    """
+    if y:
         m = abs(y)
-        u %= m
-        if 2 * u > m:
-            u -= m
-        w = (1 - u * x) // y
-    else:
-        u, w = x, 0
-    return ((u, w), (-y, x))
+        p = pow(x, -1, m)
+        if 2 * p > m:
+            p -= m
+        return p, (1 - p * x) // y, -y, x
+    return x, 0, 0, x
 
 
 def _echelon4(rows) -> list[Vec4]:

@@ -24,7 +24,11 @@ On canonical forms the moves generate a small graph, which orbit builds
 in closed form: the inner rotation cycles at most three nodes, because
 its cube is a basis change, and the outer rotation fixes every node.
 Each rotation (b2, mu^-1(c2), a2) is canonicalised straight from its
-classes, without building the rotated diagram.
+classes, without building the rotated diagram.  mu^-1 fixes the core and
+preserves the pairing, so I(s2 V) = (I_b, I_c, I_a) for I(V) =
+(I_a, I_b, I_c), and I(V) separates the three rotations exactly when its
+entries are not all equal: the tie locus is where the theorem's
+hypotheses hold and I_a = I_b = I_c.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ from .diagram import (
 from .lattice import (
     Mat2,
     Vec2,
+    _complete,
     mat2_apply,
     mat2_inv,
     mat2_mul,
-    sl2_complete,
     transvect,
 )
 
@@ -241,7 +245,7 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
 
 def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
     """canonical_form on the classes of a diagram known to be valid."""
-    (p, q), (r, s) = sl2_complete(a2)
+    p, q, r, s = _complete(*a2)
     k = mono.exponent
     rest = (b2, c2) if k == 0 else (b2, c2, mono.core)
     t = 0
@@ -357,6 +361,24 @@ def _rotated_form(v: TorusDiagram) -> TorusDiagram:
     return _canonical(v.b2, mono.inverse_apply(v.c2), v.a2, mono, v.sign)[0]
 
 
+def _orbit_edges(expanded, n) -> tuple[tuple, tuple]:
+    """Edges of the expanded nodes of an n-node orbit, without and with
+    the outer-rotation self-loops."""
+    plain, outer = [], []
+    for i in expanded:
+        step = [(i, SIGMA2, (i + 1) % n), (i, SIGMA2_INV, (i - 1) % n)]
+        plain += step
+        outer += step + [(i, SIGMA1, i), (i, SIGMA1_INV, i)]
+    return tuple(plain), tuple(outer)
+
+
+# Every edge list orbit can return, indexed by the truth of include_sigma1.
+_EDGES_ONE = _orbit_edges([0], 1)
+_EDGES_DEPTH1 = _orbit_edges([0], 3)
+_EDGES_12 = _orbit_edges([0, 1, 2], 3)
+_EDGES_21 = _orbit_edges([0, 2, 1], 3)
+
+
 def orbit(
     start: TorusDiagram,
     depth: int,
@@ -373,26 +395,41 @@ def orbit(
     lift, a genus-2 diagram projecting to start, is accepted for callers
     that hold one; it does not change the result.
 
-    Edges are listed in breadth-first order: node 0 at depth 1, then nodes
-    1 and 2 in lexicographic node-key order at depth 2 and beyond.
+    Only node 0's invariant (i0, i1, i2) is computed; node 1 gets
+    (i1, i2, i0) and node 2 gets (i2, i0, i1).  Proof: s2 sends
+    (a2, b2, c2) to (b2, mu^-1(c2), a2), and mu^-1 fixes the core d and
+    preserves pair2, so pair2(d, mu^-1(c2)) = pair2(d, c2) and
+    I(s2 V) = (I_b, I_c, I_a); identity monodromy gives (0, 0, 0)
+    throughout.  A canonical form applies a determinant-1 basis change
+    and sign flips to the classes and the core, which change each
+    pairing at most in sign, so I is the same on a diagram and its
+    canonical form.  Hence I(V) separates the three rotations exactly
+    when i0, i1, i2 are not all equal, and the tie locus is the set of
+    diagrams where the theorem's hypotheses hold and i0 = i1 = i2.
+
+    Edges come from fixed tables in breadth-first order: node 0 at depth
+    1, then nodes 1 and 2 in lexicographic node-key order at depth 2 and
+    beyond.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     v0, _ = canonical_form(start)
-    diagrams = [v0]
-    if depth > 0:
-        v1 = _rotated_form(v0)
-        if v1 != v0:
-            diagrams += [v1, _rotated_form(v1)]
-    n = len(diagrams)
-    expanded = [0] if depth > 0 else []
-    if depth > 1 and n == 3:
-        expanded += [1, 2] if _node_key(diagrams[1]) <= _node_key(diagrams[2]) else [2, 1]
-    edges = []
-    for i in expanded:
-        edges += [(i, SIGMA2, (i + 1) % n), (i, SIGMA2_INV, (i - 1) % n)]
-        if include_sigma1:
-            edges += [(i, SIGMA1, i), (i, SIGMA1_INV, i)]
-
-    nodes = tuple(OrbitNode(i, dgm, intersection_invariant(dgm)) for i, dgm in enumerate(diagrams))
-    return OrbitGraph(nodes, tuple(edges))
+    inv = intersection_invariant(v0)
+    if not depth > 0:
+        return OrbitGraph((OrbitNode(0, v0, inv),), ())
+    outer = 1 if include_sigma1 else 0
+    v1 = _rotated_form(v0)
+    if v1 == v0:
+        return OrbitGraph((OrbitNode(0, v0, inv),), _EDGES_ONE[outer])
+    v2 = _rotated_form(v1)
+    if not depth > 1:
+        edges = _EDGES_DEPTH1
+    elif _node_key(v1) <= _node_key(v2):
+        edges = _EDGES_12
+    else:
+        edges = _EDGES_21
+    i0, i1, i2 = inv
+    return OrbitGraph(
+        (OrbitNode(0, v0, inv), OrbitNode(1, v1, (i1, i2, i0)), OrbitNode(2, v2, (i2, i0, i1))),
+        edges[outer],
+    )

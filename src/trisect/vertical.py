@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import Monodromy, TorusDiagram, require_valid_torus
-from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _xgcd, is_primitive
+from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _complete, is_primitive
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def _lens_pair(v: Vec2, w: Vec2, x: Vec2) -> tuple[LensSpace, LensSpace]:
     v to (1, 0) and w to (u . w, pair2(v, w)) = (q, +-p); that vector is
     primitive, so gcd(p, q) = 1.  q mod p does not depend on the row: two
     Bezout rows differ by t * (-v1, v0), which moves u . w by
-    t * pair2(v, w) = +-t * p.  So the raw _xgcd row serves, and q % p is
-    the normal form.
+    t * pair2(v, w) = +-t * p.  So the first row of _complete serves, and
+    q % p is the normal form.
     """
     v0, v1 = v
     w0, w1 = w
@@ -147,7 +147,7 @@ def _lens_pair(v: Vec2, w: Vec2, x: Vec2) -> tuple[LensSpace, LensSpace]:
     r = abs(v0 * x1 - v1 * x0)
     if p < 2 and r < 2:
         return _SMALL[p], _SMALL[r]
-    _, u0, u1 = _xgcd(v0, v1)
+    u0, u1, _, _ = _complete(v0, v1)
     return (
         _SMALL[p] if p < 2 else LensSpace(p, (u0 * w0 + u1 * w1) % p),
         _SMALL[r] if r < 2 else LensSpace(r, (u0 * x0 + u1 * x1) % r),

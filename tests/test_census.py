@@ -44,6 +44,7 @@ def test_census_radius_3():
                     raw += 1
     families = Counter()
     unmatched = ties = 0
+    tie_forms, equal_entry_forms = set(), set()
     for t in forms:
         match = classify(six_tuple(t))
         if match is None:
@@ -52,9 +53,18 @@ def test_census_radius_3():
             families[match.family] += 1
         t1 = apply_sigma2(t)
         invariants = {intersection_invariant(x) for x in (t, t1, apply_sigma2(t1))}
-        ties += theorem_hypotheses(t).all_hold and len(invariants) < 3
+        held = theorem_hypotheses(t).all_hold
+        if held and len(invariants) < 3:
+            ties += 1
+            tie_forms.add(t)
+        if held and len(set(intersection_invariant(t))) == 1:
+            equal_entry_forms.add(t)
     assert raw == 131_072
     assert len(forms) == 9_476
     assert dict(families) == {2: 50, 3: 12, 4: 16, 5: 18}
     assert unmatched == 9_380
     assert ties == 172
+    # The tie locus is exactly where the hypotheses hold and the three
+    # entries of I(V) are equal.
+    assert tie_forms == equal_entry_forms
+    assert len(equal_entry_forms) == 172

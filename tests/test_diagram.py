@@ -167,6 +167,16 @@ def test_validate_torus_examples():
         "NonPrimitive",
         "IdentityCaseViolation",
     ]
+    # A monodromy that is not a Monodromy is a bad exponent, not a crash.
+    assert validate_torus(TorusDiagram((1, 0), (0, 1), (1, 1), None)) == ["BadExponent"]
+    assert validate_torus(TorusDiagram((2, 0), (0, 1), (1, 1), None, sign=3)) == [
+        "NonPrimitive",
+        "BadExponent",
+        "BadSign",
+    ]
+    with pytest.raises(InvalidDiagramError) as e:
+        six_tuple(TorusDiagram((1, 0), (0, 1), (1, 1), None))
+    assert e.value.errors == ["BadExponent"]
 
 
 def test_validate_genus2_examples():
@@ -204,7 +214,36 @@ def test_validate_genus2_examples():
         with pytest.raises(InvalidDiagramError) as e:
             move(floaty)
         assert e.value.errors == ["NonPrimitive"]
+    # A class that is not a sequence of integers is recorded by the integer
+    # guards and not paired, for twist and identity monodromy alike.
     ident = embed_torus(case_diagram(1))
+    for base in (g, ident):
+        for field, value, codes in (
+            ("a2", None, ["NonPrimitive"]),
+            ("a2", (0, 0, "1", 0), ["NonPrimitive"]),
+            ("c2", None, ["NonPrimitive"]),
+            ("b1", None, ["NonPrimitive"]),
+            ("b1", (0, "1", 0, 0), ["NonPrimitive"]),
+            ("a1", None, ["NonPrimitiveA1"]),
+        ):
+            bad = dataclasses.replace(base, **{field: value})
+            assert validate_genus2(bad) == codes, (field, value)
+            with pytest.raises(InvalidDiagramError) as e:
+                surgery_project(bad)
+            assert e.value.errors == codes
+    assert validate_genus2(dataclasses.replace(g, a2=None, exponent=2)) == [
+        "NonPrimitive",
+        "BadExponent",
+    ]
+
+    # An entry that gcd takes but pair4 cannot multiply passes both guards,
+    # so the TypeError is raised rather than the diagram marked valid.
+    class _IndexOnly:
+        def __index__(self):
+            return 0
+
+    with pytest.raises(TypeError):
+        validate_genus2(dataclasses.replace(g, a2=(0, 0, _IndexOnly(), 1)))
     assert validate_genus2(ident) == []
     assert "IdentityCaseViolation" in validate_genus2(
         Genus2Diagram(ident.a1, ident.b1, ident.c1, ident.a2, ident.b2, (0, 0, 1, 2), 0)

@@ -19,6 +19,8 @@ from trisect import (
     transvect,
 )
 
+from trisect.lattice import _complete
+
 from conftest import rand_genus2_diagram, rand_primitive_vec2, rand_primitive_vec4
 
 
@@ -333,3 +335,64 @@ def test_symplectic_reduce_errors():
         SymplecticReduction((0, 0, 0, 0))
     with pytest.raises(NonPrimitiveError):
         SymplecticReduction((2, 0, 2, 0))
+
+
+# sl2_complete as first written, on the extended gcd, kept verbatim as the
+# reference for the modular-inverse completion.
+def _sl2_complete_reference(v):
+    x, y = v
+    if x == 0 and y == 0:
+        raise ZeroVectorError("cannot complete the zero vector")
+    g, u, w = _xgcd(x, y)
+    if g != 1:
+        raise NonPrimitiveError(f"{v} is not primitive (gcd {g})")
+    if y != 0:
+        m = abs(y)
+        u %= m
+        if 2 * u > m:
+            u -= m
+        w = (1 - u * x) // y
+    else:
+        u, w = x, 0
+    return ((u, w), (-y, x))
+
+
+def _completion_outcome(complete, v):
+    try:
+        return complete(v)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_sl2_complete_matches_xgcd_reference():
+    # The exhaustive box, zero and non-primitive vectors included, so the
+    # error types and messages are compared too; then seeded pairs near
+    # 2^70, each entry near +-2^70 or small.
+    vectors = [(x, y) for x in range(-60, 61) for y in range(-60, 61)]
+    rng = random.Random(171)
+    big = 2**70
+
+    def entry():
+        if rng.random() < 0.7:
+            return rng.choice((1, -1)) * big + rng.randint(-1_000, 1_000)
+        return rng.randint(-5, 5)
+
+    vectors += [(entry(), entry()) for _ in range(20_000)]
+    primitive = 0
+    for v in vectors:
+        want = _completion_outcome(_sl2_complete_reference, v)
+        assert _completion_outcome(sl2_complete, v) == want, v
+        if type(want[0]) is tuple:
+            assert _complete(*v) == want[0] + want[1], v
+            primitive += 1
+    assert primitive > 15_000
+
+
+def test_sl2_complete_refuses_floats():
+    # The gcd is math.gcd, which takes only integers; the zero check
+    # comes first and keeps its error.
+    for v in ((1.0, 0.0), (1.0, 2), (0, 1.0), (3.0, 5.0)):
+        with pytest.raises(TypeError):
+            sl2_complete(v)
+    with pytest.raises(ZeroVectorError):
+        sl2_complete((0.0, 0.0))

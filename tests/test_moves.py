@@ -707,20 +707,73 @@ def _orbit_rotate_reference(start, depth, include_sigma1=False, lift=None):
     return OrbitGraph(nodes=nodes, edges=tuple(edges))
 
 
-def test_orbit_matches_rotate_reference():
-    rng = random.Random(7321)
+def _orbit_starts(rng):
+    """Seeded orbit starts: torus diagrams, about 30% with identity
+    monodromy, projected genus-2 lifts, twist diagrams near 2^70, further
+    identity-monodromy starts, twist diagrams with equal invariant entries,
+    and the only 1-node orbits, a2 = b2 = c2 = core = (1, 0), for each
+    exponent and sign."""
     starts = [rand_torus_diagram(rng) for _ in range(500)]
     starts += [surgery_project(rand_genus2_diagram(rng)) for _ in range(500)]
     for _ in range(100):
         a, b, c, core = (rand_primitive_vec2(rng, 2**70) for _ in range(4))
         starts.append(TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4)))))
+    starts += [
+        d for d in (rand_torus_diagram(rng) for _ in range(300)) if d.monodromy.is_identity
+    ]
+    # Twist diagrams whose invariant entries are all equal, moved by a
+    # basis change: the candidates for the tie locus.
+    ties = 0
+    while ties < 200:
+        b, c, core = (rand_primitive_vec2(rng, 3) for _ in range(3))
+        d = TorusDiagram((1, 0), b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))))
+        if len(set(intersection_invariant(d))) == 1:
+            m = rand_unimodular(rng)
+            a2, b2, c2, core = (mat2_apply(m, v) for v in (d.a2, b, c, core))
+            starts.append(TorusDiagram(a2, b2, c2, Monodromy.twist(core, d.monodromy.exponent)))
+            ties += 1
+    e = (1, 0)
+    starts += [TorusDiagram(e, e, e, Monodromy.twist(e, k), s) for k in (1, -1, 4, -4)
+               for s in (1, -1)]
+    return starts
+
+
+def test_orbit_matches_rotate_reference():
+    rng = random.Random(7321)
+    starts = _orbit_starts(rng)
+    one_node = identities = 0
     for start in starts:
-        for depth in range(4):
-            for include_sigma1 in (False, True):
+        for depth in (0, 0.5, 1, 1.5, 2, 3):
+            for include_sigma1 in (False, True, 0, 1):
                 got = orbit(start, depth, include_sigma1)
                 want = _orbit_rotate_reference(start, depth, include_sigma1)
                 assert got.nodes == want.nodes, (start, depth)
                 assert got.edges == want.edges, (start, depth)
+        one_node += len(orbit(start, 1).nodes) == 1
+        identities += start.monodromy.is_identity
+    assert one_node >= 8 and identities > 300
+
+
+def test_orbit_invariants_rotate():
+    # Each node's invariant is that node's intersection_invariant, and
+    # node 1 and node 2 carry the cyclic rotations (i1, i2, i0) and
+    # (i2, i0, i1) of node 0's.  So I(V) separates the three nodes exactly
+    # when its entries are not all equal.
+    rng = random.Random(7323)
+    ties = 0
+    for start in _orbit_starts(rng):
+        g = orbit(start, 2)
+        i0, i1, i2 = inv = intersection_invariant(start)
+        assert g.nodes[0].invariant == inv
+        for node in g.nodes:
+            assert node.invariant == intersection_invariant(node.diagram)
+        if len(g.nodes) == 3:
+            assert g.nodes[1].invariant == (i1, i2, i0)
+            assert g.nodes[2].invariant == (i2, i0, i1)
+            separated = len({node.invariant for node in g.nodes}) == 3
+            assert separated == (not i0 == i1 == i2)
+            ties += not separated
+    assert ties > 150
 
 
 class _SubMonodromy(Monodromy):

@@ -3,8 +3,9 @@
 Each line is a label and either the repr of the result or the type and
 message of the exception raised.  The corpus is deterministic: seeded
 torus and genus-2 diagrams (some with entries near 2^70), invalid
-variants of both models, lens spaces, and every fixture through
-trisect.cli.main.  To compare two checkouts, run on each
+variants of both models, orbits at whole and fractional depths, SL2
+completions, lens spaces, and every fixture through trisect.cli.main.
+To compare two checkouts, run on each
 
     PYTHONPATH=<tree>/src python3 tools/answers.py > <tree>.txt
 
@@ -47,6 +48,7 @@ from trisect import (
     rotate,
     sigma2_cubed_witness,
     six_tuple,
+    sl2_complete,
     surgery_project,
     theorem_hypotheses,
     transvect,
@@ -150,6 +152,8 @@ def torus_inputs(rng):
         dataclasses.replace(good, monodromy=Monodromy((-1.0, 1), 1)),
         dataclasses.replace(good, a2=[1, 0]),
         dataclasses.replace(good, a2=None, monodromy=Monodromy.identity(), c2=(-1, -1)),
+        dataclasses.replace(good, monodromy=None),
+        dataclasses.replace(good, a2=(2, 0), monodromy=None, sign=3),
     ):
         yield bad
 
@@ -171,6 +175,9 @@ def genus2_inputs(rng):
         dataclasses.replace(lift, a1=[1, 0, 0, 0]),
         dataclasses.replace(lift, b1=(0, 1.0, 0, 0)),
         dataclasses.replace(lift, c2=(0, 0, 5, -1.0)),
+        dataclasses.replace(lift, a2=None),
+        dataclasses.replace(lift, a2=(0, 0, "1", 0)),
+        dataclasses.replace(lift, a1=None, exponent=0),
         # Passes validate_genus2; the core projects to (2, 0).
         Genus2Diagram(
             (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 2, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 0), 1
@@ -199,7 +206,7 @@ def torus_answers(i: int, d) -> None:
     show(f"{tag} canonical_form", canonical_form, d)
     show(f"{tag} sigma2_cubed_witness", sigma2_cubed_witness, d)
     show(f"{tag} embed_torus", embed_torus, d)
-    show(f"{tag} orbit", orbit, d, 2)
+    orbit_answers(tag, d)
     show(f"{tag} word_to_torus", word_to_torus, d, ("D2", "D2", "D2'"))
     show(f"{tag} equivalent_torus", equivalent_torus, d, d)
 
@@ -215,6 +222,31 @@ def genus2_answers(i: int, g) -> None:
     show(f"{tag} apply_sigma1_inverse", apply_sigma1_inverse, g)
     show(f"{tag} apply_sigma2", apply_sigma2, g)
     show(f"{tag} word_to_diagram", word_to_diagram, g, ("D1", "D2"))
+    try:
+        t = surgery_project(g)
+    except Exception:
+        return
+    orbit_answers(f"{tag} projected", t, g)
+
+
+def orbit_answers(tag: str, d, lift=None) -> None:
+    for depth in (0, 1, 2, 3, 0.5, 1.5):
+        for sigma1 in (False, True):
+            show(f"{tag} orbit[{depth}, sigma1={sigma1}]", orbit, d, depth, sigma1, lift)
+
+
+def completion_answers(rng) -> None:
+    vectors = [(1, 0), (-1, 0), (0, 1), (0, -1), (5, -1), (0, 0), (2, 4), (2, 0), (BIG, 0),
+               (BIG, 1), (1, BIG), (BIG + 1, BIG), (-BIG, BIG - 1),
+               (1.0, 0.0), (1.0, 2), (0, 1.0), (0.0, 0.0)]
+    for _ in range(300):
+        vectors.append(tuple(
+            rng.choice((1, -1)) * BIG + rng.randint(-1_000, 1_000) if rng.random() < 0.7
+            else rng.randint(-5, 5)
+            for _ in range(2)
+        ))
+    for i, v in enumerate(vectors):
+        show(f"sl2_complete[{i}] {v!r}", sl2_complete, v)
 
 
 def lens_answers(rng) -> None:
@@ -272,6 +304,7 @@ def run() -> None:
     for i, g in enumerate(genus2_inputs(rng)):
         genus2_answers(i, g)
     lens_answers(rng)
+    completion_answers(rng)
     cli_answers()
 
 
