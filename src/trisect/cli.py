@@ -21,10 +21,12 @@ Exit codes: 0 success (including negative verdicts), 1 invalid diagram,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
+# Only diagram and lattice load with this module: parse_document and the
+# error handling in main need them.  Each verb imports what else it uses,
+# so that one call loads no module its verb does not need.
 from .diagram import (
     EXPONENT_CORE_MISMATCH,
     ExponentCoreMismatchError,
@@ -39,15 +41,6 @@ from .diagram import (
     validate_torus,
 )
 from .lattice import NonPrimitiveError, ZeroVectorError
-from .moves import (
-    WordError,
-    apply_sigma2,
-    orbit,
-    parse_word,
-    word_to_diagram,
-    word_to_torus,
-)
-from .vertical import LensSpace, classify, lens_equiv, six_tuple
 
 
 class DocumentError(ValueError):
@@ -269,6 +262,8 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_move(args) -> int:
+    from .moves import WordError, parse_word, word_to_diagram, word_to_torus
+
     try:
         word = parse_word(args.word)
     except WordError as e:
@@ -303,6 +298,8 @@ def cmd_move(args) -> int:
 
 
 def cmd_six_tuple(args) -> int:
+    from .vertical import six_tuple
+
     t = six_tuple(_as_torus(load_document(args.path)))
     if args.json:
         print(json.dumps({"tuple": {name: str(l) for name, l in t.slots()}}, indent=2))
@@ -316,6 +313,8 @@ def cmd_six_tuple(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .vertical import classify, six_tuple
+
     match = classify(six_tuple(_as_torus(load_document(args.path))), oriented=args.oriented)
     if args.json:
         payload = {"family": None}
@@ -343,6 +342,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check_theorem(args) -> int:
+    from .moves import apply_sigma2
+
     d = _as_torus(load_document(args.path))
     report = theorem_hypotheses(d)
     d1 = apply_sigma2(d)
@@ -396,6 +397,8 @@ def _fmt_node_diagram(d: TorusDiagram) -> str:
 
 
 def cmd_orbit(args) -> int:
+    from .moves import orbit
+
     d = load_document(args.path)
     if isinstance(d, Genus2Diagram):
         graph = orbit(surgery_project(d), args.depth, include_sigma1=True)
@@ -436,6 +439,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_lens(args) -> int:
+    from .vertical import LensSpace, lens_equiv
+
     try:
         left = LensSpace.from_pq(args.p, args.q)
         right = LensSpace.from_pq(args.p2, args.q2)
@@ -451,50 +456,178 @@ def cmd_lens(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trisect",
-        description="Exact homology-level computations on simplified genus-2 trisection diagrams.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line: verb -> (handler, positionals, options that take a
+# value with their defaults, flags, required options, help).
+VERBS = {
+    "validate": (cmd_validate, ("path",), {}, ("--json",), (), "check the diagram invariants"),
+    "invariant": (
+        cmd_invariant, ("path",), {}, ("--json",), (), "print the intersection invariant triple"
+    ),
+    "move": (
+        cmd_move, ("path",), {"--word": None, "--out": None}, ("--json",), ("--word",),
+        "apply a move word and write the result",
+    ),
+    "six-tuple": (cmd_six_tuple, ("path",), {}, ("--json",), (), "print the six vertical pieces"),
+    "classify": (
+        cmd_classify, ("path",), {}, ("--oriented", "--json"), (),
+        "match the six vertical pieces against the families",
+    ),
+    "check-theorem": (
+        cmd_check_theorem, ("path",), {}, ("--json",), (), "evaluate the certification hypotheses"
+    ),
+    "orbit": (
+        cmd_orbit, ("path",), {"--depth": None, "--format": "text"}, ("--json",), ("--depth",),
+        "move orbit of the diagram",
+    ),
+    "lens": (
+        cmd_lens, ("p", "q", "p2", "q2"), {}, ("--oriented", "--json"), (),
+        "compare two lens spaces L(p,q) and L(p2,q2)",
+    ),
+}
 
-    def add(name, fn, help_text, with_path=True):
-        p = sub.add_parser(name, help=help_text)
-        if with_path:
-            p.add_argument("path", help="JSON diagram document")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=fn)
-        return p
+_ARGUMENT_HELP = {
+    "path": "JSON diagram document",
+    "p": "p of the first lens space L(p,q)",
+    "q": "q of the first lens space L(p,q)",
+    "p2": "p2 of the second lens space L(p2,q2)",
+    "q2": "q2 of the second lens space L(p2,q2)",
+    "--word": "comma-separated tokens D1, D1', D2, D2'",
+    "--out": "output path (default: print the document)",
+    "--depth": "number of move levels",
+    "--format": "output format: text (default) or dot",
+    "--oriented": "compare lens spaces with orientation",
+    "--json": "machine-readable output",
+}
+# Read by the rule that integer entries of documents follow.
+_INTEGER_ARGUMENTS = frozenset(("--depth", "p", "q", "p2", "q2"))
 
-    add("validate", cmd_validate, "check the diagram invariants")
-    add("invariant", cmd_invariant, "print the intersection invariant triple")
-    p = add("move", cmd_move, "apply a move word and write the result")
-    p.add_argument("--word", required=True, help="comma-separated tokens D1, D1', D2, D2'")
-    p.add_argument("--out", help="output path (default: print the document)")
-    add("six-tuple", cmd_six_tuple, "print the six vertical pieces")
-    p = add("classify", cmd_classify, "match the six vertical pieces against the families")
-    p.add_argument("--oriented", action="store_true", help="compare lens spaces with orientation")
-    add("check-theorem", cmd_check_theorem, "evaluate the certification hypotheses")
-    p = add("orbit", cmd_orbit, "move orbit of the diagram")
-    p.add_argument("--depth", type=int, required=True, help="number of move levels")
-    p.add_argument("--format", choices=("text", "dot"), default="text", help="output format")
-    p = add("lens", cmd_lens, "compare two lens spaces L(p,q) and L(p2,q2)", with_path=False)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("p2", type=int)
-    p.add_argument("q2", type=int)
-    p.add_argument("--oriented", action="store_true", help="compare with orientation")
-    return parser
+
+class _UsageError(Exception):
+    """The command line does not match VERBS; main exits 2."""
+
+    def __init__(self, message: str, verb: str | None = None):
+        super().__init__(message)
+        self.verb = verb
+
+
+class _Args:
+    """The arguments of one call, as attributes named without dashes."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
+
+
+def _is_option(token: str) -> bool:
+    # As in argparse, "-" alone and negative numbers such as "-5" are values.
+    return token[:1] == "-" and token != "-" and not token[1:2].isdigit()
+
+
+def _value(verb: str, name: str, text: str):
+    if name in _INTEGER_ARGUMENTS:
+        try:
+            return _as_int(text, name)
+        except DocumentError as e:
+            raise _UsageError(str(e), verb) from None
+    if name == "--format" and text not in ("text", "dot"):
+        raise _UsageError(f"--format: expected text or dot, got {text!r}", verb)
+    return text
+
+
+def _parse_args(argv: list) -> tuple:
+    """(handler, argument) for one command line; raises _UsageError.
+
+    One pass over argv.  Options may come before, between or after the
+    positionals, and take their value as "--name value" or "--name=value";
+    a repeated option keeps its last value.  After "--" every token is a
+    positional.  -h or --help gives the help handler.
+    """
+    if not argv:
+        raise _UsageError(f"missing verb (choose from {', '.join(VERBS)})")
+    verb = argv[0]
+    if verb in ("-h", "--help"):
+        return _print_help, None
+    spec = VERBS.get(verb)
+    if spec is None:
+        raise _UsageError(f"unknown verb {verb!r} (choose from {', '.join(VERBS)})")
+    handler, positionals, valued, flags, required, _ = spec
+    values = {name[2:]: default for name, default in valued.items()}
+    values.update((name[2:], False) for name in flags)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_option(token):
+            given.append(token)
+        elif token == "--":
+            given += tokens
+        elif token in ("-h", "--help"):
+            return _print_help, verb
+        else:
+            name, eq, text = token.partition("=")
+            if name in valued:
+                if not eq:
+                    text = next(tokens, None)
+                    if text is None or _is_option(text):
+                        raise _UsageError(f"{name} expects a value", verb)
+                values[name[2:]] = _value(verb, name, text)
+            elif name in flags:
+                if eq:
+                    raise _UsageError(f"{name} takes no value, got {token!r}", verb)
+                values[name[2:]] = True
+            else:
+                raise _UsageError(f"unknown option {token!r}", verb)
+    for name in required:
+        if values[name[2:]] is None:
+            raise _UsageError(f"missing option {name}", verb)
+    if len(given) < len(positionals):
+        raise _UsageError(f"missing argument {positionals[len(given)]}", verb)
+    if len(given) > len(positionals):
+        raise _UsageError(f"unexpected argument {given[len(positionals)]!r}", verb)
+    for name, text in zip(positionals, given):
+        values[name] = _value(verb, name, text)
+    return handler, _Args(values)
+
+
+def _usage(verb: str | None) -> str:
+    if verb is None:
+        return "usage: trisect <verb> [arguments]"
+    _, positionals, valued, flags, required, _ = VERBS[verb]
+    words = ["usage: trisect", verb, *positionals]
+    for name in valued:
+        word = f"{name} {name[2:].upper()}"
+        words.append(word if name in required else f"[{word}]")
+    words += (f"[{name}]" for name in flags)
+    return " ".join(words)
+
+
+def _print_help(verb: str | None) -> int:
+    if verb is None:
+        lines = [
+            _usage(None),
+            "",
+            "Exact homology-level computations on simplified genus-2 trisection diagrams.",
+            "",
+            "verbs:",
+            *(f"  {name:<14} {spec[5]}" for name, spec in VERBS.items()),
+            "",
+            "trisect <verb> --help describes the arguments of one verb.",
+        ]
+    else:
+        _, positionals, valued, flags, _, text = VERBS[verb]
+        lines = [_usage(verb), "", text, ""]
+        lines += (f"  {name:<11} {_ARGUMENT_HELP[name]}" for name in (*positionals, *valued, *flags))
+    print("\n".join(lines))
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
+        handler, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as e:
+        print(_usage(e.verb), file=sys.stderr)
+        print(f"trisect{'' if e.verb is None else ' ' + e.verb}: error: {e}", file=sys.stderr)
+        return 2
     try:
-        return args.func(args)
+        return handler(args)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from .lattice import (
 )
 
 TWIST_EXPONENTS = (1, -1, 4, -4)
+_SEQUENCES = (tuple, list)
 
 # Validation error codes.
 NON_PRIMITIVE = "NonPrimitive"
@@ -139,87 +140,102 @@ def _pairwise_unit(x, y, z, pairing) -> bool:
     return all(abs(pairing(u, v)) == 1 for u, v in ((x, y), (y, z), (z, x)))
 
 
+def _is_vec4(x) -> bool:
+    """x is a tuple or list of four entries of exact type int."""
+    return (
+        type(x) in _SEQUENCES
+        and len(x) == 4
+        and type(x[0]) is type(x[1]) is type(x[2]) is type(x[3]) is int
+    )
+
+
 def validate_torus(d: TorusDiagram) -> list[str]:
     """Every violated invariant of the torus model, empty when valid.
 
+    Each class and the core must first be a tuple or list of two exact
+    ints: 1.0 and True compare equal to integers and math.gcd takes True,
+    and a class of another length would slip past gcd and the pairings.
+    A class that fails is not primitive, and the arithmetic rules are not
+    applied to it.  The exponent and the sign must be exact ints too.
     A valid diagram is marked (see _mark_torus).
     """
     errors = []
     a, b, c = d.a2, d.b2, d.c2
-    # gcd takes only integers: a class with a float or other non-integer
-    # entry is reported as not primitive, and is not paired below.
-    try:
-        primitive = (gcd(*a), gcd(*b), gcd(*c)) == (1, 1, 1)
-        integral = True
-    except TypeError:
-        primitive = integral = False
-    if not primitive:
+    tuples = type(a) is tuple and type(b) is tuple and type(c) is tuple
+    shaped = (
+        (tuples or (type(a) in _SEQUENCES and type(b) in _SEQUENCES and type(c) in _SEQUENCES))
+        and len(a) == len(b) == len(c) == 2
+        and type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is type(c[0]) is type(c[1]) is int
+    )
+    if not (shaped and gcd(*a) == gcd(*b) == gcd(*c) == 1):
         errors.append(NON_PRIMITIVE)
     mono = d.monodromy
     try:
-        k = mono.exponent
+        k, core = mono.exponent, mono.core
     except AttributeError:  # not a Monodromy: refused as BadExponent below
-        k = None
-    # The exponent and the sign must be exactly int: 4.0, 1.0 and True
-    # compare equal to valid values but would carry floats into the maths.
+        k = core = None
     if type(k) is not int:
         errors.append(BAD_EXPONENT)
     elif k == 0:
-        if mono.core is not None:
+        if core is not None:
             errors.append(BAD_EXPONENT)
-        elif integral and not _pairwise_unit(a, b, c, pair2):
+        elif shaped and not _pairwise_unit(a, b, c, pair2):
             errors.append(IDENTITY_CASE_VIOLATION)
-    elif k not in TWIST_EXPONENTS or mono.core is None:
+    elif k not in TWIST_EXPONENTS or core is None:
         errors.append(BAD_EXPONENT)
-    else:
-        try:
-            primitive = gcd(*mono.core) == 1
-        except TypeError:
-            primitive = False
-        if not primitive:
-            errors.append(NON_PRIMITIVE)
-    if type(d.sign) is not int or d.sign not in (1, -1):
+    elif not (
+        type(core) in _SEQUENCES
+        and len(core) == 2
+        and type(core[0]) is type(core[1]) is int
+        and gcd(*core) == 1
+    ):
+        errors.append(NON_PRIMITIVE)
+    sign = d.sign
+    if type(sign) is not int or sign not in (1, -1):
         errors.append(BAD_SIGN)
-    if not errors:
-        _mark_torus(d)
+    # The mark as _mark_torus sets it, from the types known here: this
+    # runs once for every torus diagram that enters the package.
+    if (
+        not errors
+        and tuples
+        and type(d) is TorusDiagram
+        and type(mono) is Monodromy
+        and (core is None or type(core) is tuple)
+    ):
+        object.__setattr__(d, "_valid", True)
     return errors
 
 
 def validate_genus2(d: Genus2Diagram) -> list[str]:
     """Every violated invariant of the genus-2 model, empty when valid.
 
-    A valid diagram is marked (see _mark_genus2).  surgery_project can
-    still refuse it: when the twist exponent and the core disagree, or when
-    a projected class is not primitive.
+    As in validate_torus, each class must first be a tuple or list of four
+    exact ints; a1 failing is NonPrimitiveA1, any other class failing is
+    NonPrimitive, and the pairings are then not computed.  A valid diagram
+    is marked (see _mark_genus2).  surgery_project can still refuse it:
+    when the twist exponent and the core disagree, or when a projected
+    class is not primitive.
     """
     errors = []
     a1 = d.a1
-    try:
-        primitive = gcd(*a1) == 1
-    except TypeError:  # a non-integer entry
-        primitive = False
-    if not primitive:
+    a1_shaped = _is_vec4(a1)
+    if not (a1_shaped and gcd(*a1) == 1):
         errors.append(NON_PRIMITIVE_A1)
-    # The other classes need no gcd of their own (they project to the torus
-    # classes, which surgery_project checks), but every entry must be an
-    # integer, and one gcd call refuses anything else.
-    try:
-        gcd(*d.b1, *d.c1, *d.a2, *d.b2, *d.c2)
-    except TypeError:
+    # The other classes need no gcd of their own: they project to the
+    # torus classes, which surgery_project checks.
+    shaped = (
+        _is_vec4(d.b1) and _is_vec4(d.c1) and _is_vec4(d.a2) and _is_vec4(d.b2) and _is_vec4(d.c2)
+    )
+    if not shaped:
         errors.append(NON_PRIMITIVE)
-    try:
+    disjoint = False
+    if shaped and a1_shaped:
         p_ab, p_bc, p_ca = pair4(a1, d.b1), pair4(d.b1, d.c1), pair4(d.c1, a1)
         if not (p_ab == p_bc == p_ca and p_ab in (1, -1)):
             errors.append(TRIPLE_PAIRING_INVALID)
         disjoint = pair4(a1, d.a2) == 0 and pair4(a1, d.b2) == 0 and pair4(a1, d.c2) == 0
         if not disjoint:
             errors.append(A2_NOT_DISJOINT)
-    except TypeError:
-        # A class that is not a sequence of integers, which the guards
-        # above have recorded; the pairing-based checks are skipped.
-        if not errors:
-            raise
-        disjoint = False
     k = d.exponent
     if type(k) is not int or (k != 0 and k not in TWIST_EXPONENTS):
         errors.append(BAD_EXPONENT)
@@ -236,9 +252,10 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
 def _mark_torus(d: TorusDiagram) -> TorusDiagram:
     """Mark d, known to be valid, so that require_valid_torus trusts it.
 
-    validate_torus and the moves that preserve validity call this.  Only a
-    TorusDiagram whose classes and core are tuples is marked, since a list
-    could change after the check.  Returns d.
+    The moves that preserve validity call this, and validate_torus sets
+    the mark by the same rule.  Only a TorusDiagram whose classes and core
+    are tuples is marked, since a list could change after the check.
+    Returns d.
     """
     if (
         type(d) is TorusDiagram
@@ -302,9 +319,8 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     - Exponent: validate_genus2 admits only an exact int in {0, +-1, +-4},
       and the exponent-core check pairs 0 with the identity and the
       others with a nonzero core.
-    - Sign: pair4(a1, b1) is +-1 by the triple pairing.  It is an exact
-      int when the entries are; entries of another integer type (any
-      that gcd takes) are refused with BadSign, as validate_torus does.
+    - Sign: pair4(a1, b1) is +-1 by the triple pairing, and an exact int
+      because validate_genus2 admits exact int entries only.
     - Identity case: for classes disjoint from a1, pair2 of the
       projections equals pair4 of the classes, which validate_genus2
       requires to be +-1 pairwise.
@@ -342,15 +358,9 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
             )
         mono = Monodromy(core, k)
         primitive = gcd(*core) == 1
-    sign = pair4(x, y)
-    errors = []
     if not (primitive and gcd(*a2) == 1 and gcd(*b2) == 1 and gcd(*c2) == 1):
-        errors.append(NON_PRIMITIVE)
-    if type(sign) is not int:
-        errors.append(BAD_SIGN)
-    if errors:
-        raise InvalidDiagramError(errors)
-    out = TorusDiagram(a2, b2, c2, mono, sign)
+        raise InvalidDiagramError([NON_PRIMITIVE])
+    out = TorusDiagram(a2, b2, c2, mono, pair4(x, y))
     object.__setattr__(out, "_valid", True)
     return out
 

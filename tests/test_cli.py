@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import trisect.cli
+import trisect.moves
 from trisect import Genus2Diagram, Monodromy, TorusDiagram, canonical_form, surgery_project
 from trisect.cli import DocumentError, document_text, load_document, main, parse_document
 
@@ -62,6 +63,74 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["move", fixture("identity.json")]) == 2  # missing --word
     capsys.readouterr()
+
+
+# The argv reader: (argv, exit code, stdout fragment, stderr fragment), with
+# FIXTURE standing for fixtures/family3.json.  Usage errors print nothing
+# on stdout.
+FIXTURE = "FIXTURE"
+ARGV_CASES = [
+    # --name=value, options before the path, and "--" before a positional
+    (["orbit", "--depth=2", "--format=dot", FIXTURE], 0, 'n0 -> n1 [label="D2"];', ""),
+    (["classify", "--oriented", FIXTURE], 0, "family 3, epsilon=-1", ""),
+    (["move", "--word=D2,D2'", "--out=", FIXTURE], 0, '"model": "torus"', ""),
+    (["validate", "--", FIXTURE], 0, "ok\n", ""),
+    # a repeated option keeps its last value
+    (["orbit", FIXTURE, "--depth", "2", "--format", "text", "--format", "dot"], 0, "digraph", ""),
+    (["orbit", FIXTURE, "--depth", "-1", "--depth", "0"], 0, "node 0:", ""),
+    # negative numbers are values and positionals
+    (["orbit", FIXTURE, "--depth", "-1"], 2, "", "depth must be nonnegative"),
+    (["lens", "-9", "4", "9", "5"], 0, "equivalent\n", ""),
+    (["lens", "9", "-4", "9", "5", "--oriented"], 0, "equivalent\n", ""),
+    # help, at the top level and for one verb
+    (["-h"], 0, "check-theorem", ""),
+    (["--help"], 0, "six-tuple", ""),
+    (["orbit", FIXTURE, "--help"], 0, "--depth", ""),
+    # usage errors
+    ([], 2, "", "missing verb"),
+    (["no-such-verb", FIXTURE], 2, "", "unknown verb 'no-such-verb'"),
+    (["validate", FIXTURE, "--bogus"], 2, "", "unknown option '--bogus'"),
+    (["validate", FIXTURE, "-x"], 2, "", "unknown option '-x'"),
+    (["validate", FIXTURE, "--json=yes"], 2, "", "--json takes no value"),
+    (["validate"], 2, "", "missing argument path"),
+    (["lens", "5", "1", "5"], 2, "", "missing argument q2"),
+    (["validate", FIXTURE, FIXTURE], 2, "", "unexpected argument"),
+    (["move", FIXTURE], 2, "", "missing option --word"),
+    (["move", FIXTURE, "--word"], 2, "", "--word expects a value"),
+    (["move", FIXTURE, "--word", "--json"], 2, "", "--word expects a value"),
+    (["orbit", FIXTURE, "--format", "dot"], 2, "", "missing option --depth"),
+    (["orbit", FIXTURE, "--depth", "2", "--format", "svg"], 2, "", "--format"),
+    # integers follow the document rule: ASCII [+-]?[0-9]+ only
+    (["orbit", FIXTURE, "--depth", "+1"], 0, "node 0:", ""),
+    (["orbit", FIXTURE, "--depth", "1_0"], 2, "", "--depth: '1_0' is not a decimal integer"),
+    (["orbit", FIXTURE, "--depth", "\uff12"], 2, "", "is not a decimal integer"),
+    (["orbit", FIXTURE, "--depth", "1.5"], 2, "", "is not a decimal integer"),
+    (["lens", "5", "1_0", "5", "4"], 2, "", "q: '1_0' is not a decimal integer"),
+    # option prefixes are not expanded
+    (["validate", FIXTURE, "--js"], 2, "", "unknown option '--js'"),
+    (["orbit", FIXTURE, "--dep", "2"], 2, "", "unknown option '--dep'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_part, err_part", ARGV_CASES)
+def test_argv_reader(capsys, argv, code, out_part, err_part):
+    argv = [fixture("family3.json") if a == FIXTURE else a for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out_part in out and err_part in err
+    if code == 2:
+        assert out == ""
+
+
+def test_help_lists_every_verb_and_argument(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert all(f"  {verb} " in out for verb in trisect.cli.VERBS)
+    for verb, (_, positionals, valued, flags, _, text) in trisect.cli.VERBS.items():
+        code, out, err = run(capsys, verb, "-h")
+        assert (code, err) == (0, "")
+        assert text in out
+        assert all(f"  {name} " in out for name in (*positionals, *valued, *flags))
 
 
 def test_document_value_rules(tmp_path, capsys):
@@ -548,7 +617,8 @@ def test_orbit_output_matches_bfs_oracle(capsys, monkeypatch):
         for fmt in ([], ["--format", "dot"], ["--json"])
     ]
     closed_form = [run(capsys, *argv) for argv in calls]
-    monkeypatch.setattr(trisect.cli, "orbit", _orbit_bfs)
+    # cmd_orbit looks orbit up in trisect.moves at each call.
+    monkeypatch.setattr(trisect.moves, "orbit", _orbit_bfs)
     assert [run(capsys, *argv) for argv in calls] == closed_form
 
 
@@ -600,6 +670,30 @@ def test_output_deterministic(capsys):
     assert first == second
 
 
+def _modules_after(*argvs):
+    """The trisect, argparse, gettext and locale modules loaded after main
+    ran each argv, in a fresh interpreter."""
+    code = (
+        "import json, sys\n"
+        "from trisect.cli import main\n"
+        "for argv in json.loads(sys.argv[1]): main(argv)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = run_python(code, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {m for m in loaded if m.split(".")[0] in ("trisect", "argparse", "gettext", "locale")}
+
+
+def test_each_verb_imports_only_its_modules():
+    loaded = _modules_after(["validate", fixture("family3.json")], ["lens", "9", "4", "9", "2"])
+    assert loaded == {"trisect", "trisect.cli", "trisect.diagram", "trisect.lattice", "trisect.vertical"}
+    loaded = _modules_after(["validate", fixture("family3.json")])
+    assert loaded == {"trisect", "trisect.cli", "trisect.diagram", "trisect.lattice"}
+    loaded = _modules_after(["check-theorem", fixture("family3.json")])
+    assert "trisect.vertical" not in loaded and "trisect.moves" in loaded
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trisect.cli", "invariant", fixture("family2_q3.json")],
@@ -625,18 +719,22 @@ def declared_scripts():
         return tomllib.load(f)["project"]["scripts"]
 
 
-def run_wrapper(*argv):
+def run_python(code, *argv):
     # The child imports the same trisect as the suite, whatever the caller
     # exported.
     package_root = os.path.dirname(os.path.dirname(trisect.__file__))
     pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
     return subprocess.run(
-        [sys.executable, "-c", WRAPPER, *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_wrapper(*argv):
+    return run_python(WRAPPER, *argv)
 
 
 def test_console_script():

@@ -167,6 +167,24 @@ def test_validate_torus_examples():
         "NonPrimitive",
         "IdentityCaseViolation",
     ]
+    # Only tuples or lists of exactly two exact ints pass the shape check:
+    # bool entries and a class or core of another length are not primitive,
+    # and are not paired.
+    twist_ok = twist(ok_core, 1)
+    for a2, mono in (
+        ((True, False), twist_ok),
+        ((1, 0, 0), twist_ok),
+        ((1,), twist_ok),
+        ((1, 0, 0), ident),
+        ((1,), ident),
+        ((1, 0), Monodromy((-1, 1, 0), 1)),
+        ((1, 0), Monodromy((False, True), 1)),
+    ):
+        d = TorusDiagram(a2, (0, 1), (1, 1), mono)
+        assert validate_torus(d) == ["NonPrimitive"], (a2, mono)
+        assert not d._valid
+        with pytest.raises(InvalidDiagramError):
+            apply_sigma2(d)
     # A monodromy that is not a Monodromy is a bad exponent, not a crash.
     assert validate_torus(TorusDiagram((1, 0), (0, 1), (1, 1), None)) == ["BadExponent"]
     assert validate_torus(TorusDiagram((2, 0), (0, 1), (1, 1), None, sign=3)) == [
@@ -236,14 +254,25 @@ def test_validate_genus2_examples():
         "BadExponent",
     ]
 
-    # An entry that gcd takes but pair4 cannot multiply passes both guards,
-    # so the TypeError is raised rather than the diagram marked valid.
+    # Only tuples or lists of exactly four exact ints pass the shape check:
+    # an entry that gcd takes (a bool, or any type with __index__) and a
+    # class of another length are refused, and are not paired.
     class _IndexOnly:
         def __index__(self):
             return 0
 
-    with pytest.raises(TypeError):
-        validate_genus2(dataclasses.replace(g, a2=(0, 0, _IndexOnly(), 1)))
+    for field, value, codes in (
+        ("a2", (0, 0, _IndexOnly(), 1), ["NonPrimitive"]),
+        ("b2", (False, False, False, True), ["NonPrimitive"]),
+        ("a1", (True, False, False, False), ["NonPrimitiveA1"]),
+        ("c2", (0, 0, 1), ["NonPrimitive"]),
+        ("a2", (0, 0, 1, 0, 0), ["NonPrimitive"]),
+        ("a1", (1, 0, 0), ["NonPrimitiveA1"]),
+    ):
+        for base in (g, ident):
+            bad = dataclasses.replace(base, **{field: value})
+            assert validate_genus2(bad) == codes, (field, value)
+            assert not bad._valid
     assert validate_genus2(ident) == []
     assert "IdentityCaseViolation" in validate_genus2(
         Genus2Diagram(ident.a1, ident.b1, ident.c1, ident.a2, ident.b2, (0, 0, 1, 2), 0)
@@ -473,7 +502,7 @@ def test_surgery_project_matches_reference():
             out = got[0]
             assert out._valid
             entries = [*out.a2, *out.b2, *out.c2, *(out.monodromy.core or ()), out.sign]
-            assert all(type(c) is int for c in entries) or _Integer in map(type, entries)
+            assert all(type(c) is int for c in entries)
             outcome = "projected"
         else:
             # The mismatch message starts "identity" or "twist".
@@ -487,7 +516,6 @@ def test_surgery_project_matches_reference():
         ("InvalidDiagramError", ("NonPrimitive",)),
         ("InvalidDiagramError", ("NonPrimitiveA1",)),
         ("InvalidDiagramError", ("IdentityCaseViolation",)),
-        ("InvalidDiagramError", ("BadSign",)),
     }, outcomes
     assert min(outcomes.values()) > 1, outcomes
 

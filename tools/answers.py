@@ -154,6 +154,12 @@ def torus_inputs(rng):
         dataclasses.replace(good, a2=None, monodromy=Monodromy.identity(), c2=(-1, -1)),
         dataclasses.replace(good, monodromy=None),
         dataclasses.replace(good, a2=(2, 0), monodromy=None, sign=3),
+        # Shapes gcd takes: bool entries, and classes or cores of another length.
+        dataclasses.replace(good, a2=(True, False)),
+        dataclasses.replace(good, b2=(0, 1, 0)),
+        dataclasses.replace(good, b2=(0, 1, 0), monodromy=Monodromy.identity(), c2=(-1, -1)),
+        dataclasses.replace(good, monodromy=Monodromy((-1, 1, 0), 1)),
+        dataclasses.replace(good, monodromy=Monodromy((False, True), 4)),
     ):
         yield bad
 
@@ -182,6 +188,12 @@ def genus2_inputs(rng):
         Genus2Diagram(
             (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 2, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 0), 1
         ),
+        # Shapes gcd takes: bool entries, and classes of another length.
+        dataclasses.replace(lift, a1=(True, False, False, False)),
+        dataclasses.replace(lift, b2=(0, 0, False, True)),
+        dataclasses.replace(lift, c2=(0, 0, 1)),
+        dataclasses.replace(lift, a1=(1, 0, 0)),
+        dataclasses.replace(lift, a2=(0, 0, 1, 0, 0)),
     ):
         yield bad
 
@@ -281,6 +293,38 @@ def cli_answers() -> None:
              for js in ([], ["--json"])]
     argvs += [["lens", *map(str, pq), *js] for pq in ((5, 2, 5, 3), (7, 2, 7, 4), (0, 1, 1, 0))
               for js in ([], ["--json"], ["--oriented"])]
+    # The command line itself: option forms and order, help, usage errors
+    # and integer spellings.
+    argvs += [
+        ["orbit", "--depth=2", "--format=dot", "family3.json"],
+        ["classify", "--oriented", "--json", "family3.json"],
+        ["move", "--word=D2", "--out=", "family3.json"],
+        ["validate", "--", "family3.json"],
+        ["orbit", "family3.json", "--depth", "1", "--depth", "2"],
+        ["orbit", "family3.json", "--depth", "2", "--format", "text", "--format", "dot"],
+        ["orbit", "family3.json", "--depth", "-1"],
+        ["orbit", "family3.json", "--depth", "+1"],
+        ["orbit", "family3.json", "--depth", " 2 "],
+        ["lens", "-5", "1", "5", "4"],
+        ["lens", "5", "-1", "5", "4", "--json"],
+        ["lens", "-9", "4", "9", "5", "--oriented"],
+        [], ["-h"], ["--help"], ["orbit", "--help"], ["lens", "5", "-h"],
+        ["no-such-verb", "family3.json"], ["--json", "validate", "family3.json"],
+        ["validate"], ["validate", "family3.json", "identity.json"], ["lens", "5", "1", "5"],
+        ["validate", "family3.json", "--bogus"], ["validate", "family3.json", "-x"],
+        ["validate", "family3.json", "--json=1"],
+        ["move", "family3.json"], ["move", "family3.json", "--word"],
+        ["move", "family3.json", "--word", "--json"],
+        ["orbit", "family3.json"], ["orbit", "family3.json", "--format", "dot"],
+        ["orbit", "family3.json", "--depth", "2", "--format", "svg"],
+        ["orbit", "family3.json", "--depth", "1.5"],
+        ["orbit", "family3.json", "--depth", "1_0"],
+        ["orbit", "family3.json", "--depth", "\uff12"],
+        ["lens", "5", "1_0", "5", "4"],
+        ["validate", "family3.json", "--js"],
+        ["orbit", "family3.json", "--dep", "2"],
+        ["classify", "family3.json", "--orient"],
+    ]
     here = os.getcwd()
     os.chdir(FIXTURES)
     try:
