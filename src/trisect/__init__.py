@@ -1,7 +1,7 @@
 """Exact homology-level toolkit for simplified genus-2 trisection diagrams.
 
-The public names load on first use (PEP 562), so that importing one
-submodule, as each CLI call does, does not import the others.
+The public names and the submodules load on first use (PEP 562), so that
+importing one submodule, as each CLI call does, does not import the others.
 """
 
 # Public name -> the submodule that defines it.
@@ -42,10 +42,16 @@ _EXPORTS = {
     ),
 }
 
+_SUBMODULES = frozenset(("cli", "diagram", "lattice", "moves", "vertical"))
+
 __all__ = list(_EXPORTS)
 
 
 def __getattr__(name):
+    if name in _SUBMODULES:
+        # Importing a submodule binds it here, as `import trisect.<name>` does.
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -57,4 +63,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_SUBMODULES})

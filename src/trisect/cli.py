@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
+from types import SimpleNamespace
 
 # Only diagram and lattice load with this module: parse_document and the
 # error handling in main need them.  Each verb imports what else it uses,
@@ -456,50 +457,74 @@ def cmd_lens(args) -> int:
     return 0
 
 
-# The command line: verb -> (handler, positionals, options that take a
-# value with their defaults, flags, required options, help).
+def _text(text: str, name: str) -> str:
+    return text
+
+
+def _output_format(text: str, name: str) -> str:
+    if text not in ("text", "dot"):
+        raise DocumentError(f"{name}: expected text or dot, got {text!r}")
+    return text
+
+
+# The default of an option that must be given.
+_REQUIRED = object()
+
+# The command line: verb -> (handler, help, arguments).  The arguments map
+# each name, in usage order, to (help, converter, default).  A name without
+# dashes is a positional.  A converter of None makes a flag, which is False
+# unless given; any other converter reads the text of the value and raises
+# DocumentError on a bad one.  An option whose default is _REQUIRED must be
+# given.  --depth and the lens arguments are read by _as_int, the rule that
+# integer entries of documents follow.
+_PATH = {"path": ("JSON diagram document", _text, None)}
+_ORIENTED = {"--oriented": ("compare lens spaces with orientation", None, False)}
+_JSON = {"--json": ("machine-readable output", None, False)}
 VERBS = {
-    "validate": (cmd_validate, ("path",), {}, ("--json",), (), "check the diagram invariants"),
-    "invariant": (
-        cmd_invariant, ("path",), {}, ("--json",), (), "print the intersection invariant triple"
-    ),
+    "validate": (cmd_validate, "check the diagram invariants", {**_PATH, **_JSON}),
+    "invariant": (cmd_invariant, "print the intersection invariant triple", {**_PATH, **_JSON}),
     "move": (
-        cmd_move, ("path",), {"--word": None, "--out": None}, ("--json",), ("--word",),
+        cmd_move,
         "apply a move word and write the result",
+        {
+            **_PATH,
+            "--word": ("comma-separated tokens D1, D1', D2, D2'", _text, _REQUIRED),
+            "--out": ("output path (default: print the document)", _text, None),
+            **_JSON,
+        },
     ),
-    "six-tuple": (cmd_six_tuple, ("path",), {}, ("--json",), (), "print the six vertical pieces"),
+    "six-tuple": (cmd_six_tuple, "print the six vertical pieces", {**_PATH, **_JSON}),
     "classify": (
-        cmd_classify, ("path",), {}, ("--oriented", "--json"), (),
+        cmd_classify,
         "match the six vertical pieces against the families",
+        {**_PATH, **_ORIENTED, **_JSON},
     ),
     "check-theorem": (
-        cmd_check_theorem, ("path",), {}, ("--json",), (), "evaluate the certification hypotheses"
+        cmd_check_theorem, "evaluate the certification hypotheses", {**_PATH, **_JSON}
     ),
     "orbit": (
-        cmd_orbit, ("path",), {"--depth": None, "--format": "text"}, ("--json",), ("--depth",),
+        cmd_orbit,
         "move orbit of the diagram",
+        {
+            **_PATH,
+            "--depth": ("number of move levels", _as_int, _REQUIRED),
+            "--format": ("output format: text (default) or dot", _output_format, "text"),
+            **_JSON,
+        },
     ),
     "lens": (
-        cmd_lens, ("p", "q", "p2", "q2"), {}, ("--oriented", "--json"), (),
+        cmd_lens,
         "compare two lens spaces L(p,q) and L(p2,q2)",
+        {
+            "p": ("p of the first lens space L(p,q)", _as_int, None),
+            "q": ("q of the first lens space L(p,q)", _as_int, None),
+            "p2": ("p2 of the second lens space L(p2,q2)", _as_int, None),
+            "q2": ("q2 of the second lens space L(p2,q2)", _as_int, None),
+            **_ORIENTED,
+            **_JSON,
+        },
     ),
 }
-
-_ARGUMENT_HELP = {
-    "path": "JSON diagram document",
-    "p": "p of the first lens space L(p,q)",
-    "q": "q of the first lens space L(p,q)",
-    "p2": "p2 of the second lens space L(p2,q2)",
-    "q2": "q2 of the second lens space L(p2,q2)",
-    "--word": "comma-separated tokens D1, D1', D2, D2'",
-    "--out": "output path (default: print the document)",
-    "--depth": "number of move levels",
-    "--format": "output format: text (default) or dot",
-    "--oriented": "compare lens spaces with orientation",
-    "--json": "machine-readable output",
-}
-# Read by the rule that integer entries of documents follow.
-_INTEGER_ARGUMENTS = frozenset(("--depth", "p", "q", "p2", "q2"))
 
 
 class _UsageError(Exception):
@@ -510,31 +535,21 @@ class _UsageError(Exception):
         self.verb = verb
 
 
-class _Args:
-    """The arguments of one call, as attributes named without dashes."""
-
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
-
-
 def _is_option(token: str) -> bool:
     # As in argparse, "-" alone and negative numbers such as "-5" are values.
     return token[:1] == "-" and token != "-" and not token[1:2].isdigit()
 
 
 def _value(verb: str, name: str, text: str):
-    if name in _INTEGER_ARGUMENTS:
-        try:
-            return _as_int(text, name)
-        except DocumentError as e:
-            raise _UsageError(str(e), verb) from None
-    if name == "--format" and text not in ("text", "dot"):
-        raise _UsageError(f"--format: expected text or dot, got {text!r}", verb)
-    return text
+    _, convert, _ = VERBS[verb][2][name]
+    try:
+        return convert(text, name)
+    except DocumentError as e:
+        raise _UsageError(str(e), verb) from None
 
 
 def _parse_args(argv: list) -> tuple:
-    """(handler, argument) for one command line; raises _UsageError.
+    """(handler, arguments) for one command line; raises _UsageError.
 
     One pass over argv.  Options may come before, between or after the
     positionals, and take their value as "--name value" or "--name=value";
@@ -549,9 +564,9 @@ def _parse_args(argv: list) -> tuple:
     spec = VERBS.get(verb)
     if spec is None:
         raise _UsageError(f"unknown verb {verb!r} (choose from {', '.join(VERBS)})")
-    handler, positionals, valued, flags, required, _ = spec
-    values = {name[2:]: default for name, default in valued.items()}
-    values.update((name[2:], False) for name in flags)
+    handler, _, arguments = spec
+    positionals = [name for name in arguments if name[0] != "-"]
+    values = {name[2:]: default for name, (_, _, default) in arguments.items() if name[0] == "-"}
     given = []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -563,39 +578,42 @@ def _parse_args(argv: list) -> tuple:
             return _print_help, verb
         else:
             name, eq, text = token.partition("=")
-            if name in valued:
+            if name not in arguments:
+                raise _UsageError(f"unknown option {token!r}", verb)
+            if arguments[name][1] is None:
+                if eq:
+                    raise _UsageError(f"{name} takes no value, got {token!r}", verb)
+                values[name[2:]] = True
+            else:
                 if not eq:
                     text = next(tokens, None)
                     if text is None or _is_option(text):
                         raise _UsageError(f"{name} expects a value", verb)
                 values[name[2:]] = _value(verb, name, text)
-            elif name in flags:
-                if eq:
-                    raise _UsageError(f"{name} takes no value, got {token!r}", verb)
-                values[name[2:]] = True
-            else:
-                raise _UsageError(f"unknown option {token!r}", verb)
-    for name in required:
-        if values[name[2:]] is None:
-            raise _UsageError(f"missing option {name}", verb)
+    for name, value in values.items():
+        if value is _REQUIRED:
+            raise _UsageError(f"missing option --{name}", verb)
     if len(given) < len(positionals):
         raise _UsageError(f"missing argument {positionals[len(given)]}", verb)
     if len(given) > len(positionals):
         raise _UsageError(f"unexpected argument {given[len(positionals)]!r}", verb)
     for name, text in zip(positionals, given):
         values[name] = _value(verb, name, text)
-    return handler, _Args(values)
+    return handler, SimpleNamespace(**values)
 
 
 def _usage(verb: str | None) -> str:
     if verb is None:
         return "usage: trisect <verb> [arguments]"
-    _, positionals, valued, flags, required, _ = VERBS[verb]
-    words = ["usage: trisect", verb, *positionals]
-    for name in valued:
-        word = f"{name} {name[2:].upper()}"
-        words.append(word if name in required else f"[{word}]")
-    words += (f"[{name}]" for name in flags)
+    words = ["usage: trisect", verb]
+    for name, (_, convert, default) in VERBS[verb][2].items():
+        if name[0] != "-":
+            words.append(name)
+        elif convert is None:
+            words.append(f"[{name}]")
+        else:
+            word = f"{name} {name[2:].upper()}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
     return " ".join(words)
 
 
@@ -607,14 +625,14 @@ def _print_help(verb: str | None) -> int:
             "Exact homology-level computations on simplified genus-2 trisection diagrams.",
             "",
             "verbs:",
-            *(f"  {name:<14} {spec[5]}" for name, spec in VERBS.items()),
+            *(f"  {name:<14} {text}" for name, (_, text, _) in VERBS.items()),
             "",
             "trisect <verb> --help describes the arguments of one verb.",
         ]
     else:
-        _, positionals, valued, flags, _, text = VERBS[verb]
+        _, text, arguments = VERBS[verb]
         lines = [_usage(verb), "", text, ""]
-        lines += (f"  {name:<11} {_ARGUMENT_HELP[name]}" for name in (*positionals, *valued, *flags))
+        lines += (f"  {name:<11} {about}" for name, (about, _, _) in arguments.items())
     print("\n".join(lines))
     return 0
 

@@ -140,8 +140,15 @@ def _pairwise_unit(x, y, z, pairing) -> bool:
     return all(abs(pairing(u, v)) == 1 for u, v in ((x, y), (y, z), (z, x)))
 
 
+# The shape rule for classes, checked before any arithmetic: a tuple or
+# list of exactly n entries of exact type int.  1.0 and True compare equal
+# to integers and math.gcd takes True, and a class of another length would
+# slip past gcd and the pairings.
+def _is_vec2(x) -> bool:
+    return type(x) in _SEQUENCES and len(x) == 2 and type(x[0]) is type(x[1]) is int
+
+
 def _is_vec4(x) -> bool:
-    """x is a tuple or list of four entries of exact type int."""
     return (
         type(x) in _SEQUENCES
         and len(x) == 4
@@ -152,21 +159,14 @@ def _is_vec4(x) -> bool:
 def validate_torus(d: TorusDiagram) -> list[str]:
     """Every violated invariant of the torus model, empty when valid.
 
-    Each class and the core must first be a tuple or list of two exact
-    ints: 1.0 and True compare equal to integers and math.gcd takes True,
-    and a class of another length would slip past gcd and the pairings.
-    A class that fails is not primitive, and the arithmetic rules are not
+    Each class and the core must first have the shape _is_vec2 checks.  A
+    class that fails is not primitive, and the arithmetic rules are not
     applied to it.  The exponent and the sign must be exact ints too.
     A valid diagram is marked (see _mark_torus).
     """
     errors = []
     a, b, c = d.a2, d.b2, d.c2
-    tuples = type(a) is tuple and type(b) is tuple and type(c) is tuple
-    shaped = (
-        (tuples or (type(a) in _SEQUENCES and type(b) in _SEQUENCES and type(c) in _SEQUENCES))
-        and len(a) == len(b) == len(c) == 2
-        and type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is type(c[0]) is type(c[1]) is int
-    )
+    shaped = _is_vec2(a) and _is_vec2(b) and _is_vec2(c)
     if not (shaped and gcd(*a) == gcd(*b) == gcd(*c) == 1):
         errors.append(NON_PRIMITIVE)
     mono = d.monodromy
@@ -183,38 +183,25 @@ def validate_torus(d: TorusDiagram) -> list[str]:
             errors.append(IDENTITY_CASE_VIOLATION)
     elif k not in TWIST_EXPONENTS or core is None:
         errors.append(BAD_EXPONENT)
-    elif not (
-        type(core) in _SEQUENCES
-        and len(core) == 2
-        and type(core[0]) is type(core[1]) is int
-        and gcd(*core) == 1
-    ):
+    elif not (_is_vec2(core) and gcd(*core) == 1):
         errors.append(NON_PRIMITIVE)
     sign = d.sign
     if type(sign) is not int or sign not in (1, -1):
         errors.append(BAD_SIGN)
-    # The mark as _mark_torus sets it, from the types known here: this
-    # runs once for every torus diagram that enters the package.
-    if (
-        not errors
-        and tuples
-        and type(d) is TorusDiagram
-        and type(mono) is Monodromy
-        and (core is None or type(core) is tuple)
-    ):
-        object.__setattr__(d, "_valid", True)
+    if not errors:
+        _mark_torus(d)
     return errors
 
 
 def validate_genus2(d: Genus2Diagram) -> list[str]:
     """Every violated invariant of the genus-2 model, empty when valid.
 
-    As in validate_torus, each class must first be a tuple or list of four
-    exact ints; a1 failing is NonPrimitiveA1, any other class failing is
-    NonPrimitive, and the pairings are then not computed.  A valid diagram
-    is marked (see _mark_genus2).  surgery_project can still refuse it:
-    when the twist exponent and the core disagree, or when a projected
-    class is not primitive.
+    Each class must first have the shape _is_vec4 checks; a1 failing is
+    NonPrimitiveA1, any other class failing is NonPrimitive, and the
+    pairings are then not computed.  A valid diagram is marked (see
+    _mark_genus2).  surgery_project can still refuse it: when the twist
+    exponent and the core disagree, or when a projected class is not
+    primitive.
     """
     errors = []
     a1 = d.a1
@@ -252,10 +239,9 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
 def _mark_torus(d: TorusDiagram) -> TorusDiagram:
     """Mark d, known to be valid, so that require_valid_torus trusts it.
 
-    The moves that preserve validity call this, and validate_torus sets
-    the mark by the same rule.  Only a TorusDiagram whose classes and core
-    are tuples is marked, since a list could change after the check.
-    Returns d.
+    validate_torus and the moves that preserve validity call this.  Only a
+    TorusDiagram whose classes and core are tuples is marked, since a list
+    could change after the check.  Returns d.
     """
     if (
         type(d) is TorusDiagram

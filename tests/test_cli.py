@@ -126,11 +126,12 @@ def test_help_lists_every_verb_and_argument(capsys):
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")
     assert all(f"  {verb} " in out for verb in trisect.cli.VERBS)
-    for verb, (_, positionals, valued, flags, _, text) in trisect.cli.VERBS.items():
+    for verb, (_, text, arguments) in trisect.cli.VERBS.items():
         code, out, err = run(capsys, verb, "-h")
         assert (code, err) == (0, "")
         assert text in out
-        assert all(f"  {name} " in out for name in (*positionals, *valued, *flags))
+        for name, (about, _, _) in arguments.items():
+            assert f"  {name} " in out and about in out, (verb, name)
 
 
 def test_document_value_rules(tmp_path, capsys):
@@ -687,11 +688,31 @@ def _modules_after(*argvs):
 
 def test_each_verb_imports_only_its_modules():
     loaded = _modules_after(["validate", fixture("family3.json")], ["lens", "9", "4", "9", "2"])
-    assert loaded == {"trisect", "trisect.cli", "trisect.diagram", "trisect.lattice", "trisect.vertical"}
+    core = {"trisect", "trisect.cli", "trisect.diagram", "trisect.lattice"}
+    assert loaded == core | {"trisect.vertical"}
     loaded = _modules_after(["validate", fixture("family3.json")])
-    assert loaded == {"trisect", "trisect.cli", "trisect.diagram", "trisect.lattice"}
+    assert loaded == core
     loaded = _modules_after(["check-theorem", fixture("family3.json")])
     assert "trisect.vertical" not in loaded and "trisect.moves" in loaded
+
+
+def test_package_attributes_load_on_first_use():
+    # In a fresh interpreter, `import trisect` loads no submodule, and a
+    # submodule or a re-exported name loads its module when first read.
+    code = (
+        "import sys, trisect\n"
+        "assert not [m for m in sys.modules if m.startswith('trisect.')], sys.modules\n"
+        "assert trisect.moves.orbit is trisect.orbit\n"
+        "assert trisect.vertical.six_tuple is trisect.six_tuple\n"
+        "assert trisect.lattice.pair2 is trisect.pair2 and callable(trisect.cli.main)\n"
+        "assert {'cli', 'diagram', 'moves', 'orbit'} <= set(dir(trisect))\n"
+        "try:\n"
+        "    trisect.nothere\n"
+        "except AttributeError:\n"
+        "    print('ok')\n"
+    )
+    proc = run_python(code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_module_entry_point():

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisect"
-STDLIB = {"__future__", "dataclasses", "json", "math", "sys"}
+STDLIB = {"__future__", "dataclasses", "json", "math", "sys", "types"}
 
 
 def _imported_modules(tree, siblings):
