@@ -15,6 +15,10 @@ A genus-2 document is valid when it passes the genus-2 checks and
 surgery_project turns it into a valid torus diagram; every verb refuses
 the others.
 
+Each verb builds one payload, a dict: --json prints it, and the text form
+is formatted from it alone.  main is the only caller that prints or picks
+an exit code.
+
 Exit codes: 0 success (including negative verdicts), 1 invalid diagram,
 2 unreadable or malformed input, unwritable output, or usage errors.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 
 # Only diagram and lattice load with this module: parse_document and the
@@ -46,6 +51,10 @@ from .lattice import NonPrimitiveError, ZeroVectorError
 
 class DocumentError(ValueError):
     """The JSON document could not be read or does not match the schema."""
+
+
+class _RefusedError(ValueError):
+    """A valid diagram that the verb cannot act on as asked; main exits 1."""
 
 
 def _as_int(value, where: str) -> int:
@@ -157,10 +166,23 @@ def parse_document(obj) -> TorusDiagram | Genus2Diagram:
     raise DocumentError(f"model: expected 'torus' or 'genus2', got {model!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # JSON readers disagree on a repeated key (first or last wins), so the
+    # document means different things to different readers; refuse it.
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def load_document(path: str) -> TorusDiagram | Genus2Diagram:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError:
@@ -169,6 +191,15 @@ def load_document(path: str) -> TorusDiagram | Genus2Diagram:
         raise DocumentError(f"{path}: invalid JSON ({e})") from None
     except RecursionError:
         raise DocumentError(f"{path}: JSON nested too deeply") from None
+    except DocumentError as e:
+        raise DocumentError(f"{path}: {e}") from None
+    except ValueError:
+        # The one plain ValueError of json.load: a bare number past the
+        # int/str digit limit.  _as_int says the same of a decimal string.
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(
+            f"{path}: a JSON number exceeds the {limit}-digit integer-conversion limit"
+        ) from None
     return parse_document(obj)
 
 
@@ -199,17 +230,14 @@ def serialize_document(d: TorusDiagram | Genus2Diagram) -> dict:
     }
 
 
-def document_text(d) -> str:
+def _document_json(obj: dict) -> str:
     # One field per line with vectors inline; deterministic, so identical
     # diagrams always serialize to identical bytes.
-    obj = serialize_document(d)
-    items = list(obj.items())
-    lines = ["{"]
-    for i, (k, v) in enumerate(items):
-        comma = "," if i < len(items) - 1 else ""
-        lines.append(f'  "{k}": {json.dumps(v)}{comma}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "{\n" + ",\n".join(f'  "{k}": {json.dumps(v)}' for k, v in obj.items()) + "\n}"
+
+
+def document_text(d) -> str:
+    return _document_json(serialize_document(d)) + "\n"
 
 
 def _as_torus(d) -> TorusDiagram:
@@ -223,11 +251,8 @@ def _fmt_triple(t) -> str:
     return "(" + ", ".join(str(c) for c in t) + ")"
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 def _errors(d) -> list[str]:
@@ -243,218 +268,176 @@ def _errors(d) -> list[str]:
     return []
 
 
-def cmd_validate(args) -> int:
-    errors = _errors(load_document(args.path))
-    if args.json:
-        print(json.dumps({"ok": not errors, "errors": errors}, indent=2))
-    else:
-        if errors:
-            for e in errors:
-                print(e)
-        else:
-            print("ok")
-    return 1 if errors else 0
+def cmd_validate(d, args) -> dict:
+    errors = _errors(d)
+    return {"ok": not errors, "errors": errors}
 
 
-def cmd_invariant(args) -> int:
-    inv = intersection_invariant(_as_torus(load_document(args.path)))
-    _emit(args, {"invariant": list(inv)}, f"I = {_fmt_triple(inv)}")
-    return 0
+def text_validate(payload: dict, args) -> str:
+    return "\n".join(payload["errors"]) or "ok"
 
 
-def cmd_move(args) -> int:
+def cmd_invariant(d, args) -> dict:
+    return {"invariant": list(intersection_invariant(_as_torus(d)))}
+
+
+def text_invariant(payload: dict, args) -> str:
+    return f"I = {_fmt_triple(payload['invariant'])}"
+
+
+def cmd_move(d, args) -> dict:
     from .moves import WordError, parse_word, word_to_diagram, word_to_torus
 
-    try:
-        word = parse_word(args.word)
-    except WordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    d = load_document(args.path)
+    word = parse_word(args.word)
     # Refuse what every other verb refuses, even for an empty word.
     require_valid_torus(_as_torus(d))
+    apply_word = word_to_diagram if isinstance(d, Genus2Diagram) else word_to_torus
     try:
-        if isinstance(d, Genus2Diagram):
-            moved = word_to_diagram(d, word)
-        else:
-            moved = word_to_torus(d, word)
+        moved = apply_word(d, word)
     except WordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    text = document_text(moved)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
-            return 2
-        _emit(args, {"word": list(word), "out": args.out}, f"wrote {args.out}")
-    else:
-        if args.json:
-            print(json.dumps({"word": list(word), "diagram": serialize_document(moved)}, indent=2))
-        else:
-            print(text, end="")
-    return 0
+        # The word parsed, so this is a D1 token on a torus document.
+        raise _RefusedError(str(e)) from None
+    if not args.out:
+        return {"word": list(word), "diagram": serialize_document(moved)}
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(document_text(moved))
+    except OSError as e:
+        raise DocumentError(f"cannot write {args.out}: {e.strerror or e}") from None
+    return {"word": list(word), "out": args.out}
 
 
-def cmd_six_tuple(args) -> int:
+def text_move(payload: dict, args) -> str:
+    return f"wrote {payload['out']}" if "out" in payload else _document_json(payload["diagram"])
+
+
+def cmd_six_tuple(d, args) -> dict:
     from .vertical import six_tuple
 
-    t = six_tuple(_as_torus(load_document(args.path)))
-    if args.json:
-        print(json.dumps({"tuple": {name: str(l) for name, l in t.slots()}}, indent=2))
-    else:
-        rows = [[f"{name}={l}" for name, l in row] for row in
-                (t.slots()[:3], t.slots()[3:])]
-        widths = [max(len(rows[0][i]), len(rows[1][i])) for i in range(3)]
-        for row in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return 0
+    return {"tuple": {name: str(l) for name, l in six_tuple(_as_torus(d)).slots()}}
 
 
-def cmd_classify(args) -> int:
+def text_six_tuple(payload: dict, args) -> str:
+    cells = [f"{name}={l}" for name, l in payload["tuple"].items()]
+    rows = (cells[:3], cells[3:])
+    widths = [max(len(top), len(bottom)) for top, bottom in zip(*rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
+
+
+def cmd_classify(d, args) -> dict:
     from .vertical import classify, six_tuple
 
-    match = classify(six_tuple(_as_torus(load_document(args.path))), oriented=args.oriented)
-    if args.json:
-        payload = {"family": None}
-        if match is not None:
-            payload = {
-                "family": match.family,
-                "q": match.q,
-                "epsilon": match.epsilon,
-                "rotations": match.rotations,
-                "reflected": match.reflected,
-            }
-        print(json.dumps(payload, indent=2))
-    else:
-        if match is None:
-            print("no family match")
-        else:
-            parts = [f"family {match.family}"]
-            if match.q is not None:
-                parts.append(f"q={match.q}")
-            if match.epsilon is not None:
-                parts.append(f"epsilon={'+1' if match.epsilon == 1 else '-1'}")
-            where = f"(rotations={match.rotations}, reflected={'yes' if match.reflected else 'no'})"
-            print(", ".join(parts) + " " + where)
-    return 0
+    match = classify(six_tuple(_as_torus(d)), oriented=args.oriented)
+    if match is None:
+        return {"family": None}
+    return {k: getattr(match, k) for k in ("family", "q", "epsilon", "rotations", "reflected")}
 
 
-def cmd_check_theorem(args) -> int:
-    from .moves import apply_sigma2
+def text_classify(payload: dict, args) -> str:
+    if payload["family"] is None:
+        return "no family match"
+    parts = [f"family {payload['family']}"]
+    if payload["q"] is not None:
+        parts.append(f"q={payload['q']}")
+    if payload["epsilon"] is not None:
+        parts.append(f"epsilon={'+1' if payload['epsilon'] == 1 else '-1'}")
+    where = f"(rotations={payload['rotations']}, reflected={_yes_no(payload['reflected'])})"
+    return ", ".join(parts) + " " + where
 
-    d = _as_torus(load_document(args.path))
+
+def cmd_check_theorem(d, args) -> dict:
+    d = _as_torus(d)
     report = theorem_hypotheses(d)
-    d1 = apply_sigma2(d)
-    d2 = apply_sigma2(d1)
-    triples = [intersection_invariant(x) for x in (d, d1, d2)]
-    distinct = len(set(triples)) == 3
-    certified = report.all_hold and distinct
+    # I(s2 V) = (i1, i2, i0), as the moves.orbit docstring proves, so the
+    # three rows are rotations of one triple: pairwise distinct unless
+    # i0 = i1 = i2.
+    i0, i1, i2 = intersection_invariant(d)
+    certified = report.all_hold and not i0 == i1 == i2
     if certified:
         verdict = "three pairwise-inequivalent diagrams certified"
     elif report.all_hold:
         verdict = "hypotheses hold but the invariant does not separate the rotations"
     else:
         verdict = "hypotheses not met: " + "; ".join(report.failures())
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "hypotheses": {
-                        "monodromy_nontrivial": report.monodromy_nontrivial,
-                        "b2_c2_independent": report.b2_c2_independent,
-                        "a2_pulled_c2_independent": report.a2_pulled_c2_independent,
-                    },
-                    "invariants": [list(t) for t in triples],
-                    "certified": certified,
-                    "verdict": verdict,
-                },
-                indent=2,
-            )
-        )
-    else:
-        yn = lambda b: "yes" if b else "no"
-        print(f"monodromy nontrivial: {yn(report.monodromy_nontrivial)}")
-        print(f"b2 independent of c2: {yn(report.b2_c2_independent)}")
-        print(f"a2 independent of mu^-1(c2): {yn(report.a2_pulled_c2_independent)}")
-        print(f"I(V)      = {_fmt_triple(triples[0])}")
-        print(f"I(s2 V)   = {_fmt_triple(triples[1])}")
-        print(f"I(s2^2 V) = {_fmt_triple(triples[2])}")
-        print(f"verdict: {verdict}")
-    return 0
+    return {
+        "hypotheses": asdict(report),
+        "invariants": [[i0, i1, i2], [i1, i2, i0], [i2, i0, i1]],
+        "certified": certified,
+        "verdict": verdict,
+    }
 
 
-def _fmt_node_diagram(d: TorusDiagram) -> str:
-    parts = [f"a2={_fmt_triple(d.a2)}", f"b2={_fmt_triple(d.b2)}", f"c2={_fmt_triple(d.c2)}"]
-    if d.monodromy.is_identity:
+def text_check_theorem(payload: dict, args) -> str:
+    h = payload["hypotheses"]
+    rows = payload["invariants"]
+    return "\n".join([
+        f"monodromy nontrivial: {_yes_no(h['monodromy_nontrivial'])}",
+        f"b2 independent of c2: {_yes_no(h['b2_c2_independent'])}",
+        f"a2 independent of mu^-1(c2): {_yes_no(h['a2_pulled_c2_independent'])}",
+        f"I(V)      = {_fmt_triple(rows[0])}",
+        f"I(s2 V)   = {_fmt_triple(rows[1])}",
+        f"I(s2^2 V) = {_fmt_triple(rows[2])}",
+        f"verdict: {payload['verdict']}",
+    ])
+
+
+def cmd_orbit(d, args) -> dict:
+    from .moves import orbit
+
+    # On a genus-2 document the orbit includes the outer rotations.
+    graph = orbit(_as_torus(d), args.depth, include_sigma1=isinstance(d, Genus2Diagram))
+    return {
+        "nodes": [
+            {
+                "index": n.index,
+                "invariant": list(n.invariant),
+                "diagram": serialize_document(n.diagram),
+            }
+            for n in graph.nodes
+        ],
+        "edges": [list(e) for e in graph.edges],
+    }
+
+
+def _fmt_node_diagram(doc: dict) -> str:
+    # doc is a serialized torus document.
+    parts = [f"{k}={_fmt_triple(doc[k])}" for k in ("a2", "b2", "c2")]
+    mono = doc["monodromy"]
+    if mono["type"] == "identity":
         parts.append("mu=id")
     else:
-        parts.append(f"core={_fmt_triple(d.monodromy.core)}")
-        parts.append(f"k={d.monodromy.exponent}")
-    parts.append(f"s={'+1' if d.sign == 1 else '-1'}")
+        parts += [f"core={_fmt_triple(mono['core'])}", f"k={mono['exponent']}"]
+    parts.append(f"s={'+1' if doc['sign'] == 1 else '-1'}")
     return " ".join(parts)
 
 
-def cmd_orbit(args) -> int:
-    from .moves import orbit
-
-    d = load_document(args.path)
-    if isinstance(d, Genus2Diagram):
-        graph = orbit(surgery_project(d), args.depth, include_sigma1=True)
-    else:
-        graph = orbit(d, args.depth)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "nodes": [
-                        {
-                            "index": n.index,
-                            "invariant": list(n.invariant),
-                            "diagram": serialize_document(n.diagram),
-                        }
-                        for n in graph.nodes
-                    ],
-                    "edges": [list(e) for e in graph.edges],
-                },
-                indent=2,
-            )
-        )
-        return 0
+def text_orbit(payload: dict, args) -> str:
+    nodes, edges = payload["nodes"], payload["edges"]
     if args.format == "dot":
-        print("digraph orbit {")
-        for n in graph.nodes:
-            label = f"I={_fmt_triple(n.invariant)}"
-            print(f'  n{n.index} [label="{label}"];')
-        for src, token, dst in graph.edges:
-            print(f'  n{src} -> n{dst} [label="{token}"];')
-        print("}")
+        lines = ["digraph orbit {"]
+        lines += (f'  n{n["index"]} [label="I={_fmt_triple(n["invariant"])}"];' for n in nodes)
+        lines += (f'  n{src} -> n{dst} [label="{token}"];' for src, token, dst in edges)
+        lines.append("}")
     else:
-        for n in graph.nodes:
-            print(f"node {n.index}: {_fmt_node_diagram(n.diagram)} I={_fmt_triple(n.invariant)}")
-        for src, token, dst in graph.edges:
-            print(f"edge {src} -{token}-> {dst}")
-    return 0
+        lines = [
+            f"node {n['index']}: {_fmt_node_diagram(n['diagram'])} I={_fmt_triple(n['invariant'])}"
+            for n in nodes
+        ]
+        lines += (f"edge {src} -{token}-> {dst}" for src, token, dst in edges)
+    return "\n".join(lines)
 
 
-def cmd_lens(args) -> int:
+def cmd_lens(args) -> dict:
     from .vertical import LensSpace, lens_equiv
 
-    try:
-        left = LensSpace.from_pq(args.p, args.q)
-        right = LensSpace.from_pq(args.p2, args.q2)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    left = LensSpace.from_pq(args.p, args.q)
+    right = LensSpace.from_pq(args.p2, args.q2)
     eq = lens_equiv(left, right, oriented=args.oriented)
-    _emit(
-        args,
-        {"equivalent": eq, "left": str(left), "right": str(right), "oriented": args.oriented},
-        "equivalent" if eq else "not equivalent",
-    )
-    return 0
+    return {"equivalent": eq, "left": str(left), "right": str(right), "oriented": args.oriented}
+
+
+def text_lens(payload: dict, args) -> str:
+    return "equivalent" if payload["equivalent"] else "not equivalent"
 
 
 def _text(text: str, name: str) -> str:
@@ -470,21 +453,27 @@ def _output_format(text: str, name: str) -> str:
 # The default of an option that must be given.
 _REQUIRED = object()
 
-# The command line: verb -> (handler, help, arguments).  The arguments map
-# each name, in usage order, to (help, converter, default).  A name without
-# dashes is a positional.  A converter of None makes a flag, which is False
-# unless given; any other converter reads the text of the value and raises
-# DocumentError on a bad one.  An option whose default is _REQUIRED must be
-# given.  --depth and the lens arguments are read by _as_int, the rule that
-# integer entries of documents follow.
+# The command line: verb -> (builder, formatter, help, arguments).  The
+# builder takes the document main read from "path" (cmd_lens has none)
+# and the arguments, and returns the payload that --json prints.  The
+# formatter turns that payload, as --json prints it, into the text output
+# without its final newline; only text_orbit reads the arguments.  The
+# arguments map each name, in usage order, to (help, converter, default).
+# A name without dashes is a positional.  A converter of None makes a
+# flag, which is False unless given; any other converter reads the text
+# of the value and raises DocumentError on a bad one.  An option whose
+# default is _REQUIRED must be given.  --depth and the lens arguments are
+# read by _as_int, the rule that integer entries of documents follow.
 _PATH = {"path": ("JSON diagram document", _text, None)}
 _ORIENTED = {"--oriented": ("compare lens spaces with orientation", None, False)}
 _JSON = {"--json": ("machine-readable output", None, False)}
+_DOC = {**_PATH, **_JSON}
 VERBS = {
-    "validate": (cmd_validate, "check the diagram invariants", {**_PATH, **_JSON}),
-    "invariant": (cmd_invariant, "print the intersection invariant triple", {**_PATH, **_JSON}),
+    "validate": (cmd_validate, text_validate, "check the diagram invariants", _DOC),
+    "invariant": (cmd_invariant, text_invariant, "print the intersection invariant triple", _DOC),
     "move": (
         cmd_move,
+        text_move,
         "apply a move word and write the result",
         {
             **_PATH,
@@ -493,17 +482,19 @@ VERBS = {
             **_JSON,
         },
     ),
-    "six-tuple": (cmd_six_tuple, "print the six vertical pieces", {**_PATH, **_JSON}),
+    "six-tuple": (cmd_six_tuple, text_six_tuple, "print the six vertical pieces", _DOC),
     "classify": (
         cmd_classify,
+        text_classify,
         "match the six vertical pieces against the families",
         {**_PATH, **_ORIENTED, **_JSON},
     ),
     "check-theorem": (
-        cmd_check_theorem, "evaluate the certification hypotheses", {**_PATH, **_JSON}
+        cmd_check_theorem, text_check_theorem, "evaluate the certification hypotheses", _DOC
     ),
     "orbit": (
         cmd_orbit,
+        text_orbit,
         "move orbit of the diagram",
         {
             **_PATH,
@@ -514,6 +505,7 @@ VERBS = {
     ),
     "lens": (
         cmd_lens,
+        text_lens,
         "compare two lens spaces L(p,q) and L(p2,q2)",
         {
             "p": ("p of the first lens space L(p,q)", _as_int, None),
@@ -541,7 +533,7 @@ def _is_option(token: str) -> bool:
 
 
 def _value(verb: str, name: str, text: str):
-    _, convert, _ = VERBS[verb][2][name]
+    _, convert, _ = VERBS[verb][3][name]
     try:
         return convert(text, name)
     except DocumentError as e:
@@ -549,22 +541,22 @@ def _value(verb: str, name: str, text: str):
 
 
 def _parse_args(argv: list) -> tuple:
-    """(handler, arguments) for one command line; raises _UsageError.
+    """(verb, arguments) for one command line; raises _UsageError.
 
     One pass over argv.  Options may come before, between or after the
     positionals, and take their value as "--name value" or "--name=value";
     a repeated option keeps its last value.  After "--" every token is a
-    positional.  -h or --help gives the help handler.
+    positional.  -h or --help gives arguments None, and a verb of None
+    for the top-level help.
     """
     if not argv:
         raise _UsageError(f"missing verb (choose from {', '.join(VERBS)})")
     verb = argv[0]
     if verb in ("-h", "--help"):
-        return _print_help, None
-    spec = VERBS.get(verb)
-    if spec is None:
+        return None, None
+    if verb not in VERBS:
         raise _UsageError(f"unknown verb {verb!r} (choose from {', '.join(VERBS)})")
-    handler, _, arguments = spec
+    arguments = VERBS[verb][3]
     positionals = [name for name in arguments if name[0] != "-"]
     values = {name[2:]: default for name, (_, _, default) in arguments.items() if name[0] == "-"}
     given = []
@@ -575,7 +567,7 @@ def _parse_args(argv: list) -> tuple:
         elif token == "--":
             given += tokens
         elif token in ("-h", "--help"):
-            return _print_help, verb
+            return verb, None
         else:
             name, eq, text = token.partition("=")
             if name not in arguments:
@@ -599,14 +591,14 @@ def _parse_args(argv: list) -> tuple:
         raise _UsageError(f"unexpected argument {given[len(positionals)]!r}", verb)
     for name, text in zip(positionals, given):
         values[name] = _value(verb, name, text)
-    return handler, SimpleNamespace(**values)
+    return verb, SimpleNamespace(**values)
 
 
 def _usage(verb: str | None) -> str:
     if verb is None:
         return "usage: trisect <verb> [arguments]"
     words = ["usage: trisect", verb]
-    for name, (_, convert, default) in VERBS[verb][2].items():
+    for name, (_, convert, default) in VERBS[verb][3].items():
         if name[0] != "-":
             words.append(name)
         elif convert is None:
@@ -617,7 +609,7 @@ def _usage(verb: str | None) -> str:
     return " ".join(words)
 
 
-def _print_help(verb: str | None) -> int:
+def _help(verb: str | None) -> str:
     if verb is None:
         lines = [
             _usage(None),
@@ -625,27 +617,32 @@ def _print_help(verb: str | None) -> int:
             "Exact homology-level computations on simplified genus-2 trisection diagrams.",
             "",
             "verbs:",
-            *(f"  {name:<14} {text}" for name, (_, text, _) in VERBS.items()),
+            *(f"  {name:<14} {text}" for name, (_, _, text, _) in VERBS.items()),
             "",
             "trisect <verb> --help describes the arguments of one verb.",
         ]
     else:
-        _, text, arguments = VERBS[verb]
+        _, _, text, arguments = VERBS[verb]
         lines = [_usage(verb), "", text, ""]
         lines += (f"  {name:<11} {about}" for name, (about, _, _) in arguments.items())
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     try:
-        handler, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        verb, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as e:
         print(_usage(e.verb), file=sys.stderr)
         print(f"trisect{'' if e.verb is None else ' ' + e.verb}: error: {e}", file=sys.stderr)
         return 2
+    if args is None:
+        print(_help(verb))
+        return 0
+    build, fmt, _, arguments = VERBS[verb]
     try:
-        return handler(args)
+        payload = build(load_document(args.path), args) if "path" in arguments else build(args)
+        print(json.dumps(payload, indent=2) if args.json else fmt(payload, args))
+        return 1 if verb == "validate" and not payload["ok"] else 0
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -653,12 +650,13 @@ def main(argv=None) -> int:
         for code in e.errors:
             print(code, file=sys.stderr)
         return 1
-    except (ExponentCoreMismatchError, NonPrimitiveError, ZeroVectorError) as e:
+    except (ExponentCoreMismatchError, NonPrimitiveError, _RefusedError, ZeroVectorError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
-        # Bad argument values that are not diagram defects (for example a
-        # negative orbit depth) are usage errors.
+        # Bad argument values that are not diagram defects (a negative
+        # orbit depth, an unknown move token, p and q of no lens space) are
+        # usage errors.
         print(f"error: {e}", file=sys.stderr)
         return 2
 

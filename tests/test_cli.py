@@ -13,10 +13,19 @@ import pytest
 
 import trisect.cli
 import trisect.moves
-from trisect import Genus2Diagram, Monodromy, TorusDiagram, canonical_form, surgery_project
+from trisect import (
+    Genus2Diagram,
+    Monodromy,
+    TorusDiagram,
+    apply_sigma2,
+    canonical_form,
+    intersection_invariant,
+    surgery_project,
+    theorem_hypotheses,
+)
 from trisect.cli import DocumentError, document_text, load_document, main, parse_document
 
-from conftest import FIXTURES, fixture
+from conftest import FIXTURES, fixture, rand_genus2_diagram, rand_torus_diagram
 from test_moves import _orbit_bfs
 
 
@@ -126,7 +135,7 @@ def test_help_lists_every_verb_and_argument(capsys):
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")
     assert all(f"  {verb} " in out for verb in trisect.cli.VERBS)
-    for verb, (_, text, arguments) in trisect.cli.VERBS.items():
+    for verb, (_, _, text, arguments) in trisect.cli.VERBS.items():
         code, out, err = run(capsys, verb, "-h")
         assert (code, err) == (0, "")
         assert text in out
@@ -183,6 +192,41 @@ def test_overlong_decimal_string_exit_2(tmp_path, capsys):
     p.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "validate", str(p))
     assert code == 2 and "not a decimal integer" in err and len(err) < 200
+
+
+def test_oversized_json_number_exit_2(tmp_path, capsys):
+    # A bare JSON number past the integer-conversion limit is refused with
+    # the file name, as a decimal string is; one at the limit is read.
+    limit = sys.get_int_max_str_digits()
+    text = Path(fixture("family3.json")).read_text(encoding="utf-8")
+    p = tmp_path / "long.json"
+    p.write_text(text.replace("[1, 0]", "[1" + "0" * limit + ", 0]", 1), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(p))
+    message = f"error: {p}: a JSON number exceeds the {limit}-digit integer-conversion limit\n"
+    assert (code, out, err) == (2, "", message)
+    p.write_text(text.replace("[1, 0]", "[1" + "0" * (limit - 1) + ", 0]", 1), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out, err) == (1, "NonPrimitive\n", "")
+
+
+def test_duplicate_keys_exit_2(tmp_path, capsys):
+    # Readers disagree on which of two equal keys wins, so a document with
+    # one is refused, at the top level and inside the monodromy alike.
+    text = Path(fixture("family3.json")).read_text(encoding="utf-8")
+    p = tmp_path / "dup.json"
+    for doc, key in (
+        (text.replace('"sign": 1', '"sign": 1, "sign": -1'), "sign"),
+        (text.replace('"sign": 1', '"sign": 1, "sign": 1'), "sign"),
+        (text.replace('"type"', '"type": "identity", "type"'), "type"),
+        (text.replace('"exponent": 1', '"exponent": 1, "exponent": 4'), "exponent"),
+    ):
+        p.write_text(doc, encoding="utf-8")
+        with pytest.raises(DocumentError) as info:
+            load_document(str(p))
+        assert str(info.value) == f"{p}: duplicate key {key!r}"
+        for verb in ("validate", "check-theorem"):
+            code, out, err = run(capsys, verb, str(p))
+            assert (code, out, err) == (2, "", f"error: {p}: duplicate key {key!r}\n")
 
 
 def test_parse_document_integer_entries():
@@ -549,6 +593,24 @@ def test_check_theorem_inseparable(tmp_path, capsys):
     )
 
 
+def test_check_theorem_rows_match_rotated_diagrams():
+    # The builder rotates I(V) instead of rotating the diagram; the rows
+    # and the verdict must be what the rotated diagrams give.
+    rng = random.Random(1212)
+    diagrams = [load_document(path) for path in sorted(glob.glob(f"{FIXTURES}/*.json"))]
+    diagrams += [rand_torus_diagram(rng) for _ in range(200)]
+    diagrams += [rand_genus2_diagram(rng) for _ in range(50)]
+    diagrams.append(TorusDiagram((0, 1), (1, 1), (-1, 1), Monodromy.twist((1, 0), 1)))
+    for d in diagrams:
+        t = surgery_project(d) if isinstance(d, Genus2Diagram) else d
+        rotations = [t, apply_sigma2(t), apply_sigma2(apply_sigma2(t))]
+        triples = [list(intersection_invariant(x)) for x in rotations]
+        payload = trisect.cli.cmd_check_theorem(d, None)
+        assert payload["invariants"] == triples
+        distinct = len({tuple(x) for x in triples}) == 3
+        assert payload["certified"] == (theorem_hypotheses(t).all_hold and distinct)
+
+
 def test_check_theorem_json(capsys):
     code, out, _ = run(capsys, "check-theorem", fixture("family2_q3.json"), "--json")
     assert code == 0
@@ -560,6 +622,48 @@ def test_check_theorem_json(capsys):
         "b2_c2_independent": True,
         "a2_pulled_c2_independent": True,
     }
+
+
+# The verb forms that tools/answers.py runs on every fixture.
+VERB_FORMS = [
+    ["validate"], ["invariant"], ["six-tuple"], ["classify"], ["classify", "--oriented"],
+    ["check-theorem"], ["orbit", "--depth", "2"], ["orbit", "--depth", "1", "--format", "dot"],
+    ["move", "--word", "D2,D2'"], ["move", "--word", "D1"], ["move", "--word", "D3"],
+]
+
+
+def test_text_is_formatted_from_the_json_payload(tmp_path, capsys):
+    # Each call runs twice, as text and with --json.  Both give the same
+    # exit code and stderr, and the text is the verb's formatter applied
+    # to the printed payload; a call that prints no payload prints no text.
+    paths = sorted(glob.glob(f"{FIXTURES}/*.json") + glob.glob(f"{FIXTURES}/invalid/*.json"))
+    text = Path(fixture("family3.json")).read_text(encoding="utf-8")
+    for name, doc in (
+        ("long.json", text.replace("[1, 0]", "[1" + "0" * 5_000 + ", 0]", 1)),
+        ("dup.json", text.replace('"sign": 1', '"sign": 1, "sign": -1')),
+    ):
+        (tmp_path / name).write_text(doc, encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    argvs = [[verb, path, *rest] for path in paths for verb, *rest in VERB_FORMS]
+    argvs += [
+        ["lens", *pq.split(), *rest]
+        for pq in ("5 2 5 3", "7 2 7 4", "0 1 1 0", "4 2 5 1")
+        for rest in ([], ["--oriented"])
+    ]
+    for out in (tmp_path / "no_such_dir" / "x.json", tmp_path / "out.json"):
+        argvs.append(["move", fixture("family3.json"), "--word", "D2", "--out", str(out)])
+    codes = set()
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        json_code, payload, json_err = run(capsys, *argv, "--json")
+        assert (code, err) == (json_code, json_err), argv
+        if payload:
+            verb, args = trisect.cli._parse_args(argv)
+            assert out == trisect.cli.VERBS[verb][1](json.loads(payload), args) + "\n", argv
+        else:
+            assert out == "", argv
+        codes.add((code, bool(payload)))
+    assert codes == {(0, True), (1, True), (1, False), (2, False)}
 
 
 def test_orbit_text(capsys):
@@ -693,7 +797,7 @@ def test_each_verb_imports_only_its_modules():
     loaded = _modules_after(["validate", fixture("family3.json")])
     assert loaded == core
     loaded = _modules_after(["check-theorem", fixture("family3.json")])
-    assert "trisect.vertical" not in loaded and "trisect.moves" in loaded
+    assert "trisect.vertical" not in loaded and "trisect.moves" not in loaded
 
 
 def test_package_attributes_load_on_first_use():

@@ -4,7 +4,8 @@ Each line is a label and either the repr of the result or the type and
 message of the exception raised.  The corpus is deterministic: seeded
 torus and genus-2 diagrams (some with entries near 2^70), invalid
 variants of both models, orbits at whole and fractional depths, SL2
-completions, lens spaces, and every fixture through trisect.cli.main.
+completions, lens spaces, and every fixture through trisect.cli.main,
+with a few more documents and outputs in a temporary directory.
 To compare two checkouts, run on each
 
     PYTHONPATH=<tree>/src python3 tools/answers.py > <tree>.txt
@@ -20,7 +21,9 @@ import io
 import math
 import os
 import random
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import trisect
@@ -291,7 +294,8 @@ def cli_answers() -> None:
     ]
     argvs = [[verb, name, *rest, *js] for name in names for verb, *rest in forms
              for js in ([], ["--json"])]
-    argvs += [["lens", *map(str, pq), *js] for pq in ((5, 2, 5, 3), (7, 2, 7, 4), (0, 1, 1, 0))
+    argvs += [["lens", *map(str, pq), *js]
+              for pq in ((5, 2, 5, 3), (7, 2, 7, 4), (0, 1, 1, 0), (4, 2, 5, 1))
               for js in ([], ["--json"], ["--oriented"])]
     # The command line itself: option forms and order, help, usage errors
     # and integer spellings.
@@ -324,20 +328,51 @@ def cli_answers() -> None:
         ["validate", "family3.json", "--js"],
         ["orbit", "family3.json", "--dep", "2"],
         ["classify", "family3.json", "--orient"],
+        # A bad word, on a valid document and on an unreadable one.
+        ["move", "family3.json", "--word", "D3"],
+        ["move", "invalid/malformed.json", "--word", "D3"],
     ]
     here = os.getcwd()
     os.chdir(FIXTURES)
     try:
         for argv in argvs:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except Exception as e:
-                    code = f"{type(e).__name__}: {e}"
-            print(f"main {argv!r} -> {code!r} {out.getvalue()!r} {err.getvalue()!r}")
+            cli_answer(argv)
     finally:
         os.chdir(here)
+    # Documents and outputs in a scratch directory, named by relative
+    # paths so that the lines do not depend on where it is.
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            shutil.copy(FIXTURES / "family3.json", "family3.json")
+            text = (FIXTURES / "family3.json").read_text(encoding="utf-8")
+            for name, doc in (
+                ("long.json", text.replace("[1, 0]", "[1" + "0" * 5_000 + ", 0]", 1)),
+                ("dup.json", text.replace('"sign": 1', '"sign": 1, "sign": -1')),
+                ("dup_monodromy.json", text.replace('"type"', '"type": "identity", "type"')),
+            ):
+                Path(name).write_text(doc, encoding="utf-8")
+            for argv in (
+                ["move", "family3.json", "--word", "D2", "--out", "no_such_dir/x.json"],
+                ["move", "family3.json", "--word", "D2", "--out", "out.json"],
+                ["validate", "long.json"],
+                ["validate", "dup.json"],
+                ["validate", "dup_monodromy.json", "--json"],
+            ):
+                cli_answer(argv)
+            print(f"file out.json -> {Path('out.json').read_text(encoding='utf-8')!r}")
+        finally:
+            os.chdir(here)
+
+
+def cli_answer(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as e:
+            code = f"{type(e).__name__}: {e}"
+    print(f"main {argv!r} -> {code!r} {out.getvalue()!r} {err.getvalue()!r}")
 
 
 def run() -> None:
