@@ -20,7 +20,8 @@ is formatted from it alone.  main is the only caller that prints or picks
 an exit code.
 
 Exit codes: 0 success (including negative verdicts), 1 invalid diagram,
-2 unreadable or malformed input, unwritable output, or usage errors.
+2 unreadable or malformed input, unwritable output, or usage errors.  The
+answers on a valid document always print, however long their integers.
 """
 
 from __future__ import annotations
@@ -639,8 +640,14 @@ def main(argv=None) -> int:
         print(_help(verb))
         return 0
     build, fmt, _, arguments = VERBS[verb]
+    limit = sys.get_int_max_str_digits()
     try:
-        payload = build(load_document(args.path), args) if "path" in arguments else build(args)
+        doc = load_document(args.path) if "path" in arguments else None
+        # The input was read under the int/str digit limit, but the answers
+        # on a valid document can be longer: a pairing multiplies two
+        # entries.  They are built and printed without the limit.
+        sys.set_int_max_str_digits(0)
+        payload = build(args) if doc is None else build(doc, args)
         print(json.dumps(payload, indent=2) if args.json else fmt(payload, args))
         return 1 if verb == "validate" and not payload["ok"] else 0
     except DocumentError as e:
@@ -659,6 +666,8 @@ def main(argv=None) -> int:
         # usage errors.
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ two of which meet once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .lattice import (
@@ -107,8 +107,7 @@ class TorusDiagram:
     monodromy: Monodromy
     sign: int = 1
 
-    # Validity mark (see _mark_torus); not a field, so ==, hash and repr
-    # ignore it.
+    # Validity mark (see _mark); not a field, so ==, hash and repr ignore it.
     _valid = False
 
     def classes(self) -> tuple[Vec2, Vec2, Vec2]:
@@ -131,8 +130,7 @@ class Genus2Diagram:
     c2: Vec4
     exponent: int
 
-    # Validity mark (see _mark_genus2); not a field, so ==, hash and repr
-    # ignore it.
+    # Validity mark (see _mark); not a field, so ==, hash and repr ignore it.
     _valid = False
 
 
@@ -162,7 +160,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     Each class and the core must first have the shape _is_vec2 checks.  A
     class that fails is not primitive, and the arithmetic rules are not
     applied to it.  The exponent and the sign must be exact ints too.
-    A valid diagram is marked (see _mark_torus).
+    A valid diagram is marked (see _mark).
     """
     errors = []
     a, b, c = d.a2, d.b2, d.c2
@@ -189,7 +187,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     if type(sign) is not int or sign not in (1, -1):
         errors.append(BAD_SIGN)
     if not errors:
-        _mark_torus(d)
+        _mark(d)
     return errors
 
 
@@ -199,7 +197,7 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
     Each class must first have the shape _is_vec4 checks; a1 failing is
     NonPrimitiveA1, any other class failing is NonPrimitive, and the
     pairings are then not computed.  A valid diagram is marked (see
-    _mark_genus2).  surgery_project can still refuse it: when the twist
+    _mark).  surgery_project can still refuse it: when the twist
     exponent and the core disagree, or when a projected class is not
     primitive.
     """
@@ -232,46 +230,67 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
         if not _pairwise_unit(d.a2, d.b2, d.c2, pair4):
             errors.append(IDENTITY_CASE_VIOLATION)
     if not errors:
-        _mark_genus2(d)
+        _mark(d)
     return errors
 
 
-def _mark_torus(d: TorusDiagram) -> TorusDiagram:
-    """Mark d, known to be valid, so that require_valid_torus trusts it.
+# The validity mark.  These three helpers are the only code that sets it,
+# and _trusted alone writes it; require_valid_torus and
+# require_valid_genus2 trust a marked diagram.
+def _mark(d):
+    """Mark d, known to be valid, and return it.
 
-    validate_torus and the moves that preserve validity call this.  Only a
-    TorusDiagram whose classes and core are tuples is marked, since a list
-    could change after the check.  Returns d.
+    Only an exact TorusDiagram whose classes and core are tuples, with an
+    exact Monodromy, or an exact Genus2Diagram whose six classes are
+    tuples, is marked, since a list could change after the check.
     """
-    if (
-        type(d) is TorusDiagram
-        and type(d.a2) is tuple
-        and type(d.b2) is tuple
-        and type(d.c2) is tuple
-        and type(d.monodromy) is Monodromy
-        and (d.monodromy.core is None or type(d.monodromy.core) is tuple)
-    ):
-        object.__setattr__(d, "_valid", True)
-    return d
+    if type(d) is TorusDiagram:
+        mono = d.monodromy
+        ok = (
+            type(d.a2) is tuple
+            and type(d.b2) is tuple
+            and type(d.c2) is tuple
+            and type(mono) is Monodromy
+            and (mono.core is None or type(mono.core) is tuple)
+        )
+    else:
+        ok = (
+            type(d) is Genus2Diagram
+            and type(d.a1) is tuple
+            and type(d.b1) is tuple
+            and type(d.c1) is tuple
+            and type(d.a2) is tuple
+            and type(d.b2) is tuple
+            and type(d.c2) is tuple
+        )
+    return _trusted(d) if ok else d
 
 
-def _mark_genus2(d: Genus2Diagram) -> Genus2Diagram:
-    """Mark d, known to be valid, so that require_valid_genus2 trusts it.
+def _derived(d, out):
+    """Mark out, which a move built from the valid diagram d, and return it.
 
-    As _mark_torus: only a Genus2Diagram whose six classes are tuples is
-    marked.  Returns d.
+    Every move takes each field of out either from d or as a new tuple
+    (from transvect, Monodromy.apply or inverse_apply), so when d is a
+    marked diagram of exactly out's type, out is marked directly.
+    Otherwise, as for embed_torus, whose input has the other type, _mark
+    checks out.
     """
-    if (
-        type(d) is Genus2Diagram
-        and type(d.a1) is tuple
-        and type(d.b1) is tuple
-        and type(d.c1) is tuple
-        and type(d.a2) is tuple
-        and type(d.b2) is tuple
-        and type(d.c2) is tuple
-    ):
-        object.__setattr__(d, "_valid", True)
-    return d
+    if type(d) is type(out) and d._valid:
+        return _trusted(out)
+    return _mark(out)
+
+
+def _trusted(out):
+    """Mark out, whose every field the caller built as a new tuple or an
+    exact Monodromy and has shown valid, and return it."""
+    object.__setattr__(out, "_valid", True)
+    return out
+
+
+def _core_lift(d: Genus2Diagram) -> Vec4:
+    """a1 + b1 + c1, which projects to the twist core under surgery."""
+    x, y, z = d.a1, d.b1, d.c1
+    return (x[0] + y[0] + z[0], x[1] + y[1] + z[1], x[2] + y[2] + z[2], x[3] + y[3] + z[3])
 
 
 def require_valid_torus(d: TorusDiagram) -> None:
@@ -319,15 +338,13 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     checked here, and refused with InvalidDiagramError(["NonPrimitive"])
     as validate_torus would.  validate_genus2 admits integer entries
     only, so the output is built of tuples and exact Monodromy and is
-    marked here.
+    marked with _trusted.
     """
     require_valid_genus2(d)
     _a, _f1, (e0, e1, e2, e3), (f0, f1, f2, f3) = SymplecticReduction(d.a1).basis
-    x, y, z = d.a1, d.b1, d.c1
-    boundary = (x[0] + y[0] + z[0], x[1] + y[1] + z[1], x[2] + y[2] + z[2], x[3] + y[3] + z[3])
     core, a2, b2, c2 = [
         (f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2)
-        for w0, w1, w2, w3 in (boundary, d.a2, d.b2, d.c2)
+        for w0, w1, w2, w3 in (_core_lift(d), d.a2, d.b2, d.c2)
     ]
     k = d.exponent
     if k == 0:
@@ -346,9 +363,7 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
         primitive = gcd(*core) == 1
     if not (primitive and gcd(*a2) == 1 and gcd(*b2) == 1 and gcd(*c2) == 1):
         raise InvalidDiagramError([NON_PRIMITIVE])
-    out = TorusDiagram(a2, b2, c2, mono, pair4(x, y))
-    object.__setattr__(out, "_valid", True)
-    return out
+    return _trusted(TorusDiagram(a2, b2, c2, mono, pair4(d.a1, d.b1)))
 
 
 def embed_torus(d: TorusDiagram) -> Genus2Diagram:
@@ -359,7 +374,8 @@ def embed_torus(d: TorusDiagram) -> Genus2Diagram:
     c1 = -alpha1 - beta1 + dt, where dt is the core class placed in the
     second block (zero for identity monodromy); for s = -1, b1 = -beta1
     and c1 = -alpha1 + beta1 + dt.  In both cases a1 + b1 + c1 = dt, so
-    surgery_project(embed_torus(d)) == d exactly.
+    surgery_project(embed_torus(d)) == d exactly, and the lift of a valid
+    diagram is valid.
     """
     require_valid_torus(d)
     dx, dy = d.monodromy.core if d.monodromy.core is not None else (0, 0)
@@ -370,7 +386,7 @@ def embed_torus(d: TorusDiagram) -> Genus2Diagram:
     else:
         b1 = (0, -1, 0, 0)
         c1 = (-1, 1, dx, dy)
-    return Genus2Diagram(
+    out = Genus2Diagram(
         a1=a1,
         b1=b1,
         c1=c1,
@@ -379,22 +395,19 @@ def embed_torus(d: TorusDiagram) -> Genus2Diagram:
         c2=(0, 0) + tuple(d.c2),
         exponent=d.monodromy.exponent,
     )
+    return _derived(d, out)
 
 
 def intersection_invariant(d: TorusDiagram | Genus2Diagram) -> tuple[int, int, int]:
     """Unordered-boundary intersection triple of the diagram.
 
     On the torus model this is (|d.a2|, |d.b2|, |d.c2|) paired against the
-    twist core, and (0, 0, 0) for identity monodromy.  On the genus-2
-    model the core is replaced by b1 + c1, which projects to the core, so
-    the two computations agree through surgery_project.
+    twist core, and (0, 0, 0) for identity monodromy.  A genus-2 diagram is
+    projected by surgery_project first, so it is refused exactly when its
+    projection is.
     """
     if isinstance(d, Genus2Diagram):
-        require_valid_genus2(d)
-        if d.exponent == 0:
-            return (0, 0, 0)
-        bc = tuple(x + y for x, y in zip(d.b1, d.c1))
-        return tuple(abs(pair4(bc, w)) for w in (d.a2, d.b2, d.c2))
+        d = surgery_project(d)
     require_valid_torus(d)
     mono = d.monodromy
     if mono.exponent == 0:
@@ -418,19 +431,8 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
         raise ValueError(f"slide target must be one of a2, b2, c2, got {target!r}")
     if sign not in (1, -1):
         raise ValueError(f"slide sign must be +1 or -1, got {sign!r}")
-    w = getattr(d, target)
-    moved = tuple(wi + sign * ai for wi, ai in zip(w, d.a1))
-    out = {target: moved}
-    slid = Genus2Diagram(
-        a1=d.a1,
-        b1=d.b1,
-        c1=d.c1,
-        a2=out.get("a2", d.a2),
-        b2=out.get("b2", d.b2),
-        c2=out.get("c2", d.c2),
-        exponent=d.exponent,
-    )
-    return _mark_genus2(slid)
+    moved = tuple(wi + sign * ai for wi, ai in zip(getattr(d, target), d.a1))
+    return _derived(d, replace(d, **{target: moved}))
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ from .diagram import (
     Genus2Diagram,
     Monodromy,
     TorusDiagram,
-    _mark_genus2,
-    _mark_torus,
+    _core_lift,
+    _derived,
+    _trusted,
     intersection_invariant,
     require_valid_genus2,
     require_valid_torus,
@@ -98,33 +99,28 @@ def apply_sigma1(d: Genus2Diagram) -> Genus2Diagram:
     invariant of the projection.
     """
     require_valid_genus2(d)
-    core = transvect(d.a1, 1, d.b1)
-    out = Genus2Diagram(
-        a1=d.b1,
-        b1=d.c1,
-        c1=d.a1,
-        a2=transvect(core, 1, d.a2),
-        b2=transvect(core, 1, d.b2),
-        c2=transvect(core, 1, d.c2),
-        exponent=d.exponent,
-    )
-    return _mark_genus2(out)
+    return _outer(d, d.b1, d.c1, d.a1, transvect(d.a1, 1, d.b1), 1)
 
 
 def apply_sigma1_inverse(d: Genus2Diagram) -> Genus2Diagram:
     """Inverse of apply_sigma1: cycle to (c1, a1, b1), untwist along t_{c1}(a1)."""
     require_valid_genus2(d)
-    core = transvect(d.c1, 1, d.a1)
+    return _outer(d, d.c1, d.a1, d.b1, transvect(d.c1, 1, d.a1), -1)
+
+
+def _outer(d: Genus2Diagram, a1, b1, c1, core, k: int) -> Genus2Diagram:
+    """The step both outer rotations share: set the first triple to
+    (a1, b1, c1), then twist the second triple k times along core."""
     out = Genus2Diagram(
-        a1=d.c1,
-        b1=d.a1,
-        c1=d.b1,
-        a2=transvect(core, -1, d.a2),
-        b2=transvect(core, -1, d.b2),
-        c2=transvect(core, -1, d.c2),
+        a1=a1,
+        b1=b1,
+        c1=c1,
+        a2=transvect(core, k, d.a2),
+        b2=transvect(core, k, d.b2),
+        c2=transvect(core, k, d.c2),
         exponent=d.exponent,
     )
-    return _mark_genus2(out)
+    return _derived(d, out)
 
 
 def apply_sigma2(d):
@@ -137,54 +133,38 @@ def apply_sigma2(d):
     """
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
-        core = tuple(x + y + z for x, y, z in zip(d.a1, d.b1, d.c1))
         out = Genus2Diagram(
             a1=d.a1,
             b1=d.b1,
             c1=d.c1,
             a2=d.b2,
-            b2=transvect(core, -d.exponent, d.c2),
+            b2=transvect(_core_lift(d), -d.exponent, d.c2),
             c2=d.a2,
             exponent=d.exponent,
         )
-        return _mark_genus2(out)
+        return _derived(d, out)
     require_valid_torus(d)
     mono = d.monodromy
-    return _mark_rotated(d, TorusDiagram(d.b2, mono.inverse_apply(d.c2), d.a2, mono, d.sign))
+    return _derived(d, TorusDiagram(d.b2, mono.inverse_apply(d.c2), d.a2, mono, d.sign))
 
 
 def apply_sigma2_inverse(d):
     """Inverse inner-circle rotation: (a2, b2, c2) -> (c2, a2, mu(b2))."""
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
-        core = tuple(x + y + z for x, y, z in zip(d.a1, d.b1, d.c1))
         out = Genus2Diagram(
             a1=d.a1,
             b1=d.b1,
             c1=d.c1,
             a2=d.c2,
             b2=d.a2,
-            c2=transvect(core, d.exponent, d.b2),
+            c2=transvect(_core_lift(d), d.exponent, d.b2),
             exponent=d.exponent,
         )
-        return _mark_genus2(out)
+        return _derived(d, out)
     require_valid_torus(d)
     mono = d.monodromy
-    return _mark_rotated(d, TorusDiagram(d.c2, d.a2, mono.apply(d.b2), mono, d.sign))
-
-
-def _mark_rotated(d: TorusDiagram, out: TorusDiagram) -> TorusDiagram:
-    """Mark out, an inner rotation of the valid torus diagram d.
-
-    A marked d has tuple classes and core and an exact Monodromy, and out
-    takes two classes and the monodromy from d and one class from
-    Monodromy.apply or inverse_apply, which return tuples; so out is marked
-    directly.  Otherwise _mark_torus checks out.
-    """
-    if type(d) is TorusDiagram and d._valid:
-        object.__setattr__(out, "_valid", True)
-        return out
-    return _mark_torus(out)
+    return _derived(d, TorusDiagram(d.c2, d.a2, mono.apply(d.b2), mono, d.sign))
 
 
 def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
@@ -273,13 +253,12 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
         x = p * v0 + q * v1
         y = r * v0 + s * v1
         imgs.append((-x, -y) if x < 0 or (x == 0 and y < 0) else (x, y))
+    # Every class and the monodromy are built here as new tuples and an
+    # exact Monodromy.
     out = TorusDiagram(
         (1, 0), imgs[0], imgs[1], Monodromy(None, 0) if k == 0 else Monodromy(imgs[2], k), sign
     )
-    # Every class and the monodromy were built here as exact tuples and an
-    # exact Monodromy, which is all _mark_torus would check.
-    object.__setattr__(out, "_valid", True)
-    return out, ((p, q), (r, s))
+    return _trusted(out), ((p, q), (r, s))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import glob
 import importlib.metadata
@@ -14,16 +15,27 @@ import pytest
 import trisect.cli
 import trisect.moves
 from trisect import (
+    ExponentCoreMismatchError,
     Genus2Diagram,
+    InvalidDiagramError,
     Monodromy,
     TorusDiagram,
     apply_sigma2,
     canonical_form,
     intersection_invariant,
+    orbit,
+    six_tuple,
     surgery_project,
     theorem_hypotheses,
 )
-from trisect.cli import DocumentError, document_text, load_document, main, parse_document
+from trisect.cli import (
+    DocumentError,
+    document_text,
+    load_document,
+    main,
+    parse_document,
+    serialize_document,
+)
 
 from conftest import FIXTURES, fixture, rand_genus2_diagram, rand_torus_diagram
 from test_moves import _orbit_bfs
@@ -207,6 +219,61 @@ def test_oversized_json_number_exit_2(tmp_path, capsys):
     p.write_text(text.replace("[1, 0]", "[1" + "0" * (limit - 1) + ", 0]", 1), encoding="utf-8")
     code, out, err = run(capsys, "validate", str(p))
     assert (code, out, err) == (1, "NonPrimitive\n", "")
+
+
+def test_long_answers_print(tmp_path, capsys):
+    # Entries of 3,001 digits are read under the int/str digit limit, and
+    # the answers, whose pairings have 6,000 digits, still print.
+    limit = sys.get_int_max_str_digits()
+    big = 10**3000
+    t = TorusDiagram((1, 0), (0, 1), (big, 1), Monodromy.twist((1, big), 1))
+    path = write_doc(tmp_path, t, "long_answers.json")
+    out_path = str(tmp_path / "moved.json")
+    payloads = {}
+    for argv in (
+        ["invariant"],
+        ["check-theorem"],
+        ["six-tuple"],
+        ["move", "--word", "D2"],
+        ["orbit", "--depth", "1"],
+    ):
+        for js in ([], ["--json"]):
+            code, out, err = run(capsys, argv[0], path, *argv[1:], *js)
+            assert (code, err) == (0, ""), argv
+            assert sys.get_int_max_str_digits() == limit
+            payloads[argv[0]] = out
+    assert run(capsys, "move", path, "--word", "D2", "--out", out_path) == (
+        0, f"wrote {out_path}\n", ""
+    )
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payloads = {verb: json.loads(out) for verb, out in payloads.items()}
+        slots = {name: str(lens) for name, lens in six_tuple(t).slots()}
+        moved = document_text(apply_sigma2(t))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    i0, i1, i2 = intersection_invariant(t)
+    assert payloads["invariant"] == {"invariant": [i0, i1, i2]} and i2 > 10**limit
+    assert payloads["check-theorem"]["invariants"] == [[i0, i1, i2], [i1, i2, i0], [i2, i0, i1]]
+    assert payloads["check-theorem"]["hypotheses"] == dataclasses.asdict(theorem_hypotheses(t))
+    assert payloads["six-tuple"] == {"tuple": slots}
+    assert payloads["move"]["diagram"] == serialize_document(apply_sigma2(t))
+    assert Path(out_path).read_text(encoding="utf-8") == moved
+    nodes = orbit(t, 1).nodes
+    assert [(n["index"], n["invariant"]) for n in payloads["orbit"]["nodes"]] == [
+        (n.index, list(n.invariant)) for n in nodes
+    ]
+    assert [n["diagram"] for n in payloads["orbit"]["nodes"]] == [
+        serialize_document(n.diagram) for n in nodes
+    ]
+    # The limit still holds for the input of a later call.
+    text = Path(fixture("family3.json")).read_text(encoding="utf-8")
+    p = tmp_path / "long.json"
+    p.write_text(text.replace("[1, 0]", "[1" + "0" * limit + ", 0]", 1), encoding="utf-8")
+    code, out, err = run(capsys, "invariant", str(p))
+    message = f"error: {p}: a JSON number exceeds the {limit}-digit integer-conversion limit\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_duplicate_keys_exit_2(tmp_path, capsys):
@@ -399,7 +466,8 @@ def test_parse_document_key_sets():
 
 def test_genus2_verbs_agree_on_validity(tmp_path, capsys):
     # Both documents pass validate_genus2, but surgery_project refuses
-    # them, so every verb that reads a diagram exits 1.
+    # them, so every verb that reads a diagram exits 1, and
+    # intersection_invariant raises the error the invariant verb reports.
     doc = json.loads(Path(fixture("genus2_q3.json")).read_text(encoding="utf-8"))
     cases = [
         ({**doc, "a2": [0, 0, 2, 0]}, ["NonPrimitive"]),
@@ -423,6 +491,13 @@ def test_genus2_verbs_agree_on_validity(tmp_path, capsys):
         ):
             code, out, _ = run(capsys, argv[0], str(p), *argv[1:])
             assert (code, out) == (1, ""), argv
+        with pytest.raises((InvalidDiagramError, ExponentCoreMismatchError)) as info:
+            intersection_invariant(parse_document(bad))
+        if isinstance(info.value, InvalidDiagramError):
+            reported = "".join(e + "\n" for e in info.value.errors)
+        else:
+            reported = f"error: {info.value}\n"
+        assert run(capsys, "invariant", str(p)) == (1, "", reported)
 
 
 def test_move_refuses_invalid_torus_with_empty_word(capsys):

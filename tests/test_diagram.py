@@ -749,6 +749,17 @@ def test_list_fields_are_never_marked():
         with pytest.raises(InvalidDiagramError):
             surgery_project(x)
 
+    lift = embed_torus(good_torus())
+    b1 = list(lift.b1)
+    g = dataclasses.replace(lift, b1=b1)
+    rotated = apply_sigma1(g)  # (b1, c1, a1): the new a1 is the list b1
+    assert rotated.a1 is b1 and surgery_project(rotated) == surgery_project(apply_sigma1(lift))
+    assert not g._valid and not rotated._valid
+    b1[:] = [0, 2, 0, 0]
+    for x in (g, rotated):
+        with pytest.raises(InvalidDiagramError):
+            surgery_project(x)
+
 
 def test_mark_is_not_a_field():
     for d, validate in ((good_torus(), validate_torus), (embed_torus(good_torus()), validate_genus2)):

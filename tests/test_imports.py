@@ -68,3 +68,34 @@ def test_import_guard_catches_new_imports():
         (".nothere", False),
         ("fractions", False),
     ]
+
+
+def _mark_uses(tree):
+    # Every use of the validity mark's name and every __setattr__ access.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("_valid", "__setattr__"):
+            yield node.attr
+        elif isinstance(node, ast.Name) and node.id == "_valid":
+            yield node.id
+        elif isinstance(node, ast.Constant) and node.value == "_valid":
+            yield repr(node.value)
+        elif isinstance(node, ast.alias) and node.name == "_valid":
+            yield node.name
+
+
+def test_only_diagram_touches_the_validity_mark():
+    # diagram.py decides when a diagram counts as validated; every other
+    # module goes through its helpers.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "diagram.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found.update((path.name, use) for use in _mark_uses(tree))
+    assert found == set()
+    source = (
+        "from .diagram import require_valid_torus, _valid\n"
+        "def f(d, out):\n"
+        "    object.__setattr__(out, '_valid', True)\n"
+        "    return d._valid or require_valid_torus(d)\n"
+    )
+    assert sorted(_mark_uses(ast.parse(source))) == ["'_valid'", "__setattr__", "_valid", "_valid"]

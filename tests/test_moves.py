@@ -232,12 +232,14 @@ def _trusted_outputs(rng):
     for _ in range(3):
         outs = [apply_sigma2(t), apply_sigma2_inverse(t), canonical_form(t)[0]]
         yield from ((out, validate_torus) for out in outs)
+        yield embed_torus(t), validate_genus2
         t = rng.choice(outs)
     g = rand_genus2_diagram(rng)
     for _ in range(3):
         outs = [apply_sigma1(g), apply_sigma1_inverse(g), apply_sigma2(g), apply_sigma2_inverse(g)]
         outs += [handle_slide(g, target, sign) for target in ("a2", "b2", "c2") for sign in (1, -1)]
         yield from ((out, validate_genus2) for out in outs)
+        yield surgery_project(g), validate_torus
         g = rng.choice(outs)
 
 

@@ -60,7 +60,7 @@ from trisect import (
     word_to_diagram,
     word_to_torus,
 )
-from trisect.cli import main
+from trisect.cli import document_text, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SEED = 8080
@@ -340,7 +340,11 @@ def cli_answers() -> None:
     finally:
         os.chdir(here)
     # Documents and outputs in a scratch directory, named by relative
-    # paths so that the lines do not depend on where it is.
+    # paths so that the lines do not depend on where it is.  long_answers.json
+    # is valid, with 3,001-digit entries whose pairings pass the int/str
+    # digit limit.
+    big = 10**3000
+    long_answers = TorusDiagram((1, 0), (0, 1), (big, 1), Monodromy.twist((1, big), 1))
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
@@ -350,6 +354,7 @@ def cli_answers() -> None:
                 ("long.json", text.replace("[1, 0]", "[1" + "0" * 5_000 + ", 0]", 1)),
                 ("dup.json", text.replace('"sign": 1', '"sign": 1, "sign": -1')),
                 ("dup_monodromy.json", text.replace('"type"', '"type": "identity", "type"')),
+                ("long_answers.json", document_text(long_answers)),
             ):
                 Path(name).write_text(doc, encoding="utf-8")
             for argv in (
@@ -358,9 +363,19 @@ def cli_answers() -> None:
                 ["validate", "long.json"],
                 ["validate", "dup.json"],
                 ["validate", "dup_monodromy.json", "--json"],
+                *(
+                    [verb, "long_answers.json", *rest, *js]
+                    for verb, *rest in (
+                        ["invariant"], ["check-theorem"], ["six-tuple"], ["move", "--word", "D2"],
+                        ["orbit", "--depth", "1"],
+                    )
+                    for js in ([], ["--json"])
+                ),
+                ["move", "long_answers.json", "--word", "D2", "--out", "long_out.json"],
             ):
                 cli_answer(argv)
-            print(f"file out.json -> {Path('out.json').read_text(encoding='utf-8')!r}")
+            for name in ("out.json", "long_out.json"):
+                print(f"file {name} -> {Path(name).read_text(encoding='utf-8')!r}")
         finally:
             os.chdir(here)
 
