@@ -18,8 +18,8 @@ _EXPORTS = {
         (
             "ExponentCoreMismatchError", "Genus2Diagram", "HypothesisReport",
             "InvalidDiagramError", "Monodromy", "TorusDiagram", "embed_torus", "handle_slide",
-            "intersection_invariant", "surgery_project", "theorem_hypotheses",
-            "validate_genus2", "validate_torus",
+            "intersection_invariant", "rotations_inequivalent", "surgery_project",
+            "theorem_hypotheses", "validate_genus2", "validate_torus",
         ),
         "diagram",
     ),

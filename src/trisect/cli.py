@@ -300,6 +300,20 @@ def cmd_move(d, args) -> dict:
         raise _RefusedError(str(e)) from None
     if not args.out:
         return {"word": list(word), "diagram": serialize_document(moved)}
+    # main lifts the int/str digit limit for the answers, but the file is
+    # read back under it; refuse an entry load_document would refuse.  A
+    # limit of 0 means none.
+    limit = args.digit_limit
+    if isinstance(moved, Genus2Diagram):
+        classes = (moved.a1, moved.b1, moved.c1, moved.a2, moved.b2, moved.c2)
+    else:
+        classes = (moved.a2, moved.b2, moved.c2, moved.monodromy.core or ())
+    bound = 10**limit
+    if limit and any(abs(x) >= bound for v in classes for x in v):
+        raise DocumentError(
+            f"cannot write {args.out}: an entry exceeds the {limit}-digit"
+            " integer-conversion limit, so the document could not be read back"
+        )
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(document_text(moved))
@@ -360,26 +374,41 @@ def cmd_check_theorem(d, args) -> dict:
         verdict = "hypotheses hold but the invariant does not separate the rotations"
     else:
         verdict = "hypotheses not met: " + "; ".join(report.failures())
+    # rotations_inequivalent in closed form: I(V) != (0, 0, 0).
+    inequivalent = (i0, i1, i2) != (0, 0, 0)
+    if inequivalent:
+        reason = None
+    elif report.monodromy_nontrivial:
+        reason = "all classes are \u00b1core"
+    else:
+        reason = "identity monodromy"
     return {
         "hypotheses": asdict(report),
         "invariants": [[i0, i1, i2], [i1, i2, i0], [i2, i0, i1]],
         "certified": certified,
         "verdict": verdict,
+        "rotations_inequivalent": inequivalent,
+        "reason": reason,
     }
 
 
 def text_check_theorem(payload: dict, args) -> str:
     h = payload["hypotheses"]
     rows = payload["invariants"]
-    return "\n".join([
+    lines = [
         f"monodromy nontrivial: {_yes_no(h['monodromy_nontrivial'])}",
         f"b2 independent of c2: {_yes_no(h['b2_c2_independent'])}",
         f"a2 independent of mu^-1(c2): {_yes_no(h['a2_pulled_c2_independent'])}",
         f"I(V)      = {_fmt_triple(rows[0])}",
         f"I(s2 V)   = {_fmt_triple(rows[1])}",
         f"I(s2^2 V) = {_fmt_triple(rows[2])}",
-        f"verdict: {payload['verdict']}",
-    ])
+    ]
+    if all(h.values()) and not payload["certified"]:
+        # The tie locus: I(V) has three equal entries, none of them 0, so
+        # rotations_inequivalent holds.
+        lines.append("rotations: pairwise inequivalent, though I(V) does not separate them")
+    lines.append(f"verdict: {payload['verdict']}")
+    return "\n".join(lines)
 
 
 def cmd_orbit(d, args) -> dict:
@@ -456,10 +485,12 @@ _REQUIRED = object()
 
 # The command line: verb -> (builder, formatter, help, arguments).  The
 # builder takes the document main read from "path" (cmd_lens has none)
-# and the arguments, and returns the payload that --json prints.  The
-# formatter turns that payload, as --json prints it, into the text output
-# without its final newline; only text_orbit reads the arguments.  The
-# arguments map each name, in usage order, to (help, converter, default).
+# and the arguments, to which main adds digit_limit, the int/str digit
+# limit the input was read under, and returns the payload that --json
+# prints.  The formatter turns that payload, as --json prints it, into the
+# text output without its final newline; only text_orbit reads the
+# arguments.  The arguments map each name, in usage order, to (help,
+# converter, default).
 # A name without dashes is a positional.  A converter of None makes a
 # flag, which is False unless given; any other converter reads the text
 # of the value and raises DocumentError on a bad one.  An option whose
@@ -640,7 +671,7 @@ def main(argv=None) -> int:
         print(_help(verb))
         return 0
     build, fmt, _, arguments = VERBS[verb]
-    limit = sys.get_int_max_str_digits()
+    limit = args.digit_limit = sys.get_int_max_str_digits()
     try:
         doc = load_document(args.path) if "path" in arguments else None
         # The input was read under the int/str digit limit, but the answers

@@ -419,6 +419,36 @@ def intersection_invariant(d: TorusDiagram | Genus2Diagram) -> tuple[int, int, i
     return (abs(x * a1 - y * a0), abs(x * b1 - y * b0), abs(x * c1 - y * c0))
 
 
+def rotations_inequivalent(d: TorusDiagram | Genus2Diagram) -> bool:
+    """Whether V, s2 V and s2^2 V are pairwise inequivalent, in closed form.
+
+    Equivalence is the relation canonical_form decides: a determinant-1
+    basis change and a sign flip of each class and the core, exponent and
+    sign fixed.  With I(V) = (|pair2(d, a2)|, |pair2(d, b2)|,
+    |pair2(d, c2)|) for the twist core d, and (0, 0, 0) under identity
+    monodromy, the answer is I(V) != (0, 0, 0).  A genus-2 diagram is
+    projected first, as intersection_invariant does.
+
+    Proof.  s2 commutes with a basis change B (the core of BV is Bd, so
+    its monodromy is B mu B^-1), and s2^3 V is the basis change mu^-1 of
+    V.  So V ~ s2^2 V iff s2 V ~ V, and the three are pairwise
+    inequivalent exactly when V and s2 V are not equivalent.
+    - Twist mu = T_d^k, k in {+-1, +-4}.  Suppose B carries V to s2 V up
+      to signs.  B sends d to +-d, so in a basis (d, e) B = +-T_d^n, and
+      B commutes with mu.  Chasing a2 -> +-b2 -> +-mu^-1 c2 -> +-mu^-1 a2
+      gives B^3 x = +-mu^-1 x, that is T_d^(3n+k) x = +-x, for each x in
+      {a2, b2, c2}.  k is not a multiple of 3, so 3n + k != 0, and
+      T_d^m x = +-x with m != 0 forces pair2(d, x) = 0, so x = +-d and
+      I(V) = (0, 0, 0).  Conversely, if a2, b2 and c2 are all +-d, then
+      mu^-1 fixes c2 and s2 V = (b2, c2, a2) is V up to sign flips.
+    - Identity.  The classes pair pairwise to +-1, so (a2, b2) is a basis
+      and c2 = x a2 + y b2 with x, y = +-1.  For e = +-1, the map
+      a2 -> e b2, b2 -> -x e c2 has determinant 1 and sends c2 to
+      -y e a2, so V ~ s2 V.
+    """
+    return intersection_invariant(d) != (0, 0, 0)
+
+
 def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
     """Slide one of a2, b2, c2 over a1, replacing it by itself +- a1.
 

@@ -23,12 +23,14 @@ equivalent_torus reads an explicit witness off the two canonical forms.
 On canonical forms the moves generate a small graph, which orbit builds
 in closed form: the inner rotation cycles at most three nodes, because
 its cube is a basis change, and the outer rotation fixes every node.
-Each rotation (b2, mu^-1(c2), a2) is canonicalised straight from its
-classes, without building the rotated diagram.  mu^-1 fixes the core and
-preserves the pairing, so I(s2 V) = (I_b, I_c, I_a) for I(V) =
-(I_a, I_b, I_c), and I(V) separates the three rotations exactly when its
-entries are not all equal: the tie locus is where the theorem's
-hypotheses hold and I_a = I_b = I_c.
+There is one node exactly when I(V) = (0, 0, 0), as
+diagram.rotations_inequivalent proves.  Each rotation (b2, mu^-1(c2),
+a2) is canonicalised straight from its classes, without building the
+rotated diagram.  mu^-1 fixes the core and preserves the pairing, so
+I(s2 V) = (I_b, I_c, I_a) for I(V) = (I_a, I_b, I_c), and I(V)
+separates the three rotations exactly when its entries are not all
+equal: the tie locus is where the theorem's hypotheses hold and
+I_a = I_b = I_c.
 """
 
 from __future__ import annotations
@@ -368,11 +370,13 @@ def orbit(
 
     Nodes are canonical torus diagrams.  The cube of the inner rotation is
     a basis change, so the orbit is {V, s2 V, s2^2 V}: one node, or three
-    that the inner rotation cycles in index order.  The outer rotation
-    (both directions, when include_sigma1 is set) changes the projection
-    of any valid lift only by a basis change, so its edges are self-loops.
-    lift, a genus-2 diagram projecting to start, is accepted for callers
-    that hold one; it does not change the result.
+    that the inner rotation cycles in index order.  It has three nodes
+    exactly when I(V) != (0, 0, 0), as diagram.rotations_inequivalent
+    proves, so a one-node orbit builds no rotated form.  The outer
+    rotation (both directions, when include_sigma1 is set) changes the
+    projection of any valid lift only by a basis change, so its edges are
+    self-loops.  lift, a genus-2 diagram projecting to start, is accepted
+    for callers that hold one; it does not change the result.
 
     Only node 0's invariant (i0, i1, i2) is computed; node 1 gets
     (i1, i2, i0) and node 2 gets (i2, i0, i1).  Proof: s2 sends
@@ -397,9 +401,9 @@ def orbit(
     if not depth > 0:
         return OrbitGraph((OrbitNode(0, v0, inv),), ())
     outer = 1 if include_sigma1 else 0
-    v1 = _rotated_form(v0)
-    if v1 == v0:
+    if inv == (0, 0, 0):
         return OrbitGraph((OrbitNode(0, v0, inv),), _EDGES_ONE[outer])
+    v1 = _rotated_form(v0)
     v2 = _rotated_form(v1)
     if not depth > 1:
         edges = _EDGES_DEPTH1

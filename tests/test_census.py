@@ -5,7 +5,9 @@ entries in [-3, 3], exponent in {+-1, +-4}.  Every diagram is reduced to
 its canonical form, and each form gets the answers of check-theorem and
 classify.  The tallies are fixed figures of the library; a change to
 canonical_form, six_tuple, classify, theorem_hypotheses or the invariant
-that alters any answer on the box moves at least one of them.
+that alters any answer on the box moves at least one of them.  Each form
+also gets its orbit size from canonical forms (the rotate-and-compare
+reference), which rotations_inequivalent must match.
 """
 
 import math
@@ -18,9 +20,11 @@ from trisect import (
     canonical_form,
     classify,
     intersection_invariant,
+    rotations_inequivalent,
     six_tuple,
     theorem_hypotheses,
 )
+from trisect.moves import _rotated_form
 
 RADIUS = 3
 EXPONENTS = (1, -1, 4, -4)
@@ -45,6 +49,8 @@ def test_census_radius_3():
     families = Counter()
     unmatched = ties = 0
     tie_forms, equal_entry_forms = set(), set()
+    # (hypotheses hold, I(V) separates the rotations, orbit nodes) per form.
+    table = Counter()
     for t in forms:
         match = classify(six_tuple(t))
         if match is None:
@@ -59,6 +65,9 @@ def test_census_radius_3():
             tie_forms.add(t)
         if held and len(set(intersection_invariant(t))) == 1:
             equal_entry_forms.add(t)
+        nodes = 3 if _rotated_form(t) != t else 1
+        assert rotations_inequivalent(t) is (nodes == 3), t
+        table[held, len(invariants) == 3, nodes] += 1
     assert raw == 131_072
     assert len(forms) == 9_476
     assert dict(families) == {2: 50, 3: 12, 4: 16, 5: 18}
@@ -68,3 +77,13 @@ def test_census_radius_3():
     # entries of I(V) are equal.
     assert tie_forms == equal_entry_forms
     assert len(equal_entry_forms) == 172
+    # The homology-level verdict: every twist form off the +-core locus
+    # has three pairwise-inequivalent rotations, hypotheses or not.
+    assert table == {
+        (True, True, 3): 8_766,
+        (True, False, 3): 172,
+        (False, True, 3): 474,
+        (False, False, 3): 60,
+        (False, False, 1): 4,
+    }
+    assert sum(table.values()) == 9_476

@@ -242,15 +242,14 @@ def test_long_answers_print(tmp_path, capsys):
             assert (code, err) == (0, ""), argv
             assert sys.get_int_max_str_digits() == limit
             payloads[argv[0]] = out
-    assert run(capsys, "move", path, "--word", "D2", "--out", out_path) == (
-        0, f"wrote {out_path}\n", ""
-    )
+    # A document with such entries could not be read back, so --out
+    # refuses it (see test_move_out_refuses_unreadable_documents).
+    assert run(capsys, "move", path, "--word", "D2", "--out", out_path)[0] == 2
     assert sys.get_int_max_str_digits() == limit
     sys.set_int_max_str_digits(0)
     try:
         payloads = {verb: json.loads(out) for verb, out in payloads.items()}
         slots = {name: str(lens) for name, lens in six_tuple(t).slots()}
-        moved = document_text(apply_sigma2(t))
     finally:
         sys.set_int_max_str_digits(limit)
     i0, i1, i2 = intersection_invariant(t)
@@ -259,7 +258,6 @@ def test_long_answers_print(tmp_path, capsys):
     assert payloads["check-theorem"]["hypotheses"] == dataclasses.asdict(theorem_hypotheses(t))
     assert payloads["six-tuple"] == {"tuple": slots}
     assert payloads["move"]["diagram"] == serialize_document(apply_sigma2(t))
-    assert Path(out_path).read_text(encoding="utf-8") == moved
     nodes = orbit(t, 1).nodes
     assert [(n["index"], n["invariant"]) for n in payloads["orbit"]["nodes"]] == [
         (n.index, list(n.invariant)) for n in nodes
@@ -274,6 +272,34 @@ def test_long_answers_print(tmp_path, capsys):
     code, out, err = run(capsys, "invariant", str(p))
     message = f"error: {p}: a JSON number exceeds the {limit}-digit integer-conversion limit\n"
     assert (code, out, err) == (2, "", message)
+
+
+def test_move_out_refuses_unreadable_documents(tmp_path, capsys):
+    # move --out writes only what load_document reads back: an entry past
+    # the int/str digit limit exits 2 and writes no file.
+    limit = sys.get_int_max_str_digits()
+    big = 10**3000
+    t = TorusDiagram((1, 0), (0, 1), (big, 1), Monodromy.twist((1, big), 1))
+    path = write_doc(tmp_path, t, "long_answers.json")
+    out_path = tmp_path / "moved.json"
+    for word in ("D2", "D2,D2,D2'"):
+        code, out, err = run(capsys, "move", path, "--word", word, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot write {out_path}: an entry exceeds the {limit}-digit"
+            " integer-conversion limit, so the document could not be read back\n"
+        )
+        assert not out_path.exists()
+    # Entries of exactly the limit's length are written and read back; the
+    # identity monodromy keeps them unchanged.
+    n = 10**limit - 1
+    t = TorusDiagram((1, 0), (n - 1, 1), (n, 1), Monodromy.identity(), -1)
+    path = write_doc(tmp_path, t, "at_limit.json")
+    assert run(capsys, "move", path, "--word", "D2", "--out", str(out_path)) == (
+        0, f"wrote {out_path}\n", ""
+    )
+    assert load_document(str(out_path)) == apply_sigma2(t)
+    assert run(capsys, "validate", str(out_path)) == (0, "ok\n", "")
 
 
 def test_duplicate_keys_exit_2(tmp_path, capsys):
@@ -663,9 +689,10 @@ def test_check_theorem_inseparable(tmp_path, capsys):
         "b2 independent of c2: yes",
         "a2 independent of mu^-1(c2): yes",
     ]
-    assert lines[-1] == (
-        "verdict: hypotheses hold but the invariant does not separate the rotations"
-    )
+    assert lines[-2:] == [
+        "rotations: pairwise inequivalent, though I(V) does not separate them",
+        "verdict: hypotheses hold but the invariant does not separate the rotations",
+    ]
 
 
 def test_check_theorem_rows_match_rotated_diagrams():
@@ -676,6 +703,7 @@ def test_check_theorem_rows_match_rotated_diagrams():
     diagrams += [rand_torus_diagram(rng) for _ in range(200)]
     diagrams += [rand_genus2_diagram(rng) for _ in range(50)]
     diagrams.append(TorusDiagram((0, 1), (1, 1), (-1, 1), Monodromy.twist((1, 0), 1)))
+    diagrams.append(TorusDiagram((2, 1), (-2, -1), (2, 1), Monodromy.twist((2, 1), 4), -1))
     for d in diagrams:
         t = surgery_project(d) if isinstance(d, Genus2Diagram) else d
         rotations = [t, apply_sigma2(t), apply_sigma2(apply_sigma2(t))]
@@ -684,6 +712,16 @@ def test_check_theorem_rows_match_rotated_diagrams():
         assert payload["invariants"] == triples
         distinct = len({tuple(x) for x in triples}) == 3
         assert payload["certified"] == (theorem_hypotheses(t).all_hold and distinct)
+        # The closed-form verdict against canonical forms.
+        v0, _ = canonical_form(t)
+        inequivalent = canonical_form(apply_sigma2(v0))[0] != v0
+        assert payload["rotations_inequivalent"] is inequivalent
+        if inequivalent:
+            assert payload["reason"] is None
+        elif t.monodromy.is_identity:
+            assert payload["reason"] == "identity monodromy"
+        else:
+            assert payload["reason"] == "all classes are \u00b1core"
 
 
 def test_check_theorem_json(capsys):
@@ -697,6 +735,25 @@ def test_check_theorem_json(capsys):
         "b2_c2_independent": True,
         "a2_pulled_c2_independent": True,
     }
+    assert (payload["rotations_inequivalent"], payload["reason"]) == (True, None)
+
+
+def test_check_theorem_json_reason(tmp_path, capsys):
+    # The rotations are equivalent under identity monodromy and when a2,
+    # b2 and c2 are all +-core; certified and the verdict keep their
+    # meaning, and the text output adds no line.
+    core = TorusDiagram((2, 1), (-2, -1), (2, 1), Monodromy.twist((2, 1), 4), -1)
+    for path, reason, verdict in (
+        (fixture("identity.json"), "identity monodromy", "monodromy is identity"),
+        (write_doc(tmp_path, core), "all classes are \u00b1core", "b2 and c2 are parallel"),
+    ):
+        code, out, _ = run(capsys, "check-theorem", path, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["certified"] is False
+        assert (payload["rotations_inequivalent"], payload["reason"]) == (False, reason)
+        assert verdict in payload["verdict"]
+        code, out, _ = run(capsys, "check-theorem", path)
+        assert len(out.splitlines()) == 7 and "rotations:" not in out
 
 
 # The verb forms that tools/answers.py runs on every fixture.

@@ -33,6 +33,7 @@ from trisect import (
     pair2,
     parse_word,
     reduce_word,
+    rotations_inequivalent,
     sigma2_cubed_witness,
     sl2_complete,
     surgery_project,
@@ -737,6 +738,14 @@ def _orbit_starts(rng):
     e = (1, 0)
     starts += [TorusDiagram(e, e, e, Monodromy.twist(e, k), s) for k in (1, -1, 4, -4)
                for s in (1, -1)]
+    # The same locus off standard position: a2, b2 and c2 each +-core,
+    # with cores small and near 2^70.
+    for bound in (9, 2**70):
+        for _ in range(20):
+            core = x, y = rand_primitive_vec2(rng, bound)
+            a2, b2, c2 = ((f * x, f * y) for f in rng.choices((1, -1), k=3))
+            k = rng.choice((1, -1, 4, -4))
+            starts.append(TorusDiagram(a2, b2, c2, Monodromy.twist(core, k), rng.choice((1, -1))))
     return starts
 
 
@@ -753,7 +762,33 @@ def test_orbit_matches_rotate_reference():
                 assert got.edges == want.edges, (start, depth)
         one_node += len(orbit(start, 1).nodes) == 1
         identities += start.monodromy.is_identity
-    assert one_node >= 8 and identities > 300
+    assert one_node >= 48 and identities > 300
+
+
+def _rotations_inequivalent_reference(d):
+    """The rotate-and-compare decision orbit used before the closed form:
+    s2 V differs from V as canonical forms."""
+    v0, _ = canonical_form(d)
+    return _rotated_form(v0) != v0
+
+
+def test_rotations_inequivalent_matches_rotate_reference():
+    # The closed form I(V) != (0, 0, 0) against canonical forms, on seeded
+    # starts with entries up to 2^70, identity monodromy and the +-core
+    # locus; genus-2 diagrams give the answer of their projection.
+    rng = random.Random(7327)
+    counts = {True: 0, False: 0}
+    twist_equal = 0
+    for start in _orbit_starts(rng):
+        got = rotations_inequivalent(start)
+        assert got is _rotations_inequivalent_reference(start), start
+        assert got is (len(orbit(start, 1).nodes) == 3)
+        counts[got] += 1
+        twist_equal += not got and not start.monodromy.is_identity
+    for _ in range(300):
+        g = rand_genus2_diagram(rng)
+        assert rotations_inequivalent(g) is _rotations_inequivalent_reference(surgery_project(g))
+    assert counts[True] > 900 and counts[False] > 300 and twist_equal == 48
 
 
 def test_orbit_invariants_rotate():

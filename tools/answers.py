@@ -49,6 +49,7 @@ from trisect import (
     orbit,
     reflect,
     rotate,
+    rotations_inequivalent,
     sigma2_cubed_witness,
     six_tuple,
     sl2_complete,
@@ -216,6 +217,7 @@ def torus_answers(i: int, d) -> None:
                 show(f"{tag} classify[{j}, oriented={oriented}]", classify, img, oriented)
     show(f"{tag} theorem_hypotheses", theorem_hypotheses, d)
     show(f"{tag} intersection_invariant", intersection_invariant, d)
+    show(f"{tag} rotations_inequivalent", rotations_inequivalent, d)
     show(f"{tag} apply_sigma2", apply_sigma2, d)
     show(f"{tag} apply_sigma2_inverse", apply_sigma2_inverse, d)
     show(f"{tag} canonical_form", canonical_form, d)
@@ -232,6 +234,7 @@ def genus2_answers(i: int, g) -> None:
     show(f"{tag} SymplecticReduction", lambda a: SymplecticReduction(a).basis, g.a1)
     show(f"{tag} surgery_project", surgery_project, g)
     show(f"{tag} intersection_invariant", intersection_invariant, g)
+    show(f"{tag} rotations_inequivalent", rotations_inequivalent, g)
     show(f"{tag} handle_slide", handle_slide, g, "b2", -1)
     show(f"{tag} apply_sigma1", apply_sigma1, g)
     show(f"{tag} apply_sigma1_inverse", apply_sigma1_inverse, g)
@@ -342,9 +345,12 @@ def cli_answers() -> None:
     # Documents and outputs in a scratch directory, named by relative
     # paths so that the lines do not depend on where it is.  long_answers.json
     # is valid, with 3,001-digit entries whose pairings pass the int/str
-    # digit limit.
+    # digit limit.  tie.json lies on the tie locus, and core.json has every
+    # class equal to +-core.
     big = 10**3000
     long_answers = TorusDiagram((1, 0), (0, 1), (big, 1), Monodromy.twist((1, big), 1))
+    tie = TorusDiagram((0, 1), (1, 1), (-1, 1), Monodromy.twist((1, 0), 1))
+    core = TorusDiagram((2, 1), (-2, -1), (2, 1), Monodromy.twist((2, 1), 4), -1)
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
@@ -355,6 +361,8 @@ def cli_answers() -> None:
                 ("dup.json", text.replace('"sign": 1', '"sign": 1, "sign": -1')),
                 ("dup_monodromy.json", text.replace('"type"', '"type": "identity", "type"')),
                 ("long_answers.json", document_text(long_answers)),
+                ("tie.json", document_text(tie)),
+                ("core.json", document_text(core)),
             ):
                 Path(name).write_text(doc, encoding="utf-8")
             for argv in (
@@ -372,10 +380,12 @@ def cli_answers() -> None:
                     for js in ([], ["--json"])
                 ),
                 ["move", "long_answers.json", "--word", "D2", "--out", "long_out.json"],
+                *(["check-theorem", name, *js] for name in ("tie.json", "core.json")
+                  for js in ([], ["--json"])),
             ):
                 cli_answer(argv)
             for name in ("out.json", "long_out.json"):
-                print(f"file {name} -> {Path(name).read_text(encoding='utf-8')!r}")
+                show(f"file {name}", Path(name).read_text, encoding="utf-8")
         finally:
             os.chdir(here)
 
