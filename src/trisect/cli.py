@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 
 # Only diagram and lattice load with this module: parse_document and the
@@ -383,7 +382,7 @@ def cmd_check_theorem(d, args) -> dict:
     else:
         reason = "identity monodromy"
     return {
-        "hypotheses": asdict(report),
+        "hypotheses": {name: getattr(report, name) for name in report._fields},
         "invariants": [[i0, i1, i2], [i1, i2, i0], [i2, i0, i1]],
         "certified": certified,
         "verdict": verdict,

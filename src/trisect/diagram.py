@@ -16,7 +16,6 @@ two of which meet once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd
 
 from .lattice import (
@@ -55,12 +54,55 @@ class ExponentCoreMismatchError(ValueError):
     """Twist exponent and surgered core class disagree about triviality."""
 
 
-@dataclass(frozen=True)
-class Monodromy:
+class _Value:
+    """Base of the frozen value classes below.
+
+    Each subclass names its fields in _fields and writes out __init__,
+    __eq__ and __hash__ over them, as @dataclass(frozen=True) would
+    generate them; this base refuses assignment and deletion, gives the
+    dataclass repr, and builds changed copies with _replace.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def _replace(self, **changes):
+        """A new, unmarked instance with the given fields changed."""
+        out = self.__class__(*[changes.pop(name, getattr(self, name)) for name in self._fields])
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return out
+
+
+# Fields are set once, in __init__, past the refusing __setattr__.
+_set = object.__setattr__
+
+
+class Monodromy(_Value):
     """Identity, or the k-th power of the twist along the core class."""
 
-    core: Vec2 | None
-    exponent: int
+    _fields = ("core", "exponent")
+
+    def __init__(self, core: Vec2 | None, exponent: int):
+        _set(self, "core", core)
+        _set(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.core, self.exponent) == (other.core, other.exponent)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.core, self.exponent))
 
     @classmethod
     def identity(cls) -> "Monodromy":
@@ -93,45 +135,67 @@ class Monodromy:
         return (x0 + m * c0, x1 + m * c1)
 
 
-@dataclass(frozen=True)
-class TorusDiagram:
+class TorusDiagram(_Value):
     """Surgered diagram: three classes on the torus plus the monodromy.
 
     sign is the common sign of the three pairwise pairings of the genus-2
     triple (a1, b1, c1) the diagram was projected from.
     """
 
-    a2: Vec2
-    b2: Vec2
-    c2: Vec2
-    monodromy: Monodromy
-    sign: int = 1
-
+    _fields = ("a2", "b2", "c2", "monodromy", "sign")
     # Validity mark (see _mark); not a field, so ==, hash and repr ignore it.
     _valid = False
+
+    def __init__(self, a2: Vec2, b2: Vec2, c2: Vec2, monodromy: Monodromy, sign: int = 1):
+        _set(self, "a2", a2)
+        _set(self, "b2", b2)
+        _set(self, "c2", c2)
+        _set(self, "monodromy", monodromy)
+        _set(self, "sign", sign)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a2, self.b2, self.c2, self.monodromy, self.sign) == (
+                other.a2, other.b2, other.c2, other.monodromy, other.sign
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a2, self.b2, self.c2, self.monodromy, self.sign))
 
     def classes(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.a2, self.b2, self.c2)
 
 
-@dataclass(frozen=True)
-class Genus2Diagram:
+class Genus2Diagram(_Value):
     """Six vanishing cycles in H_1 of the genus-2 surface.
 
     exponent is the monodromy twist power; 0 encodes the identity.  The
     twist core is not stored: it is the surgery projection of a1+b1+c1.
     """
 
-    a1: Vec4
-    b1: Vec4
-    c1: Vec4
-    a2: Vec4
-    b2: Vec4
-    c2: Vec4
-    exponent: int
-
+    _fields = ("a1", "b1", "c1", "a2", "b2", "c2", "exponent")
     # Validity mark (see _mark); not a field, so ==, hash and repr ignore it.
     _valid = False
+
+    def __init__(self, a1: Vec4, b1: Vec4, c1: Vec4, a2: Vec4, b2: Vec4, c2: Vec4, exponent: int):
+        _set(self, "a1", a1)
+        _set(self, "b1", b1)
+        _set(self, "c1", c1)
+        _set(self, "a2", a2)
+        _set(self, "b2", b2)
+        _set(self, "c2", c2)
+        _set(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a1, self.b1, self.c1, self.a2, self.b2, self.c2, self.exponent) == (
+                other.a1, other.b1, other.c1, other.a2, other.b2, other.c2, other.exponent
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a1, self.b1, self.c1, self.a2, self.b2, self.c2, self.exponent))
 
 
 def _pairwise_unit(x, y, z, pairing) -> bool:
@@ -141,37 +205,60 @@ def _pairwise_unit(x, y, z, pairing) -> bool:
 # The shape rule for classes, checked before any arithmetic: a tuple or
 # list of exactly n entries of exact type int.  1.0 and True compare equal
 # to integers and math.gcd takes True, and a class of another length would
-# slip past gcd and the pairings.
-def _is_vec2(x) -> bool:
-    return type(x) in _SEQUENCES and len(x) == 2 and type(x[0]) is type(x[1]) is int
-
-
-def _is_vec4(x) -> bool:
+# slip past gcd and the pairings.  Each validator checks all its classes in
+# one call for their width, which reports the first class apart from the
+# others: the torus core and the genus-2 a1 have rules of their own.
+def _vec2_shapes(first, x, y, z) -> tuple[bool, bool]:
+    """Whether first has the shape for n = 2, and whether x, y and z do."""
     return (
+        type(first) in _SEQUENCES and len(first) == 2 and type(first[0]) is type(first[1]) is int,
         type(x) in _SEQUENCES
-        and len(x) == 4
-        and type(x[0]) is type(x[1]) is type(x[2]) is type(x[3]) is int
+        and type(y) in _SEQUENCES
+        and type(z) in _SEQUENCES
+        and len(x) == len(y) == len(z) == 2
+        and type(x[0]) is type(x[1]) is type(y[0]) is type(y[1]) is type(z[0]) is type(z[1]) is int,
+    )
+
+
+def _vec4_shapes(first, u, v, x, y, z) -> tuple[bool, bool]:
+    """Whether first has the shape for n = 4, and whether u, v, x, y and z do."""
+    return (
+        type(first) in _SEQUENCES
+        and len(first) == 4
+        and type(first[0]) is type(first[1]) is type(first[2]) is type(first[3]) is int,
+        type(u) in _SEQUENCES
+        and type(v) in _SEQUENCES
+        and type(x) in _SEQUENCES
+        and type(y) in _SEQUENCES
+        and type(z) in _SEQUENCES
+        and len(u) == len(v) == len(x) == len(y) == len(z) == 4
+        and type(u[0]) is type(u[1]) is type(u[2]) is type(u[3])
+        is type(v[0]) is type(v[1]) is type(v[2]) is type(v[3])
+        is type(x[0]) is type(x[1]) is type(x[2]) is type(x[3])
+        is type(y[0]) is type(y[1]) is type(y[2]) is type(y[3])
+        is type(z[0]) is type(z[1]) is type(z[2]) is type(z[3])
+        is int,
     )
 
 
 def validate_torus(d: TorusDiagram) -> list[str]:
     """Every violated invariant of the torus model, empty when valid.
 
-    Each class and the core must first have the shape _is_vec2 checks.  A
-    class that fails is not primitive, and the arithmetic rules are not
+    Each class and the core must first have the shape _vec2_shapes checks.
+    A class that fails is not primitive, and the arithmetic rules are not
     applied to it.  The exponent and the sign must be exact ints too.
     A valid diagram is marked (see _mark).
     """
     errors = []
     a, b, c = d.a2, d.b2, d.c2
-    shaped = _is_vec2(a) and _is_vec2(b) and _is_vec2(c)
-    if not (shaped and gcd(*a) == gcd(*b) == gcd(*c) == 1):
-        errors.append(NON_PRIMITIVE)
     mono = d.monodromy
     try:
         k, core = mono.exponent, mono.core
     except AttributeError:  # not a Monodromy: refused as BadExponent below
         k = core = None
+    core_shaped, shaped = _vec2_shapes(core, a, b, c)
+    if not (shaped and gcd(*a) == gcd(*b) == gcd(*c) == 1):
+        errors.append(NON_PRIMITIVE)
     if type(k) is not int:
         errors.append(BAD_EXPONENT)
     elif k == 0:
@@ -181,7 +268,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
             errors.append(IDENTITY_CASE_VIOLATION)
     elif k not in TWIST_EXPONENTS or core is None:
         errors.append(BAD_EXPONENT)
-    elif not (_is_vec2(core) and gcd(*core) == 1):
+    elif not (core_shaped and gcd(*core) == 1):
         errors.append(NON_PRIMITIVE)
     sign = d.sign
     if type(sign) is not int or sign not in (1, -1):
@@ -194,8 +281,8 @@ def validate_torus(d: TorusDiagram) -> list[str]:
 def validate_genus2(d: Genus2Diagram) -> list[str]:
     """Every violated invariant of the genus-2 model, empty when valid.
 
-    Each class must first have the shape _is_vec4 checks; a1 failing is
-    NonPrimitiveA1, any other class failing is NonPrimitive, and the
+    Each class must first have the shape _vec4_shapes checks; a1 failing
+    is NonPrimitiveA1, any other class failing is NonPrimitive, and the
     pairings are then not computed.  A valid diagram is marked (see
     _mark).  surgery_project can still refuse it: when the twist
     exponent and the core disagree, or when a projected class is not
@@ -203,14 +290,11 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
     """
     errors = []
     a1 = d.a1
-    a1_shaped = _is_vec4(a1)
+    a1_shaped, shaped = _vec4_shapes(a1, d.b1, d.c1, d.a2, d.b2, d.c2)
     if not (a1_shaped and gcd(*a1) == 1):
         errors.append(NON_PRIMITIVE_A1)
     # The other classes need no gcd of their own: they project to the
     # torus classes, which surgery_project checks.
-    shaped = (
-        _is_vec4(d.b1) and _is_vec4(d.c1) and _is_vec4(d.a2) and _is_vec4(d.b2) and _is_vec4(d.c2)
-    )
     if not shaped:
         errors.append(NON_PRIMITIVE)
     disjoint = False
@@ -462,11 +546,10 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
     if sign not in (1, -1):
         raise ValueError(f"slide sign must be +1 or -1, got {sign!r}")
     moved = tuple(wi + sign * ai for wi, ai in zip(getattr(d, target), d.a1))
-    return _derived(d, replace(d, **{target: moved}))
+    return _derived(d, d._replace(**{target: moved}))
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(_Value):
     """Truth values of the three certification hypotheses.
 
     monodromy_nontrivial: the twist exponent is nonzero.
@@ -477,9 +560,28 @@ class HypothesisReport:
     rotations are pairwise inequivalent.
     """
 
-    monodromy_nontrivial: bool
-    b2_c2_independent: bool
-    a2_pulled_c2_independent: bool
+    _fields = ("monodromy_nontrivial", "b2_c2_independent", "a2_pulled_c2_independent")
+
+    def __init__(
+        self, monodromy_nontrivial: bool, b2_c2_independent: bool, a2_pulled_c2_independent: bool
+    ):
+        _set(self, "monodromy_nontrivial", monodromy_nontrivial)
+        _set(self, "b2_c2_independent", b2_c2_independent)
+        _set(self, "a2_pulled_c2_independent", a2_pulled_c2_independent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.monodromy_nontrivial, self.b2_c2_independent, self.a2_pulled_c2_independent
+            ) == (
+                other.monodromy_nontrivial, other.b2_c2_independent, other.a2_pulled_c2_independent
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(
+            (self.monodromy_nontrivial, self.b2_c2_independent, self.a2_pulled_c2_independent)
+        )
 
     @property
     def all_hold(self) -> bool:

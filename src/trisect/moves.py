@@ -35,6 +35,9 @@ I_a = I_b = I_c.
 
 from __future__ import annotations
 
+# perfbench/test_oracles.py builds altered OrbitGraph values with
+# dataclasses.replace, so this module keeps @dataclass; the classes in
+# diagram.py are plain, and the verbs that need only them never load it.
 from dataclasses import dataclass
 
 from .diagram import (

@@ -17,6 +17,9 @@ S^1 x S^2 = L(0, 1) are stored in those normal forms.
 from __future__ import annotations
 
 import math
+# perfbench/test_oracles.py builds altered SixTuple values with
+# dataclasses.replace, so this module keeps @dataclass; the classes in
+# diagram.py are plain, and the verbs that need only them never load it.
 from dataclasses import dataclass
 
 from .diagram import Monodromy, TorusDiagram, require_valid_torus

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import glob
 import importlib.metadata
@@ -255,7 +254,12 @@ def test_long_answers_print(tmp_path, capsys):
     i0, i1, i2 = intersection_invariant(t)
     assert payloads["invariant"] == {"invariant": [i0, i1, i2]} and i2 > 10**limit
     assert payloads["check-theorem"]["invariants"] == [[i0, i1, i2], [i1, i2, i0], [i2, i0, i1]]
-    assert payloads["check-theorem"]["hypotheses"] == dataclasses.asdict(theorem_hypotheses(t))
+    report = theorem_hypotheses(t)
+    assert payloads["check-theorem"]["hypotheses"] == {
+        "monodromy_nontrivial": report.monodromy_nontrivial,
+        "b2_c2_independent": report.b2_c2_independent,
+        "a2_pulled_c2_independent": report.a2_pulled_c2_independent,
+    }
     assert payloads["six-tuple"] == {"tuple": slots}
     assert payloads["move"]["diagram"] == serialize_document(apply_sigma2(t))
     nodes = orbit(t, 1).nodes
@@ -735,6 +739,12 @@ def test_check_theorem_json(capsys):
         "b2_c2_independent": True,
         "a2_pulled_c2_independent": True,
     }
+    # json.loads keeps the printed key order.
+    assert list(payload["hypotheses"]) == [
+        "monodromy_nontrivial",
+        "b2_c2_independent",
+        "a2_pulled_c2_independent",
+    ]
     assert (payload["rotations_inequivalent"], payload["reason"]) == (True, None)
 
 
@@ -907,9 +917,13 @@ def test_output_deterministic(capsys):
     assert first == second
 
 
+# Top-level modules whose loading _modules_after reports.
+WATCHED = ("trisect", "argparse", "gettext", "locale", "dataclasses", "inspect")
+
+
 def _modules_after(*argvs):
-    """The trisect, argparse, gettext and locale modules loaded after main
-    ran each argv, in a fresh interpreter."""
+    """The WATCHED modules and their submodules loaded after main ran each
+    argv, in a fresh interpreter."""
     code = (
         "import json, sys\n"
         "from trisect.cli import main\n"
@@ -919,17 +933,21 @@ def _modules_after(*argvs):
     proc = run_python(code, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    return {m for m in loaded if m.split(".")[0] in ("trisect", "argparse", "gettext", "locale")}
+    return {m for m in loaded if m.split(".")[0] in WATCHED}
 
 
 def test_each_verb_imports_only_its_modules():
     loaded = _modules_after(["validate", fixture("family3.json")], ["lens", "9", "4", "9", "2"])
     core = {"trisect", "trisect.cli", "trisect.diagram", "trisect.lattice"}
-    assert loaded == core | {"trisect.vertical"}
-    loaded = _modules_after(["validate", fixture("family3.json")])
-    assert loaded == core
-    loaded = _modules_after(["check-theorem", fixture("family3.json")])
-    assert "trisect.vertical" not in loaded and "trisect.moves" not in loaded
+    # vertical keeps @dataclass, and dataclasses loads inspect.
+    assert loaded == core | {"trisect.vertical", "dataclasses", "inspect"}
+    # The verbs that need only diagram and lattice load neither.
+    argvs = [
+        [verb, fixture(name)]
+        for name in ("family3.json", "genus2_q3.json")
+        for verb in ("validate", "invariant", "check-theorem")
+    ]
+    assert _modules_after(*argvs, ["--help"]) == core
 
 
 def test_package_attributes_load_on_first_use():

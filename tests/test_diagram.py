@@ -1,4 +1,3 @@
-import dataclasses
 import operator
 import random
 
@@ -244,12 +243,12 @@ def test_validate_genus2_examples():
             ("b1", (0, "1", 0, 0), ["NonPrimitive"]),
             ("a1", None, ["NonPrimitiveA1"]),
         ):
-            bad = dataclasses.replace(base, **{field: value})
+            bad = base._replace(**{field: value})
             assert validate_genus2(bad) == codes, (field, value)
             with pytest.raises(InvalidDiagramError) as e:
                 surgery_project(bad)
             assert e.value.errors == codes
-    assert validate_genus2(dataclasses.replace(g, a2=None, exponent=2)) == [
+    assert validate_genus2(g._replace(a2=None, exponent=2)) == [
         "NonPrimitive",
         "BadExponent",
     ]
@@ -270,7 +269,7 @@ def test_validate_genus2_examples():
         ("a1", (1, 0, 0), ["NonPrimitiveA1"]),
     ):
         for base in (g, ident):
-            bad = dataclasses.replace(base, **{field: value})
+            bad = base._replace(**{field: value})
             assert validate_genus2(bad) == codes, (field, value)
             assert not bad._valid
     assert validate_genus2(ident) == []
@@ -433,9 +432,8 @@ def _projection_inputs(rng):
         # change the projection only by a basis change.
         for _ in range(rng.randrange(4)):
             v, k = rand_primitive_vec4(rng), rng.choice((1, -1))
-            g = Genus2Diagram(
-                *(transvect(v, k, w) for w in dataclasses.astuple(g)[:6]), g.exponent
-            )
+            classes = (g.a1, g.b1, g.c1, g.a2, g.b2, g.c2)
+            g = Genus2Diagram(*(transvect(v, k, w) for w in classes), g.exponent)
         return g
 
     for _ in range(400):
@@ -455,29 +453,29 @@ def _projection_inputs(rng):
         # A non-primitive (or zero) projected a2, b2 or c2.
         x, y = rand_primitive_vec2(rng)
         target = rng.choice(("a2", "b2", "c2"))
-        yield moved(dataclasses.replace(lift, **{target: (0, 0, m * x, m * y)}))
+        yield moved(lift._replace(**{target: (0, 0, m * x, m * y)}))
         # A non-primitive core: the second block of c1, and so the core, is
         # a multiple of (x, y).
         x, y = rand_primitive_vec2(rng)
         c1 = (lift.c1[0], lift.c1[1], max(m, 2) * x, max(m, 2) * y)
-        yield moved(dataclasses.replace(lift, c1=c1))
+        yield moved(lift._replace(c1=c1))
         # Both exponent-core mismatches, and identity monodromy on classes
         # that do not pair to +-1.
-        yield moved(dataclasses.replace(lift, c1=(lift.c1[0], lift.c1[1], 0, 0)))
+        yield moved(lift._replace(c1=(lift.c1[0], lift.c1[1], 0, 0)))
         ident = rand_torus_diagram(rng)
         while not ident.monodromy.is_identity:
             ident = rand_torus_diagram(rng)
         ident = embed_torus(ident)
-        yield moved(dataclasses.replace(ident, c1=(ident.c1[0], ident.c1[1], x, y)))
-        yield moved(dataclasses.replace(lift, exponent=0))
+        yield moved(ident._replace(c1=(ident.c1[0], ident.c1[1], x, y)))
+        yield moved(lift._replace(exponent=0))
         # A float entry in any class, and an integer type other than int.
         name, i = rng.choice(("a1", "b1", "c1", "a2", "b2", "c2")), rng.randrange(4)
         w = list(getattr(lift, name))
         w[i] = float(w[i])
-        yield moved(dataclasses.replace(lift, **{name: tuple(w)}))
+        yield moved(lift._replace(**{name: tuple(w)}))
         w = list(getattr(lift, name))
         w[i] = _Integer(w[i])
-        yield dataclasses.replace(lift, **{name: tuple(w)})
+        yield lift._replace(**{name: tuple(w)})
     yield Genus2Diagram(
         (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 2, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 0), 1
     )
@@ -486,7 +484,7 @@ def _projection_inputs(rng):
 def _projection_outcome(project, g):
     # A fresh copy, so that neither implementation sees the other's mark.
     try:
-        out = project(dataclasses.replace(g))
+        out = project(g._replace())
     except (InvalidDiagramError, ExponentCoreMismatchError) as e:
         return type(e), getattr(e, "errors", None), str(e)
     return out, out._valid
@@ -684,28 +682,28 @@ GENUS2_ENTRY_POINTS = (
 def test_invalid_diagrams_are_never_marked():
     good = good_torus()
     bad_torus = [
-        dataclasses.replace(good, a2=(2, 0)),
-        dataclasses.replace(good, monodromy=twist((-1, 1), 2)),
-        dataclasses.replace(good, monodromy=twist((2, 2), 1)),
-        dataclasses.replace(good, monodromy=Monodromy((1, 0), 0)),
-        dataclasses.replace(good, monodromy=Monodromy.identity(), c2=(1, 2)),
-        dataclasses.replace(good, sign=2),
+        good._replace(a2=(2, 0)),
+        good._replace(monodromy=twist((-1, 1), 2)),
+        good._replace(monodromy=twist((2, 2), 1)),
+        good._replace(monodromy=Monodromy((1, 0), 0)),
+        good._replace(monodromy=Monodromy.identity(), c2=(1, 2)),
+        good._replace(sign=2),
         # Values equal to valid integers but of another type.
-        dataclasses.replace(good, monodromy=Monodromy((1, 1), 4.0)),
-        dataclasses.replace(good, monodromy=Monodromy(None, 0.0)),
-        dataclasses.replace(good, sign=1.0),
-        dataclasses.replace(good, sign=True),
-        dataclasses.replace(good, a2=(1.0, 0)),
-        dataclasses.replace(good, monodromy=Monodromy((-1.0, 1), 1)),
+        good._replace(monodromy=Monodromy((1, 1), 4.0)),
+        good._replace(monodromy=Monodromy(None, 0.0)),
+        good._replace(sign=1.0),
+        good._replace(sign=True),
+        good._replace(a2=(1.0, 0)),
+        good._replace(monodromy=Monodromy((-1.0, 1), 1)),
     ]
     lift = embed_torus(good)
     bad_genus2 = [
-        dataclasses.replace(lift, a1=(2, 0, 0, 0)),
-        dataclasses.replace(lift, b1=(0, 2, 0, 0)),
-        dataclasses.replace(lift, a2=(0, 1, 1, 0)),
-        dataclasses.replace(lift, exponent=2),
-        dataclasses.replace(lift, exponent=1.0),
-        dataclasses.replace(lift, a1=(1.0, 0, 0, 0)),
+        lift._replace(a1=(2, 0, 0, 0)),
+        lift._replace(b1=(0, 2, 0, 0)),
+        lift._replace(a2=(0, 1, 1, 0)),
+        lift._replace(exponent=2),
+        lift._replace(exponent=1.0),
+        lift._replace(a1=(1.0, 0, 0, 0)),
     ]
     for entry_points, bad, validate in (
         (TORUS_ENTRY_POINTS, bad_torus, validate_torus),
@@ -722,7 +720,7 @@ def test_invalid_diagrams_are_never_marked():
 
 def test_list_fields_are_never_marked():
     a2 = [1, 0]
-    d = dataclasses.replace(good_torus(), a2=a2)
+    d = good_torus()._replace(a2=a2)
     assert validate_torus(d) == [] and theorem_hypotheses(d).all_hold
     rotated = apply_sigma2_inverse(d)  # (c2, a2, mu(b2)): shares the list
     assert intersection_invariant(rotated) == intersection_invariant(apply_sigma2_inverse(good_torus()))
@@ -740,7 +738,7 @@ def test_list_fields_are_never_marked():
         six_tuple(d)
 
     a1 = [1, 0, 0, 0]
-    g = dataclasses.replace(embed_torus(good_torus()), a1=a1)
+    g = embed_torus(good_torus())._replace(a1=a1)
     slid = handle_slide(g, "c2")
     assert surgery_project(g) and surgery_project(slid)
     assert not g._valid and not slid._valid
@@ -751,7 +749,7 @@ def test_list_fields_are_never_marked():
 
     lift = embed_torus(good_torus())
     b1 = list(lift.b1)
-    g = dataclasses.replace(lift, b1=b1)
+    g = lift._replace(b1=b1)
     rotated = apply_sigma1(g)  # (b1, c1, a1): the new a1 is the list b1
     assert rotated.a1 is b1 and surgery_project(rotated) == surgery_project(apply_sigma1(lift))
     assert not g._valid and not rotated._valid
@@ -763,10 +761,59 @@ def test_list_fields_are_never_marked():
 
 def test_mark_is_not_a_field():
     for d, validate in ((good_torus(), validate_torus), (embed_torus(good_torus()), validate_genus2)):
-        fresh = dataclasses.replace(d)
+        fresh = d._replace()
         assert validate(d) == [] and d._valid and not fresh._valid
         assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
-        assert "_valid" not in {f.name for f in dataclasses.fields(d)}
+        assert "_valid" not in d._fields
+
+
+def test_value_classes_keep_dataclass_semantics():
+    d = good_torus()
+    g = embed_torus(d)
+    report = theorem_hypotheses(case_diagram(1))
+    assert repr(d) == (
+        "TorusDiagram(a2=(1, 0), b2=(0, 1), c2=(1, 1), "
+        "monodromy=Monodromy(core=(-1, 1), exponent=1), sign=1)"
+    )
+    assert repr(g) == (
+        "Genus2Diagram(a1=(1, 0, 0, 0), b1=(0, 1, 0, 0), c1=(-1, -1, -1, 1), "
+        "a2=(0, 0, 1, 0), b2=(0, 0, 0, 1), c2=(0, 0, 1, 1), exponent=1)"
+    )
+    assert repr(report) == (
+        "HypothesisReport(monodromy_nontrivial=False, b2_c2_independent=True, "
+        "a2_pulled_c2_independent=True)"
+    )
+    assert repr(Monodromy.identity()) == "Monodromy(core=None, exponent=0)"
+    fields = (
+        (d, ((1, 0), (0, 1), (1, 1), Monodromy((-1, 1), 1), 1)),
+        (g, (g.a1, g.b1, g.c1, g.a2, g.b2, g.c2, 1)),
+        (d.monodromy, ((-1, 1), 1)),
+        (report, (False, True, True)),
+    )
+    for x, values in fields:
+        assert hash(x) == hash(values)
+        assert x != values and values != x
+        copy = x._replace()
+        assert copy == x and copy is not x
+        for name in x._fields:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        with pytest.raises(ValueError):
+            x._replace(nothere=1)
+    assert d != g and g != d and d != d.monodromy
+    assert d._replace(sign=-1) != d and d._replace(sign=-1)._replace(sign=1) == d
+    # Keyword construction, with sign defaulting to 1.
+    assert TorusDiagram(
+        a2=(1, 0), b2=(0, 1), c2=(1, 1), monodromy=Monodromy(core=(-1, 1), exponent=1)
+    ) == d
+    assert Genus2Diagram(
+        a1=g.a1, b1=g.b1, c1=g.c1, a2=g.a2, b2=g.b2, c2=g.c2, exponent=1
+    ) == g
+    assert HypothesisReport(
+        monodromy_nontrivial=False, b2_c2_independent=True, a2_pulled_c2_independent=True
+    ) == report
 
 
 def test_certification_path_validates_each_document_once(monkeypatch):

@@ -10,7 +10,11 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisect"
-STDLIB = {"__future__", "dataclasses", "json", "math", "sys", "types"}
+STDLIB = {"__future__", "json", "math", "sys", "types"}
+# dataclasses loads inspect, ast and dis, so only the modules whose classes
+# perfbench/test_oracles.py alters with dataclasses.replace may import it:
+# OrbitGraph in moves and SixTuple in vertical.
+ALLOWED = {("moves.py", "dataclasses"), ("vertical.py", "dataclasses")}
 
 
 def _imported_modules(tree, siblings):
@@ -43,7 +47,7 @@ def test_package_imports_only_siblings_and_known_stdlib():
         for module, is_sibling in _imported_modules(tree, siblings):
             if not is_sibling and module not in STDLIB:
                 outside.add((path.name, module))
-    assert outside == set()
+    assert outside - ALLOWED == set()
 
 
 def test_import_guard_catches_new_imports():

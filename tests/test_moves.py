@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -251,7 +250,7 @@ def test_trusted_outputs_are_valid():
     for _ in range(2000):
         for out, validate in _trusted_outputs(rng):
             assert out._valid
-            copy = dataclasses.replace(out)
+            copy = out._replace()
             assert not copy._valid
             assert validate(copy) == [], out
 
@@ -827,7 +826,7 @@ def test_orbit_and_canonical_outputs_are_marked():
         outs += [node.diagram for node in orbit(d, 2).nodes]
         for out in outs:
             assert out._valid and type(out.monodromy) is Monodromy
-            copy = dataclasses.replace(out)
+            copy = out._replace()
             assert not copy._valid
             assert validate_torus(copy) == []
     # A Monodromy subclass is never carried into a marked output.
@@ -853,7 +852,7 @@ def test_orbit_validates_its_start_once(monkeypatch):
         d = rand_torus_diagram(rng)
         for depth in range(4):
             for include_sigma1 in (False, True):
-                unmarked = dataclasses.replace(d)
+                unmarked = d._replace()
                 calls.clear()
                 orbit(unmarked, depth, include_sigma1)
                 assert len(calls) == 1

@@ -16,7 +16,6 @@ and diff the two files.  Only the standard library and trisect are used.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import math
 import os
@@ -76,6 +75,24 @@ def show(label: str, f, *args, **kwargs) -> None:
     print(f"{label} -> {out}")
 
 
+# The field names of the two models, in constructor order.
+FIELDS = {
+    TorusDiagram: ("a2", "b2", "c2", "monodromy", "sign"),
+    Genus2Diagram: ("a1", "b1", "c1", "a2", "b2", "c2", "exponent"),
+}
+
+
+def variant(d, **changes):
+    """A new diagram of d's type with the given fields changed.
+
+    It goes through the constructor and reads each field by name, so it
+    works on any version of the diagram classes.
+    """
+    names = FIELDS[type(d)]
+    assert set(changes) <= set(names), changes
+    return type(d)(**{name: changes.get(name, getattr(d, name)) for name in names})
+
+
 def primitive2(rng, bound=9):
     while True:
         v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
@@ -124,7 +141,8 @@ def genus2(rng):
         g = handle_slide(g, rng.choice(("a2", "b2", "c2")), rng.choice((1, -1)))
     for _ in range(rng.randrange(4)):
         v, k = primitive4(rng), rng.choice((1, -1))
-        g = Genus2Diagram(*(transvect(v, k, w) for w in dataclasses.astuple(g)[:6]), g.exponent)
+        classes = (g.a1, g.b1, g.c1, g.a2, g.b2, g.c2)
+        g = Genus2Diagram(*(transvect(v, k, w) for w in classes), g.exponent)
     return g
 
 
@@ -140,30 +158,30 @@ def torus_inputs(rng):
         yield torus(rng, BIG)
     good = TorusDiagram((1, 0), (0, 1), (1, 1), Monodromy.twist((-1, 1), 1))
     for bad in (
-        dataclasses.replace(good, a2=(2, 0)),
-        dataclasses.replace(good, a2=[0, 0]),
-        dataclasses.replace(good, monodromy=Monodromy((-1, 1), 2)),
-        dataclasses.replace(good, monodromy=Monodromy((2, 2), 1)),
-        dataclasses.replace(good, monodromy=Monodromy((1, 0), 0)),
-        dataclasses.replace(good, monodromy=Monodromy(None, 1)),
-        dataclasses.replace(good, monodromy=Monodromy.identity(), c2=(1, 2)),
-        dataclasses.replace(good, sign=2),
-        dataclasses.replace(good, monodromy=Monodromy((1, 1), 4.0)),
-        dataclasses.replace(good, monodromy=Monodromy(None, 0.0)),
-        dataclasses.replace(good, sign=1.0),
-        dataclasses.replace(good, sign=True),
-        dataclasses.replace(good, a2=(1.0, 0)),
-        dataclasses.replace(good, monodromy=Monodromy((-1.0, 1), 1)),
-        dataclasses.replace(good, a2=[1, 0]),
-        dataclasses.replace(good, a2=None, monodromy=Monodromy.identity(), c2=(-1, -1)),
-        dataclasses.replace(good, monodromy=None),
-        dataclasses.replace(good, a2=(2, 0), monodromy=None, sign=3),
+        variant(good, a2=(2, 0)),
+        variant(good, a2=[0, 0]),
+        variant(good, monodromy=Monodromy((-1, 1), 2)),
+        variant(good, monodromy=Monodromy((2, 2), 1)),
+        variant(good, monodromy=Monodromy((1, 0), 0)),
+        variant(good, monodromy=Monodromy(None, 1)),
+        variant(good, monodromy=Monodromy.identity(), c2=(1, 2)),
+        variant(good, sign=2),
+        variant(good, monodromy=Monodromy((1, 1), 4.0)),
+        variant(good, monodromy=Monodromy(None, 0.0)),
+        variant(good, sign=1.0),
+        variant(good, sign=True),
+        variant(good, a2=(1.0, 0)),
+        variant(good, monodromy=Monodromy((-1.0, 1), 1)),
+        variant(good, a2=[1, 0]),
+        variant(good, a2=None, monodromy=Monodromy.identity(), c2=(-1, -1)),
+        variant(good, monodromy=None),
+        variant(good, a2=(2, 0), monodromy=None, sign=3),
         # Shapes gcd takes: bool entries, and classes or cores of another length.
-        dataclasses.replace(good, a2=(True, False)),
-        dataclasses.replace(good, b2=(0, 1, 0)),
-        dataclasses.replace(good, b2=(0, 1, 0), monodromy=Monodromy.identity(), c2=(-1, -1)),
-        dataclasses.replace(good, monodromy=Monodromy((-1, 1, 0), 1)),
-        dataclasses.replace(good, monodromy=Monodromy((False, True), 4)),
+        variant(good, a2=(True, False)),
+        variant(good, b2=(0, 1, 0)),
+        variant(good, b2=(0, 1, 0), monodromy=Monodromy.identity(), c2=(-1, -1)),
+        variant(good, monodromy=Monodromy((-1, 1, 0), 1)),
+        variant(good, monodromy=Monodromy((False, True), 4)),
     ):
         yield bad
 
@@ -173,31 +191,31 @@ def genus2_inputs(rng):
         yield genus2(rng)
     lift = embed_torus(case_diagram(3))
     for bad in (
-        dataclasses.replace(lift, a1=(2, 0, 0, 0)),
-        dataclasses.replace(lift, b1=(0, 2, 0, 0)),
-        dataclasses.replace(lift, a2=(0, 1, 1, 0)),
-        dataclasses.replace(lift, a2=(0, 0, 2, 0)),
-        dataclasses.replace(lift, exponent=2),
-        dataclasses.replace(lift, exponent=0),
-        dataclasses.replace(lift, exponent=1.0),
-        dataclasses.replace(lift, a1=(1.0, 0, 0, 0)),
-        dataclasses.replace(lift, a2=(0, 0, 1.0, 0)),
-        dataclasses.replace(lift, a1=[1, 0, 0, 0]),
-        dataclasses.replace(lift, b1=(0, 1.0, 0, 0)),
-        dataclasses.replace(lift, c2=(0, 0, 5, -1.0)),
-        dataclasses.replace(lift, a2=None),
-        dataclasses.replace(lift, a2=(0, 0, "1", 0)),
-        dataclasses.replace(lift, a1=None, exponent=0),
+        variant(lift, a1=(2, 0, 0, 0)),
+        variant(lift, b1=(0, 2, 0, 0)),
+        variant(lift, a2=(0, 1, 1, 0)),
+        variant(lift, a2=(0, 0, 2, 0)),
+        variant(lift, exponent=2),
+        variant(lift, exponent=0),
+        variant(lift, exponent=1.0),
+        variant(lift, a1=(1.0, 0, 0, 0)),
+        variant(lift, a2=(0, 0, 1.0, 0)),
+        variant(lift, a1=[1, 0, 0, 0]),
+        variant(lift, b1=(0, 1.0, 0, 0)),
+        variant(lift, c2=(0, 0, 5, -1.0)),
+        variant(lift, a2=None),
+        variant(lift, a2=(0, 0, "1", 0)),
+        variant(lift, a1=None, exponent=0),
         # Passes validate_genus2; the core projects to (2, 0).
         Genus2Diagram(
             (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 2, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 0), 1
         ),
         # Shapes gcd takes: bool entries, and classes of another length.
-        dataclasses.replace(lift, a1=(True, False, False, False)),
-        dataclasses.replace(lift, b2=(0, 0, False, True)),
-        dataclasses.replace(lift, c2=(0, 0, 1)),
-        dataclasses.replace(lift, a1=(1, 0, 0)),
-        dataclasses.replace(lift, a2=(0, 0, 1, 0, 0)),
+        variant(lift, a1=(True, False, False, False)),
+        variant(lift, b2=(0, 0, False, True)),
+        variant(lift, c2=(0, 0, 1)),
+        variant(lift, a1=(1, 0, 0)),
+        variant(lift, a2=(0, 0, 1, 0, 0)),
     ):
         yield bad
 
