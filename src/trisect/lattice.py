@@ -201,9 +201,15 @@ class SymplecticReduction:
     unit vectors, in coordinate order, onto the complement of
     span(a, f1).  The two rows it returns are e2 and f2, swapped if they
     pair to -1.
+
+    a may be any sequence: it is read into a tuple first, so the basis
+    holds no caller's list, and a length other than 4 is a ValueError.
     """
 
     def __init__(self, a: Vec4):
+        a = tuple(a)
+        if len(a) != 4:
+            raise ValueError(f"{a} is not a rank-4 class")
         if a == (1, 0, 0, 0):
             # Standard position, where every standard lift starts: the
             # general path below returns exactly the standard basis.

@@ -194,8 +194,16 @@ _GENUS2_STEPS = {
 }
 
 
+def _token_sequence(word) -> None:
+    # A str is a sequence of characters, so its tokens would be "D", "2".
+    if isinstance(word, str):
+        raise WordError(f"move word {word!r} is a str: pass parse_word(text)")
+
+
 def word_to_diagram(d: Genus2Diagram, word) -> Genus2Diagram:
-    """Apply a move word left to right on the genus-2 model."""
+    """Apply a move word, a sequence of tokens, left to right on the
+    genus-2 model."""
+    _token_sequence(word)
     for t in word:
         if t not in _GENUS2_STEPS:
             raise WordError(f"unknown move token {t!r}")
@@ -204,7 +212,9 @@ def word_to_diagram(d: Genus2Diagram, word) -> Genus2Diagram:
 
 
 def word_to_torus(d: TorusDiagram, word) -> TorusDiagram:
-    """Apply a move word on the torus model; D1 tokens need the genus-2 model."""
+    """Apply a move word, a sequence of tokens, on the torus model; D1
+    tokens need the genus-2 model."""
+    _token_sequence(word)
     for t in word:
         if t in (SIGMA1, SIGMA1_INV):
             raise WordError("sigma1 requires genus2 model")

@@ -18,25 +18,29 @@ from __future__ import annotations
 
 import math
 # perfbench/test_oracles.py builds altered SixTuple values with
-# dataclasses.replace, so this module keeps @dataclass; the classes in
-# diagram.py are plain, and the verbs that need only them never load it.
+# dataclasses.replace, so SixTuple stays a dataclass, and FamilyMatch with
+# it as the module loads dataclasses anyway.  LensSpace, built up to six
+# times per six_tuple, is plain like the classes in diagram.py.
 from dataclasses import dataclass
 
-from .diagram import Monodromy, TorusDiagram, require_valid_torus
+from .diagram import Monodromy, TorusDiagram, _set, _Value, require_valid_torus
 from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _complete, is_primitive
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    """Normal form (p, q): (0, 1) for S^1 x S^2, (1, 0) for S^3, else
-    p >= 2 with 0 < q < p and gcd(p, q) = 1."""
+class LensSpace(_Value):
+    """Normal form (p, q) of exact ints: (0, 1) for S^1 x S^2, (1, 0) for
+    S^3, else p >= 2 with 0 < q < p and gcd(p, q) = 1.
 
-    p: int
-    q: int
+    The constructor checks the normal form; code that has proven it
+    builds through _normal_form instead.
+    """
 
-    def __post_init__(self):
-        p, q = self.p, self.q
-        if p == 0:
+    _fields = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        if type(p) is not int or type(q) is not int:
+            ok = False
+        elif p == 0:
             ok = q == 1
         elif p == 1:
             ok = q == 0
@@ -44,6 +48,16 @@ class LensSpace:
             ok = p >= 2 and 0 < q < p and math.gcd(p, q) == 1
         if not ok:
             raise ValueError(f"({p}, {q}) is not a lens space normal form")
+        _set(self, "p", p)
+        _set(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     @classmethod
     def from_pq(cls, p: int, q: int) -> "LensSpace":
@@ -73,7 +87,7 @@ class LensSpace:
         """Orientation reversal; S^3 and S^1 x S^2 are amphichiral."""
         if self.p <= 1:
             return self
-        return LensSpace(self.p, self.p - self.q)
+        return _normal_form(self.p, self.p - self.q)
 
     def __str__(self) -> str:
         if self.is_s3:
@@ -81,6 +95,18 @@ class LensSpace:
         if self.is_s1xs2:
             return "S1xS2"
         return f"L({self.p},{self.q})"
+
+
+_new = object.__new__
+
+
+def _normal_form(p: int, q: int) -> LensSpace:
+    """LensSpace(p, q), unchecked, for ints the caller has shown to be a
+    normal form."""
+    out = _new(LensSpace)
+    _set(out, "p", p)
+    _set(out, "q", q)
+    return out
 
 
 S3 = LensSpace(1, 0)
@@ -152,8 +178,8 @@ def _lens_pair(v: Vec2, w: Vec2, x: Vec2) -> tuple[LensSpace, LensSpace]:
         return _SMALL[p], _SMALL[r]
     u0, u1, _, _ = _complete(v0, v1)
     return (
-        _SMALL[p] if p < 2 else LensSpace(p, (u0 * w0 + u1 * w1) % p),
-        _SMALL[r] if r < 2 else LensSpace(r, (u0 * x0 + u1 * x1) % r),
+        _SMALL[p] if p < 2 else _normal_form(p, (u0 * w0 + u1 * w1) % p),
+        _SMALL[r] if r < 2 else _normal_form(r, (u0 * x0 + u1 * x1) % r),
     )
 
 
@@ -188,13 +214,28 @@ class SixTuple:
         )
 
 
+# The six-tuple of every valid identity-monodromy diagram (see six_tuple).
+_IDENTITY_SIX = SixTuple(S1XS2, S1XS2, S1XS2, S3, S3, S3)
+
+
 def six_tuple(d: TorusDiagram) -> SixTuple:
-    """Compute the six vertical pieces of a valid torus diagram."""
+    """Compute the six vertical pieces of a valid torus diagram.
+
+    Under identity monodromy the answer is _IDENTITY_SIX, in closed form.
+    Proof.  The pull-back is the identity, so slot xy glues the classes
+    x and y themselves.  A valid identity triple pairs pairwise to +-1.
+    So each diagonal slot aa, bb, cc glues a class to itself, a parallel
+    pair, and is S^1 x S^2; each other slot ba, cb, ac glues two classes
+    that meet once, and is S^3.
+    """
     require_valid_torus(d)
+    mono = d.monodromy
+    if mono.exponent == 0:
+        return _IDENTITY_SIX
     # The classes are primitive once validated, and the monodromy is
     # unimodular, so every pull-back is primitive too.  Each of a, b, c
     # is completed once, for the two slots it opens.
-    pull = d.monodromy.inverse_apply
+    pull = mono.inverse_apply
     a, b, c = d.a2, d.b2, d.c2
     pa, pc = pull(a), pull(c)
     aa, ac = _lens_pair(a, pa, pc)
@@ -259,16 +300,15 @@ def _target(p: int, q: int, oriented: bool) -> tuple[int, int]:
 
 
 def _fixed_targets(oriented: bool) -> dict:
-    # Families 1, 3, 4 and 5 as (q, epsilon, slot targets) in the order
-    # they are tried; a slot target is the (order, key) of the family's
-    # lens space there.
+    # Families 3, 4 and 5 as (q, epsilon, slot targets) in the order they
+    # are tried; a slot target is the (order, key) of the family's lens
+    # space there.  Family 1 is decided before the search (see classify).
     s3, s1xs2 = (1, 0), (0, 0)
 
     def lens(p, q):
         return _target(p, q, oriented)
 
     return {
-        1: [(None, None, (s1xs2, s1xs2, s1xs2, s3, s3, s3))],
         3: [
             (None, eps, (s3, lens(9, 2 * eps), lens(4, eps), lens(2, 1), lens(5, eps), s3))
             for eps in (1, -1)
@@ -282,6 +322,8 @@ def _fixed_targets(oriented: bool) -> dict:
 
 
 _FIXED_TARGETS = {oriented: _fixed_targets(oriented) for oriented in (False, True)}
+# The match of family 1's orders (see classify).
+_FAMILY1 = FamilyMatch(1, None, None, 0, False)
 
 
 def _family2_targets(image: tuple, oriented: bool) -> list:
@@ -320,6 +362,16 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
     keeps the order and maps q to -q, which changes only the oriented
     key.
 
+    Family 1 is decided in closed form: it matches exactly when aa, bb
+    and cc have order p = 0 and ba, cb and ac have p = 1, and the match is
+    _FAMILY1, the unreflected image with no rotation.  Proof.  Every image
+    in _IMAGES keeps each row of the 2 x 3 matrix, and mirroring keeps
+    p, so an image has family 1's orders exactly when the tuple does.
+    The normal forms of order 0 and 1 are S^1 x S^2 and S^3, whose keys
+    are 0 whatever oriented is, so those orders are the whole of family
+    1's targets.  Family 1 is tried first, and the first image is the
+    tuple itself.
+
     The search is skipped when the sorted slot orders p rule out every
     family: each family has at least two S^3 slots, and either an
     S^1 x S^2 slot or exactly family 3's orders (1, 1, 2, 4, 5, 9).  The
@@ -327,7 +379,10 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
     condition is necessary and never changes the match found.
     """
     slots = (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac)
-    ps = sorted([l.p for l in slots])
+    ps = [l.p for l in slots]
+    if ps == [0, 0, 0, 1, 1, 1]:
+        return _FAMILY1
+    ps.sort()
     if ps.count(1) < 2 or (ps[0] != 0 and ps != [1, 1, 2, 4, 5, 9]):
         return None
     oriented = bool(oriented)
@@ -338,7 +393,7 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
         k = mirrored if reflected else keyed
         images.append((reflected, r, (k[aa], k[bb], k[cc], k[ba], k[cb], k[ac])))
     fixed = _FIXED_TARGETS[oriented]
-    for family in (1, 2, 3, 4, 5):
+    for family in (2, 3, 4, 5):
         for reflected, r, image in images:
             targets = _family2_targets(image, oriented) if family == 2 else fixed[family]
             for q, eps, target in targets:

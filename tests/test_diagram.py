@@ -9,6 +9,7 @@ from trisect import (
     Genus2Diagram,
     HypothesisReport,
     InvalidDiagramError,
+    LensSpace,
     Monodromy,
     SymplecticReduction,
     TorusDiagram,
@@ -784,11 +785,14 @@ def test_value_classes_keep_dataclass_semantics():
         "a2_pulled_c2_independent=True)"
     )
     assert repr(Monodromy.identity()) == "Monodromy(core=None, exponent=0)"
+    lens = LensSpace(9, 4)
+    assert repr(lens) == "LensSpace(p=9, q=4)"
     fields = (
         (d, ((1, 0), (0, 1), (1, 1), Monodromy((-1, 1), 1), 1)),
         (g, (g.a1, g.b1, g.c1, g.a2, g.b2, g.c2, 1)),
         (d.monodromy, ((-1, 1), 1)),
         (report, (False, True, True)),
+        (lens, (9, 4)),
     )
     for x, values in fields:
         assert hash(x) == hash(values)
@@ -803,6 +807,11 @@ def test_value_classes_keep_dataclass_semantics():
         with pytest.raises(ValueError):
             x._replace(nothere=1)
     assert d != g and g != d and d != d.monodromy
+    assert lens != d.monodromy and d.monodromy != lens
+    assert lens._fields == ("p", "q") and lens._replace(q=5) == LensSpace(9, 5)
+    # A changed lens space goes through the checking constructor.
+    with pytest.raises(ValueError, match="not a lens space normal form"):
+        lens._replace(q=3)
     assert d._replace(sign=-1) != d and d._replace(sign=-1)._replace(sign=1) == d
     # Keyword construction, with sign defaulting to 1.
     assert TorusDiagram(
@@ -814,6 +823,7 @@ def test_value_classes_keep_dataclass_semantics():
     assert HypothesisReport(
         monodromy_nontrivial=False, b2_c2_independent=True, a2_pulled_c2_independent=True
     ) == report
+    assert LensSpace(p=9, q=4) == lens
 
 
 def test_certification_path_validates_each_document_once(monkeypatch):

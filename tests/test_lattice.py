@@ -167,17 +167,16 @@ def test_symplectic_reduce_standard_position():
 
 
 def test_symplectic_reduce_standard_shortcut_matches_general_path():
-    # The standard class takes a shortcut; a list with the same entries is
-    # not equal to the tuple (1, 0, 0, 0), so it takes the general path.
+    # The standard class takes a shortcut.  Every sequence is read as a
+    # tuple first, so the general path is reached through the reference
+    # below, which test_symplectic_reduce_matches_reference holds it to.
     standard = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     fast = SymplecticReduction((1, 0, 0, 0))
-    general = SymplecticReduction([1, 0, 0, 0])
-    assert fast.basis == standard
-    assert (tuple(general.basis[0]),) + general.basis[1:] == standard
+    assert fast.basis == standard == _reduction_basis_reference((1, 0, 0, 0))
     rng = random.Random(141)
     for _ in range(200):
         w = (rng.randint(-30, 30), 0, rng.randint(-30, 30), rng.randint(-30, 30))
-        assert fast.project(w) == general.project(w) == (w[2], w[3])
+        assert fast.project(w) == (w[2], w[3])
 
 
 # The general reduction path as first written: a list-based Bezout chain
@@ -284,9 +283,8 @@ def test_symplectic_reduce_matches_reference():
         if math.gcd(*a) != 1:
             continue
         assert SymplecticReduction(a).basis == _reduction_basis_reference(a), a
-        # A list takes the same general path and gives the same basis.
-        basis = SymplecticReduction(list(a)).basis
-        assert (tuple(basis[0]),) + basis[1:] == _reduction_basis_reference(a), a
+        # A list is read as a tuple and gives the same basis.
+        assert SymplecticReduction(list(a)).basis == _reduction_basis_reference(a), a
         checked += 1
     assert checked > 5_000
 
@@ -328,6 +326,22 @@ def test_symplectic_reduce_projection_requires_disjoint():
     r = SymplecticReduction((1, 0, 0, 0))
     with pytest.raises(ValueError):
         r.project((0, 1, 0, 0))
+
+
+def test_symplectic_reduce_reads_a_sequence_of_four():
+    standard = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    a = [1, 0, 0, 0]
+    r = SymplecticReduction(a)
+    assert r.basis == standard and type(r.basis[0]) is tuple
+    a[0] = 2
+    assert r.basis == standard
+    a = [0, 0, 1, 0]
+    r = SymplecticReduction(a)
+    a[2] = 5
+    assert r.basis == SymplecticReduction((0, 0, 1, 0)).basis and r.basis[0] == (0, 0, 1, 0)
+    for a in ((1, 0, 0), (1, 0, 0, 0, 0), [0, 1], ()):
+        with pytest.raises(ValueError, match="is not a rank-4 class"):
+            SymplecticReduction(a)
 
 
 def test_symplectic_reduce_errors():

@@ -213,6 +213,18 @@ def test_word_application_errors():
         word_to_diagram(embed_torus(d), ("D9",))
 
 
+def test_words_are_token_sequences_not_strings():
+    d = case_diagram(2, q=3)
+    g = embed_torus(d)
+    for apply, x, text in (
+        (word_to_torus, d, "D2"), (word_to_diagram, g, "D2,D1"), (word_to_torus, d, "")
+    ):
+        with pytest.raises(WordError, match=r"pass parse_word\(text\)"):
+            apply(x, text)
+    assert word_to_torus(d, parse_word("D2")) == apply_sigma2(d)
+    assert word_to_diagram(g, parse_word("D2,D1")) == apply_sigma1(apply_sigma2(g))
+
+
 def test_word_round_trip_genus2():
     rng = random.Random(91)
     for _ in range(300):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -51,6 +52,20 @@ def test_normal_form_validation():
     for p, q in ((0, 0), (0, 2), (0, -1), (1, 1), (2, 0), (4, 2), (5, 5), (3, -1), (-2, 1)):
         with pytest.raises(ValueError):
             LensSpace(p, q)
+
+
+def test_lens_space_entries_are_exact_ints():
+    # 1.0 and True compare equal to integers, and math.gcd takes True.
+    for p, q in (
+        (2, True), (True, False), (False, True), (5, 2.0), (5.0, 2), (0, 1.0), ("5", 2), (None, 0)
+    ):
+        with pytest.raises(ValueError, match=r"is not a lens space normal form"):
+            LensSpace(p, q)
+    # from_pq reduces q mod p, which gives an exact int.
+    for p, q in ((2, True), (True, False), (-3, True), (0, True)):
+        lens = L(p, q)
+        assert type(lens.p) is int and type(lens.q) is int, (p, q, lens)
+    assert repr(L(2, True)) == "LensSpace(p=2, q=1)"
 
 
 def test_from_pq_normalization():
@@ -473,6 +488,27 @@ def test_six_tuple_matches_reference():
         assert six_tuple(d) == _six_tuple_reference(d), d
 
 
+def test_six_tuple_identity_closed_form():
+    # Under identity monodromy six_tuple answers in closed form; the
+    # per-slot reference computes every slot.
+    rng = random.Random(4071)
+    inputs = [case_diagram(1), case_diagram(1, sign=-1)]
+    while len(inputs) < 500:
+        d = rand_torus_diagram(rng)
+        if d.monodromy.is_identity:
+            inputs.append(d)
+    lifts = 0
+    while lifts < 300:
+        g = rand_genus2_diagram(rng, mixes=4)
+        if g.exponent == 0:
+            inputs.append(surgery_project(g))
+            lifts += 1
+    want = SixTuple(S1XS2, S1XS2, S1XS2, S3, S3, S3)
+    for d in inputs:
+        assert d.monodromy.is_identity
+        assert six_tuple(d) == _six_tuple_reference(d) == want, d
+
+
 def test_lens_equiv_matches_reference():
     rng = random.Random(4051)
     spaces = [S3, S1XS2]
@@ -505,3 +541,20 @@ def test_classify_matches_reference():
                 assert classify(img, oriented) == want, (d, img, oriented)
                 matched += want is not None
     assert matched > 1_000
+
+
+def test_classify_family1_closed_form():
+    # Every arrangement of S^1 x S^2 and S^3 over the six slots, among them
+    # the 20 with three of each: family 1 matches exactly its own
+    # arrangement, as the reference's search finds.
+    family1 = FamilyMatch(1, None, None, 0, False)
+    found = []
+    for spaces in itertools.product((S1XS2, S3), repeat=6):
+        t = SixTuple(*spaces)
+        for oriented in (False, True):
+            want = _classify_reference(t, oriented)
+            assert classify(t, oriented) == want, (spaces, oriented)
+            if want is not None and want.family == 1:
+                found.append((spaces, oriented, want))
+    family1_slots = (S1XS2, S1XS2, S1XS2, S3, S3, S3)
+    assert found == [(family1_slots, False, family1), (family1_slots, True, family1)]

@@ -4,8 +4,9 @@ Each line is a label and either the repr of the result or the type and
 message of the exception raised.  The corpus is deterministic: seeded
 torus and genus-2 diagrams (some with entries near 2^70), invalid
 variants of both models, orbits at whole and fractional depths, SL2
-completions, lens spaces, and every fixture through trisect.cli.main,
-with a few more documents and outputs in a temporary directory.
+completions, lens spaces, entries of the wrong type or shape, and every
+fixture through trisect.cli.main, with a few more documents and outputs
+in a temporary directory.
 To compare two checkouts, run on each
 
     PYTHONPATH=<tree>/src python3 tools/answers.py > <tree>.txt
@@ -305,6 +306,17 @@ def lens_answers(rng) -> None:
             show(f"from_pq {p} {q}", LensSpace.from_pq, p, q)
 
 
+def shape_answers() -> None:
+    """Entries of the wrong type or shape: lens spaces, reductions, words."""
+    for p, q in ((2, True), (True, False), (5, 2.0), (5.0, 2)):
+        show(f"LensSpace {p!r} {q!r}", LensSpace, p, q)
+    for a in ([1, 0, 0, 0], [0, 0, 1, 0], (1, 0, 0), (1, 0, 0, 0, 0)):
+        show(f"SymplecticReduction {a!r}", lambda a: SymplecticReduction(a).basis, a)
+    d = case_diagram(3)
+    show("word_to_torus 'D2'", word_to_torus, d, "D2")
+    show("word_to_diagram 'D2,D1'", word_to_diagram, embed_torus(d), "D2,D1")
+
+
 def cli_answers() -> None:
     names = sorted(p.name for p in FIXTURES.glob("*.json"))
     names += sorted("invalid/" + p.name for p in (FIXTURES / "invalid").glob("*.json"))
@@ -427,6 +439,7 @@ def run() -> None:
         genus2_answers(i, g)
     lens_answers(rng)
     completion_answers(rng)
+    shape_answers()
     cli_answers()
 
 
