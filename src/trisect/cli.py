@@ -411,8 +411,10 @@ def text_check_theorem(payload: dict, args) -> str:
 
 
 def cmd_orbit(d, args) -> dict:
-    from .moves import orbit
+    from .moves import _check_depth, orbit
 
+    # An argument error comes before the projection can refuse the document.
+    _check_depth(args.depth)
     # On a genus-2 document the orbit includes the outer rotations.
     graph = orbit(_as_torus(d), args.depth, include_sigma1=isinstance(d, Genus2Diagram))
     return {

@@ -241,17 +241,25 @@ def _vec4_shapes(first, u, v, x, y, z) -> tuple[bool, bool]:
     )
 
 
+def _fields_or_none(d, cls) -> list:
+    # Out of line: a comprehension in a validator would make d a closure cell.
+    return [getattr(d, name, None) for name in cls._fields]
+
+
 def validate_torus(d: TorusDiagram) -> list[str]:
     """Every violated invariant of the torus model, empty when valid.
 
     Each class and the core must first have the shape _vec2_shapes checks.
     A class that fails is not primitive, and the arithmetic rules are not
-    applied to it.  The exponent and the sign must be exact ints too.
-    A valid diagram is marked (see _mark).
+    applied to it.  The exponent and the sign must be exact ints too.  A
+    field d lacks counts as None.  A valid diagram is marked (see _mark).
     """
     errors = []
-    a, b, c = d.a2, d.b2, d.c2
-    mono = d.monodromy
+    try:
+        a, b, c = d.a2, d.b2, d.c2
+        mono, sign = d.monodromy, d.sign
+    except AttributeError:
+        a, b, c, mono, sign = _fields_or_none(d, TorusDiagram)
     try:
         k, core = mono.exponent, mono.core
     except AttributeError:  # not a Monodromy: refused as BadExponent below
@@ -270,7 +278,6 @@ def validate_torus(d: TorusDiagram) -> list[str]:
         errors.append(BAD_EXPONENT)
     elif not (core_shaped and gcd(*core) == 1):
         errors.append(NON_PRIMITIVE)
-    sign = d.sign
     if type(sign) is not int or sign not in (1, -1):
         errors.append(BAD_SIGN)
     if not errors:
@@ -283,14 +290,19 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
 
     Each class must first have the shape _vec4_shapes checks; a1 failing
     is NonPrimitiveA1, any other class failing is NonPrimitive, and the
-    pairings are then not computed.  A valid diagram is marked (see
-    _mark).  surgery_project can still refuse it: when the twist
-    exponent and the core disagree, or when a projected class is not
-    primitive.
+    pairings are then not computed.  A field d lacks counts as None.  A
+    valid diagram is marked (see _mark).  surgery_project can still refuse
+    it: when the twist exponent and the core disagree, or when a projected
+    class is not primitive.
     """
     errors = []
-    a1 = d.a1
-    a1_shaped, shaped = _vec4_shapes(a1, d.b1, d.c1, d.a2, d.b2, d.c2)
+    try:
+        a1, b1, c1 = d.a1, d.b1, d.c1
+        a2, b2, c2 = d.a2, d.b2, d.c2
+        k = d.exponent
+    except AttributeError:
+        a1, b1, c1, a2, b2, c2, k = _fields_or_none(d, Genus2Diagram)
+    a1_shaped, shaped = _vec4_shapes(a1, b1, c1, a2, b2, c2)
     if not (a1_shaped and gcd(*a1) == 1):
         errors.append(NON_PRIMITIVE_A1)
     # The other classes need no gcd of their own: they project to the
@@ -299,19 +311,18 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
         errors.append(NON_PRIMITIVE)
     disjoint = False
     if shaped and a1_shaped:
-        p_ab, p_bc, p_ca = pair4(a1, d.b1), pair4(d.b1, d.c1), pair4(d.c1, a1)
+        p_ab, p_bc, p_ca = pair4(a1, b1), pair4(b1, c1), pair4(c1, a1)
         if not (p_ab == p_bc == p_ca and p_ab in (1, -1)):
             errors.append(TRIPLE_PAIRING_INVALID)
-        disjoint = pair4(a1, d.a2) == 0 and pair4(a1, d.b2) == 0 and pair4(a1, d.c2) == 0
+        disjoint = pair4(a1, a2) == 0 and pair4(a1, b2) == 0 and pair4(a1, c2) == 0
         if not disjoint:
             errors.append(A2_NOT_DISJOINT)
-    k = d.exponent
     if type(k) is not int or (k != 0 and k not in TWIST_EXPONENTS):
         errors.append(BAD_EXPONENT)
     elif k == 0 and disjoint:
         # For classes disjoint from a1 the surgered pairing agrees with
         # pair4, so the identity-case constraint needs no projection.
-        if not _pairwise_unit(d.a2, d.b2, d.c2, pair4):
+        if not _pairwise_unit(a2, b2, c2, pair4):
             errors.append(IDENTITY_CASE_VIOLATION)
     if not errors:
         _mark(d)

@@ -138,16 +138,7 @@ def apply_sigma2(d):
     """
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
-        out = Genus2Diagram(
-            a1=d.a1,
-            b1=d.b1,
-            c1=d.c1,
-            a2=d.b2,
-            b2=transvect(_core_lift(d), -d.exponent, d.c2),
-            c2=d.a2,
-            exponent=d.exponent,
-        )
-        return _derived(d, out)
+        return _inner(d, d.b2, transvect(_core_lift(d), -d.exponent, d.c2), d.a2)
     require_valid_torus(d)
     mono = d.monodromy
     return _derived(d, TorusDiagram(d.b2, mono.inverse_apply(d.c2), d.a2, mono, d.sign))
@@ -157,19 +148,16 @@ def apply_sigma2_inverse(d):
     """Inverse inner-circle rotation: (a2, b2, c2) -> (c2, a2, mu(b2))."""
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
-        out = Genus2Diagram(
-            a1=d.a1,
-            b1=d.b1,
-            c1=d.c1,
-            a2=d.c2,
-            b2=d.a2,
-            c2=transvect(_core_lift(d), d.exponent, d.b2),
-            exponent=d.exponent,
-        )
-        return _derived(d, out)
+        return _inner(d, d.c2, d.a2, transvect(_core_lift(d), d.exponent, d.b2))
     require_valid_torus(d)
     mono = d.monodromy
     return _derived(d, TorusDiagram(d.c2, d.a2, mono.apply(d.b2), mono, d.sign))
+
+
+def _inner(d: Genus2Diagram, a2, b2, c2) -> Genus2Diagram:
+    """The step both inner rotations share on the genus-2 model: keep the
+    first triple and set the second to (a2, b2, c2)."""
+    return _derived(d, Genus2Diagram(d.a1, d.b1, d.c1, a2, b2, c2, d.exponent))
 
 
 def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
@@ -185,8 +173,7 @@ def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
     return ((col1[0], col2[0]), (col1[1], col2[1]))
 
 
-_TORUS_STEPS = {SIGMA2: apply_sigma2, SIGMA2_INV: apply_sigma2_inverse}
-_GENUS2_STEPS = {
+_STEPS = {
     SIGMA1: apply_sigma1,
     SIGMA1_INV: apply_sigma1_inverse,
     SIGMA2: apply_sigma2,
@@ -194,34 +181,31 @@ _GENUS2_STEPS = {
 }
 
 
-def _token_sequence(word) -> None:
+def _apply_word(d, word, torus: bool):
+    """Apply the tokens of word left to right; on the torus model a D1
+    token is refused before it is looked up."""
     # A str is a sequence of characters, so its tokens would be "D", "2".
     if isinstance(word, str):
         raise WordError(f"move word {word!r} is a str: pass parse_word(text)")
+    for t in word:
+        if torus and t in (SIGMA1, SIGMA1_INV):
+            raise WordError("sigma1 requires genus2 model")
+        if t not in _STEPS:
+            raise WordError(f"unknown move token {t!r}")
+        d = _STEPS[t](d)
+    return d
 
 
 def word_to_diagram(d: Genus2Diagram, word) -> Genus2Diagram:
     """Apply a move word, a sequence of tokens, left to right on the
     genus-2 model."""
-    _token_sequence(word)
-    for t in word:
-        if t not in _GENUS2_STEPS:
-            raise WordError(f"unknown move token {t!r}")
-        d = _GENUS2_STEPS[t](d)
-    return d
+    return _apply_word(d, word, False)
 
 
 def word_to_torus(d: TorusDiagram, word) -> TorusDiagram:
     """Apply a move word, a sequence of tokens, on the torus model; D1
     tokens need the genus-2 model."""
-    _token_sequence(word)
-    for t in word:
-        if t in (SIGMA1, SIGMA1_INV):
-            raise WordError("sigma1 requires genus2 model")
-        if t not in _TORUS_STEPS:
-            raise WordError(f"unknown move token {t!r}")
-        d = _TORUS_STEPS[t](d)
-    return d
+    return _apply_word(d, word, True)
 
 
 def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
@@ -373,6 +357,11 @@ _EDGES_12 = _orbit_edges([0, 1, 2], 3)
 _EDGES_21 = _orbit_edges([0, 2, 1], 3)
 
 
+def _check_depth(depth) -> None:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+
+
 def orbit(
     start: TorusDiagram,
     depth: int,
@@ -407,8 +396,7 @@ def orbit(
     1, then nodes 1 and 2 in lexicographic node-key order at depth 2 and
     beyond.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_depth(depth)
     v0, _ = canonical_form(start)
     inv = intersection_invariant(v0)
     if not depth > 0:

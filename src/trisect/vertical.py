@@ -61,19 +61,21 @@ class LensSpace(_Value):
 
     @classmethod
     def from_pq(cls, p: int, q: int) -> "LensSpace":
-        """Normalize arbitrary coprime surgery data to the normal form."""
+        """Normalize arbitrary coprime surgery data, two ints, to the normal form."""
+        if type(p) is not int or type(q) is not int:
+            raise ValueError(f"L({p!r}, {q!r}) is not a lens space (p and q must be ints)")
         if p < 0:
             p, q = -p, -q
         if p == 0:
             if abs(q) != 1:
                 raise ValueError(f"L(0, {q}) is not a lens space (gcd {abs(q)})")
-            return cls(0, 1)
+            return S1XS2
         if p == 1:
-            return cls(1, 0)
+            return S3
         q %= p
         if math.gcd(p, q) != 1:
             raise ValueError(f"L({p}, {q}) is not a lens space (gcd {math.gcd(p, q)})")
-        return cls(p, q)
+        return _normal_form(p, q)
 
     @property
     def is_s3(self) -> bool:
@@ -244,22 +246,33 @@ def six_tuple(d: TorusDiagram) -> SixTuple:
     return SixTuple(aa, bb, cc, ba, cb, ac)
 
 
+# Slot permutations, in the slot order (aa, bb, cc, ba, cb, ac): slot i of
+# rotate(t) is slot _ROTATE[i] of t, and of reflect(t) slot _REFLECT[i] of
+# t, mirrored.  Slot i of each image (reflected, r, perm) in _IMAGES is
+# slot perm[i] of the tuple, mirrored when reflected, in classify's search
+# order: r = 0, 1, 2 rotations of the tuple, then of its reflection.
+_ROTATE = (2, 0, 1, 5, 3, 4)
+_REFLECT = (0, 2, 1, 5, 4, 3)
+_IMAGES = tuple(
+    (reflected, r, perm)
+    for reflected, first in ((False, (0, 1, 2, 3, 4, 5)), (True, _REFLECT))
+    for r, perm in enumerate(
+        (first, tuple(first[i] for i in _ROTATE), tuple(first[_ROTATE[i]] for i in _ROTATE))
+    )
+)
+
+
 def reflect(t: SixTuple) -> SixTuple:
     """Reflection symmetry: swap the roles of b and c and reverse all
     orientations.  An involution."""
-    return SixTuple(
-        aa=t.aa.mirror(),
-        bb=t.cc.mirror(),
-        cc=t.bb.mirror(),
-        ba=t.ac.mirror(),
-        cb=t.cb.mirror(),
-        ac=t.ba.mirror(),
-    )
+    slots = (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac)
+    return SixTuple(*[slots[i].mirror() for i in _REFLECT])
 
 
 def rotate(t: SixTuple) -> SixTuple:
     """Rotation symmetry: cycle the columns of the 2 x 3 matrix.  Order 3."""
-    return SixTuple(aa=t.cc, bb=t.aa, cc=t.bb, ba=t.ac, cb=t.ba, ac=t.cb)
+    slots = (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac)
+    return SixTuple(*[slots[i] for i in _ROTATE])
 
 
 @dataclass(frozen=True)
@@ -275,21 +288,6 @@ class FamilyMatch:
     epsilon: int | None
     rotations: int
     reflected: bool
-
-
-# The six symmetry images in search order: unreflected with r = 0, 1, 2
-# rotations, then reflected.  Slot i of an image, in the order
-# (aa, bb, cc, ba, cb, ac), is slot perm[i] of the tuple, mirrored when
-# reflected: rotate reads (cc, aa, bb, ac, ba, cb), reflect reads
-# (aa, cc, bb, ac, cb, ba), and rotating the reflection composes them.
-_IMAGES = (
-    (False, 0, (0, 1, 2, 3, 4, 5)),
-    (False, 1, (2, 0, 1, 5, 3, 4)),
-    (False, 2, (1, 2, 0, 4, 5, 3)),
-    (True, 0, (0, 2, 1, 5, 4, 3)),
-    (True, 1, (1, 0, 2, 3, 5, 4)),
-    (True, 2, (2, 1, 0, 4, 3, 5)),
-)
 
 
 def _target(p: int, q: int, oriented: bool) -> tuple[int, int]:

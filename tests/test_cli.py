@@ -850,9 +850,20 @@ def test_orbit_genus2_uses_outer_rotations(capsys):
     assert labels == {"D1", "D1'", "D2", "D2'"}
 
 
-def test_orbit_negative_depth(capsys):
-    code, _, err = run(capsys, "orbit", fixture("family2_q3.json"), "--depth", "-1")
-    assert code == 2 and "depth must be nonnegative" in err
+def test_orbit_negative_depth(capsys, tmp_path):
+    # An argument error exits 2 before the document is validated, on
+    # either model: the genus-2 document below has a bad exponent.
+    doc = json.loads(Path(fixture("genus2_q3.json")).read_text(encoding="utf-8"))
+    doc["monodromy"]["exponent"] = 3
+    bad = tmp_path / "bad_genus2.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for path in (fixture("family2_q3.json"), fixture("invalid/bad_exponent.json"), str(bad)):
+        for js in ([], ["--json"]):
+            code, out, err = run(capsys, "orbit", path, "--depth", "-1", *js)
+            assert (code, out, err) == (2, "", "error: depth must be nonnegative\n"), (path, js)
+    assert run(capsys, "orbit", str(bad), "--depth", "-1", "--depth", "0") == (
+        1, "", "BadExponent\n"
+    )
 
 
 def test_orbit_output_matches_bfs_oracle(capsys, monkeypatch):

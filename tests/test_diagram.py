@@ -1,5 +1,6 @@
 import operator
 import random
+import types
 
 import pytest
 
@@ -717,6 +718,45 @@ def test_invalid_diagrams_are_never_marked():
                     with pytest.raises(InvalidDiagramError):
                         f(d)
             assert not d._valid
+
+
+def test_validators_refuse_a_diagram_of_the_other_model():
+    # A field the other model lacks counts as None, so the existing rules
+    # report it instead of an AttributeError.
+    d = good_torus()
+    g = embed_torus(d)
+    assert validate_torus(g) == ["NonPrimitive", "BadExponent", "BadSign"]
+    assert validate_genus2(d) == ["NonPrimitiveA1", "NonPrimitive", "BadExponent"]
+    # Only the missing field is None: a diagram short of one field breaks
+    # only the rule that reads it.
+    for x, missing, validate, codes in (
+        (d, "sign", validate_torus, ["BadSign"]),
+        (d, "monodromy", validate_torus, ["BadExponent"]),
+        (g, "exponent", validate_genus2, ["BadExponent"]),
+        (g, "c1", validate_genus2, ["NonPrimitive"]),
+    ):
+        fields = {name: getattr(x, name) for name in x._fields if name != missing}
+        assert validate(types.SimpleNamespace(**fields)) == codes, missing
+    torus_only = (
+        six_tuple,
+        theorem_hypotheses,
+        canonical_form,
+        sigma2_cubed_witness,
+        embed_torus,
+        lambda x: equivalent_torus(x, x),
+        lambda x: orbit(x, 2),
+    )
+    genus2_only = (
+        surgery_project,
+        apply_sigma1,
+        apply_sigma1_inverse,
+        lambda x: handle_slide(x, "b2"),
+        lambda x: word_to_diagram(x, ("D1",)),
+    )
+    for entry_points, x in ((torus_only, g), (genus2_only, d)):
+        for f in entry_points:
+            with pytest.raises(InvalidDiagramError):
+                f(x)
 
 
 def test_list_fields_are_never_marked():

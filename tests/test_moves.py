@@ -203,14 +203,19 @@ def test_rotation_word_property():
 
 def test_word_application_errors():
     d = case_diagram(2, q=3)
-    with pytest.raises(WordError, match="sigma1 requires genus2 model"):
-        word_to_torus(d, (SIGMA1,))
-    with pytest.raises(WordError, match="sigma1 requires genus2 model"):
-        word_to_torus(d, (SIGMA2, SIGMA1_INV))
-    with pytest.raises(WordError):
-        word_to_torus(d, ("D9",))
-    with pytest.raises(WordError):
-        word_to_diagram(embed_torus(d), ("D9",))
+    g = embed_torus(d)
+    for apply, x, word, error, match in (
+        (word_to_torus, d, (SIGMA1,), WordError, "sigma1 requires genus2 model"),
+        (word_to_torus, d, (SIGMA2, SIGMA1_INV), WordError, "sigma1 requires genus2 model"),
+        (word_to_torus, d, ("D9", SIGMA1), WordError, "unknown move token 'D9'"),
+        (word_to_diagram, g, ("D9",), WordError, "unknown move token 'D9'"),
+        (word_to_diagram, g, (SIGMA1, "D9"), WordError, "unknown move token 'D9'"),
+        # A token that cannot be looked up at all.
+        (word_to_torus, d, (["D2"],), TypeError, "unhashable"),
+        (word_to_diagram, g, (["D2"],), TypeError, "unhashable"),
+    ):
+        with pytest.raises(error, match=match):
+            apply(x, word)
 
 
 def test_words_are_token_sequences_not_strings():

@@ -61,11 +61,14 @@ def test_lens_space_entries_are_exact_ints():
     ):
         with pytest.raises(ValueError, match=r"is not a lens space normal form"):
             LensSpace(p, q)
-    # from_pq reduces q mod p, which gives an exact int.
-    for p, q in ((2, True), (True, False), (-3, True), (0, True)):
-        lens = L(p, q)
-        assert type(lens.p) is int and type(lens.q) is int, (p, q, lens)
-    assert repr(L(2, True)) == "LensSpace(p=2, q=1)"
+    # from_pq refuses them too, for p in {0, +-1}, where no arithmetic
+    # would catch them, and beyond.
+    for p, q in (
+        (1.0, 5), (-1.0, 3), (0.0, 1.0), (0, True), (True, 0), (0, 1.0), (-1, 2.0),
+        (2.0, 1), (5, 2.0), (2, True), (True, False), (-3, True), ("5", 2), (None, 0),
+    ):
+        with pytest.raises(ValueError, match=r"is not a lens space \(p and q must be ints\)"):
+            L(p, q)
 
 
 def test_from_pq_normalization():

@@ -61,7 +61,7 @@ from trisect import (
     word_to_diagram,
     word_to_torus,
 )
-from trisect.cli import document_text, main
+from trisect.cli import document_text, load_document, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SEED = 8080
@@ -315,6 +315,12 @@ def shape_answers() -> None:
     d = case_diagram(3)
     show("word_to_torus 'D2'", word_to_torus, d, "D2")
     show("word_to_diagram 'D2,D1'", word_to_diagram, embed_torus(d), "D2,D1")
+    for p, q in ((1.0, 5), (-1.0, 3), (0.0, 1.0), (0, True), (True, 0), (2.0, 1), (5, 2.0)):
+        show(f"from_pq {p!r} {q!r}", LensSpace.from_pq, p, q)
+    # Each model's validators and six_tuple on a diagram of the other model.
+    show("validate_torus genus2", validate_torus, embed_torus(d))
+    show("six_tuple genus2", six_tuple, embed_torus(d))
+    show("validate_genus2 torus", validate_genus2, d)
 
 
 def cli_answers() -> None:
@@ -376,11 +382,12 @@ def cli_answers() -> None:
     # paths so that the lines do not depend on where it is.  long_answers.json
     # is valid, with 3,001-digit entries whose pairings pass the int/str
     # digit limit.  tie.json lies on the tie locus, and core.json has every
-    # class equal to +-core.
+    # class equal to +-core.  bad_genus2.json has the twist exponent 3.
     big = 10**3000
     long_answers = TorusDiagram((1, 0), (0, 1), (big, 1), Monodromy.twist((1, big), 1))
     tie = TorusDiagram((0, 1), (1, 1), (-1, 1), Monodromy.twist((1, 0), 1))
     core = TorusDiagram((2, 1), (-2, -1), (2, 1), Monodromy.twist((2, 1), 4), -1)
+    bad_genus2 = variant(load_document(FIXTURES / "genus2_q3.json"), exponent=3)
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
@@ -393,6 +400,7 @@ def cli_answers() -> None:
                 ("long_answers.json", document_text(long_answers)),
                 ("tie.json", document_text(tie)),
                 ("core.json", document_text(core)),
+                ("bad_genus2.json", document_text(bad_genus2)),
             ):
                 Path(name).write_text(doc, encoding="utf-8")
             for argv in (
@@ -412,6 +420,8 @@ def cli_answers() -> None:
                 ["move", "long_answers.json", "--word", "D2", "--out", "long_out.json"],
                 *(["check-theorem", name, *js] for name in ("tie.json", "core.json")
                   for js in ([], ["--json"])),
+                # The depth is refused before the document.
+                *(["orbit", "bad_genus2.json", "--depth", "-1", *js] for js in ([], ["--json"])),
             ):
                 cli_answer(argv)
             for name in ("out.json", "long_out.json"):
