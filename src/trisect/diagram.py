@@ -57,12 +57,15 @@ class ExponentCoreMismatchError(ValueError):
 class _Value:
     """Base of the frozen value classes below.
 
-    Each subclass names its fields in _fields and writes out __init__,
-    __eq__ and __hash__ over them, as @dataclass(frozen=True) would
-    generate them; this base refuses assignment and deletion, gives the
-    dataclass repr, and builds changed copies with _replace.
+    Each subclass names its fields in _fields, stores them in __slots__
+    and writes out __init__, __eq__ and __hash__ over them, as
+    @dataclass(frozen=True, slots=True) would generate them; this base
+    refuses assignment and deletion, gives the dataclass repr, and builds
+    changed copies with _replace.  copy, deepcopy and pickle rebuild an
+    instance through its constructor (__reduce__).
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -82,6 +85,10 @@ class _Value:
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
         return out
 
+    def __reduce__(self):
+        # The copy is unmarked, as one from _replace is.
+        return (self.__class__, tuple([getattr(self, name) for name in self._fields]))
+
 
 # Fields are set once, in __init__, past the refusing __setattr__.
 _set = object.__setattr__
@@ -91,6 +98,7 @@ class Monodromy(_Value):
     """Identity, or the k-th power of the twist along the core class."""
 
     _fields = ("core", "exponent")
+    __slots__ = _fields
 
     def __init__(self, core: Vec2 | None, exponent: int):
         _set(self, "core", core)
@@ -143,8 +151,8 @@ class TorusDiagram(_Value):
     """
 
     _fields = ("a2", "b2", "c2", "monodromy", "sign")
-    # Validity mark (see _mark); not a field, so ==, hash and repr ignore it.
-    _valid = False
+    # _valid: the validity mark (see _mark); not a field, so ==, hash and repr ignore it.
+    __slots__ = (*_fields, "_valid")
 
     def __init__(self, a2: Vec2, b2: Vec2, c2: Vec2, monodromy: Monodromy, sign: int = 1):
         _set(self, "a2", a2)
@@ -152,6 +160,7 @@ class TorusDiagram(_Value):
         _set(self, "c2", c2)
         _set(self, "monodromy", monodromy)
         _set(self, "sign", sign)
+        _set(self, "_valid", False)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -175,8 +184,8 @@ class Genus2Diagram(_Value):
     """
 
     _fields = ("a1", "b1", "c1", "a2", "b2", "c2", "exponent")
-    # Validity mark (see _mark); not a field, so ==, hash and repr ignore it.
-    _valid = False
+    # _valid: the validity mark (see _mark); not a field, so ==, hash and repr ignore it.
+    __slots__ = (*_fields, "_valid")
 
     def __init__(self, a1: Vec4, b1: Vec4, c1: Vec4, a2: Vec4, b2: Vec4, c2: Vec4, exponent: int):
         _set(self, "a1", a1)
@@ -186,6 +195,7 @@ class Genus2Diagram(_Value):
         _set(self, "b2", b2)
         _set(self, "c2", c2)
         _set(self, "exponent", exponent)
+        _set(self, "_valid", False)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -554,7 +564,8 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
     require_valid_genus2(d)
     if target not in ("a2", "b2", "c2"):
         raise ValueError(f"slide target must be one of a2, b2, c2, got {target!r}")
-    if sign not in (1, -1):
+    # 1.0 and True compare equal to 1 but would build non-int classes.
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"slide sign must be +1 or -1, got {sign!r}")
     moved = tuple(wi + sign * ai for wi, ai in zip(getattr(d, target), d.a1))
     return _derived(d, d._replace(**{target: moved}))
@@ -572,6 +583,7 @@ class HypothesisReport(_Value):
     """
 
     _fields = ("monodromy_nontrivial", "b2_c2_independent", "a2_pulled_c2_independent")
+    __slots__ = _fields
 
     def __init__(
         self, monodromy_nontrivial: bool, b2_c2_independent: bool, a2_pulled_c2_independent: bool

@@ -38,6 +38,8 @@ from __future__ import annotations
 # perfbench/test_oracles.py builds altered OrbitGraph values with
 # dataclasses.replace, so this module keeps @dataclass; the classes in
 # diagram.py are plain, and the verbs that need only them never load it.
+# Unlike SixTuple in vertical.py, these are not slots=True: no workload
+# holds many of them.
 from dataclasses import dataclass
 
 from .diagram import (
@@ -181,14 +183,14 @@ _STEPS = {
 }
 
 
-def _apply_word(d, word, torus: bool):
-    """Apply the tokens of word left to right; on the torus model a D1
-    token is refused before it is looked up."""
+def _apply_word(d, word):
+    """Apply the tokens of word left to right; a D1 token on a diagram
+    that is not a Genus2Diagram is refused before it is looked up."""
     # A str is a sequence of characters, so its tokens would be "D", "2".
     if isinstance(word, str):
         raise WordError(f"move word {word!r} is a str: pass parse_word(text)")
     for t in word:
-        if torus and t in (SIGMA1, SIGMA1_INV):
+        if t in (SIGMA1, SIGMA1_INV) and not isinstance(d, Genus2Diagram):
             raise WordError("sigma1 requires genus2 model")
         if t not in _STEPS:
             raise WordError(f"unknown move token {t!r}")
@@ -197,15 +199,15 @@ def _apply_word(d, word, torus: bool):
 
 
 def word_to_diagram(d: Genus2Diagram, word) -> Genus2Diagram:
-    """Apply a move word, a sequence of tokens, left to right on the
-    genus-2 model."""
-    return _apply_word(d, word, False)
+    """Apply a move word, a sequence of tokens, left to right; the result
+    has d's model, and D1 tokens need the genus-2 model."""
+    return _apply_word(d, word)
 
 
 def word_to_torus(d: TorusDiagram, word) -> TorusDiagram:
-    """Apply a move word, a sequence of tokens, on the torus model; D1
-    tokens need the genus-2 model."""
-    return _apply_word(d, word, True)
+    """Apply a move word, a sequence of tokens, left to right; the same
+    function as word_to_diagram, named for the torus model."""
+    return _apply_word(d, word)
 
 
 def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:

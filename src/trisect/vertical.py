@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 # perfbench/test_oracles.py builds altered SixTuple values with
 # dataclasses.replace, so SixTuple stays a dataclass, and FamilyMatch with
-# it as the module loads dataclasses anyway.  LensSpace, built up to six
-# times per six_tuple, is plain like the classes in diagram.py.
+# it as the module loads dataclasses anyway; both are slots=True, so they
+# carry no instance dict, as the plain classes do.  LensSpace, built up to
+# six times per six_tuple, is plain like the classes in diagram.py.
 from dataclasses import dataclass
 
 from .diagram import Monodromy, TorusDiagram, _set, _Value, require_valid_torus
@@ -36,6 +37,7 @@ class LensSpace(_Value):
     """
 
     _fields = ("p", "q")
+    __slots__ = _fields
 
     def __init__(self, p: int, q: int):
         if type(p) is not int or type(q) is not int:
@@ -185,7 +187,7 @@ def _lens_pair(v: Vec2, w: Vec2, x: Vec2) -> tuple[LensSpace, LensSpace]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SixTuple:
     """The six vertical pieces, arranged as the 2 x 3 matrix
 
@@ -275,7 +277,7 @@ def rotate(t: SixTuple) -> SixTuple:
     return SixTuple(*[slots[i] for i in _ROTATE])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyMatch:
     """Which parametric family a six-tuple realizes, and how.
 

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import random
 import types
 
@@ -14,6 +16,7 @@ from trisect import (
     Monodromy,
     SymplecticReduction,
     TorusDiagram,
+    WordError,
     apply_sigma1,
     apply_sigma1_inverse,
     apply_sigma2,
@@ -588,6 +591,11 @@ def test_handle_slide_arguments():
         handle_slide(g, "a1")
     with pytest.raises(ValueError):
         handle_slide(g, "a2", 2)
+    # Signs equal to +-1 but not exact ints would build non-int classes.
+    lift = embed_torus(case_diagram(3))
+    for sign in (1.0, -1.0, True, False, 1 + 0j):
+        with pytest.raises(ValueError, match="slide sign must be"):
+            handle_slide(lift, "a2", sign)
 
 
 def test_operations_reject_invalid_diagrams():
@@ -751,12 +759,14 @@ def test_validators_refuse_a_diagram_of_the_other_model():
         apply_sigma1,
         apply_sigma1_inverse,
         lambda x: handle_slide(x, "b2"),
-        lambda x: word_to_diagram(x, ("D1",)),
     )
     for entry_points, x in ((torus_only, g), (genus2_only, d)):
         for f in entry_points:
             with pytest.raises(InvalidDiagramError):
                 f(x)
+    # A word refuses sigma1 on the torus model before any move runs.
+    with pytest.raises(WordError, match="sigma1 requires genus2 model"):
+        word_to_diagram(d, ("D1",))
 
 
 def test_list_fields_are_never_marked():
@@ -800,11 +810,18 @@ def test_list_fields_are_never_marked():
             surgery_project(x)
 
 
+_COPIES = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+
+
 def test_mark_is_not_a_field():
+    # A copy of a marked diagram, by _replace, copy or pickle, is unmarked
+    # until it is validated itself.
     for d, validate in ((good_torus(), validate_torus), (embed_torus(good_torus()), validate_genus2)):
-        fresh = d._replace()
-        assert validate(d) == [] and d._valid and not fresh._valid
-        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        assert validate(d) == [] and d._valid
+        for fresh in (d._replace(), *(clone(d) for clone in _COPIES)):
+            assert not fresh._valid
+            assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+            assert validate(fresh) == [] and fresh._valid
         assert "_valid" not in d._fields
 
 
@@ -864,6 +881,25 @@ def test_value_classes_keep_dataclass_semantics():
         monodromy_nontrivial=False, b2_c2_independent=True, a2_pulled_c2_independent=True
     ) == report
     assert LensSpace(p=9, q=4) == lens
+
+
+def test_value_classes_are_slotted_and_copy_to_equal_values():
+    d = good_torus()
+    xs = [
+        d, d.monodromy, embed_torus(d), theorem_hypotheses(d), LensSpace(9, 4),
+        six_tuple(d), classify(six_tuple(case_diagram(3))),
+    ]
+    assert {type(x).__name__ for x in xs} == {
+        "TorusDiagram", "Monodromy", "Genus2Diagram", "HypothesisReport",
+        "LensSpace", "SixTuple", "FamilyMatch",
+    }
+    for x in xs:
+        # Every field has a slot; a field added without one would bring
+        # back the per-instance dict.
+        assert not hasattr(x, "__dict__"), type(x).__name__
+        for clone in _COPIES:
+            y = clone(x)
+            assert type(y) is type(x) and y == x and hash(y) == hash(x), (x, clone)
 
 
 def test_certification_path_validates_each_document_once(monkeypatch):

@@ -210,12 +210,19 @@ def test_word_application_errors():
         (word_to_torus, d, ("D9", SIGMA1), WordError, "unknown move token 'D9'"),
         (word_to_diagram, g, ("D9",), WordError, "unknown move token 'D9'"),
         (word_to_diagram, g, (SIGMA1, "D9"), WordError, "unknown move token 'D9'"),
+        # The model of the diagram decides, not which applier is called.
+        (word_to_diagram, d, (SIGMA1,), WordError, "sigma1 requires genus2 model"),
+        (word_to_diagram, d, (SIGMA2, SIGMA1_INV), WordError, "sigma1 requires genus2 model"),
         # A token that cannot be looked up at all.
         (word_to_torus, d, (["D2"],), TypeError, "unhashable"),
         (word_to_diagram, g, (["D2"],), TypeError, "unhashable"),
     ):
         with pytest.raises(error, match=match):
             apply(x, word)
+    lift = embed_torus(case_diagram(3))
+    assert word_to_torus(lift, (SIGMA1,)) == apply_sigma1(lift)
+    assert word_to_torus(lift, (SIGMA1_INV, SIGMA2)) == apply_sigma2(apply_sigma1_inverse(lift))
+    assert word_to_diagram(d, (SIGMA2,)) == apply_sigma2(d)
 
 
 def test_words_are_token_sequences_not_strings():

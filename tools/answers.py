@@ -4,9 +4,10 @@ Each line is a label and either the repr of the result or the type and
 message of the exception raised.  The corpus is deterministic: seeded
 torus and genus-2 diagrams (some with entries near 2^70), invalid
 variants of both models, orbits at whole and fractional depths, SL2
-completions, lens spaces, entries of the wrong type or shape, and every
-fixture through trisect.cli.main, with a few more documents and outputs
-in a temporary directory.
+completions, lens spaces, entries of the wrong type or shape, copies and
+pickle round trips of each value class, and every fixture through
+trisect.cli.main, with a few more documents and outputs in a temporary
+directory.
 To compare two checkouts, run on each
 
     PYTHONPATH=<tree>/src python3 tools/answers.py > <tree>.txt
@@ -17,9 +18,11 @@ and diff the two files.  Only the standard library and trisect are used.
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import math
 import os
+import pickle
 import random
 import shutil
 import sys
@@ -321,6 +324,26 @@ def shape_answers() -> None:
     show("validate_torus genus2", validate_torus, embed_torus(d))
     show("six_tuple genus2", six_tuple, embed_torus(d))
     show("validate_genus2 torus", validate_genus2, d)
+    # Each word applier on the other model: D2 keeps the model, D1 needs genus 2.
+    for word in (("D1",), ("D2",)):
+        show(f"word_to_torus genus2 {word!r}", word_to_torus, embed_torus(d), word)
+        show(f"word_to_diagram torus {word!r}", word_to_diagram, d, word)
+    # Slide signs equal to +-1 that are not exact ints.
+    for sign in (1.0, True):
+        show(f"handle_slide sign {sign!r}", handle_slide, embed_torus(d), "a2", sign)
+
+
+def copy_answers() -> None:
+    """copy, deepcopy and a pickle round trip of one value of each class,
+    each with whether it equals the original."""
+    d = case_diagram(3)
+    t = six_tuple(d)
+    clones = (("copy", copy.copy), ("deepcopy", copy.deepcopy),
+              ("pickle", lambda x: pickle.loads(pickle.dumps(x))))
+    for x in (d, d.monodromy, embed_torus(d), theorem_hypotheses(d), t, t.bb, classify(t)):
+        for name, clone in clones:
+            y = clone(x)
+            print(f"{name} {type(x).__name__} -> {(y, y == x)!r}")
 
 
 def cli_answers() -> None:
@@ -450,6 +473,7 @@ def run() -> None:
     lens_answers(rng)
     completion_answers(rng)
     shape_answers()
+    copy_answers()
     cli_answers()
 
 
