@@ -40,6 +40,7 @@ from .diagram import (
     InvalidDiagramError,
     Monodromy,
     TorusDiagram,
+    _rotations,
     intersection_invariant,
     require_valid_torus,
     surgery_project,
@@ -286,14 +287,13 @@ def text_invariant(payload: dict, args) -> str:
 
 
 def cmd_move(d, args) -> dict:
-    from .moves import WordError, parse_word, word_to_diagram, word_to_torus
+    from .moves import WordError, parse_word, word_to_diagram
 
     word = parse_word(args.word)
     # Refuse what every other verb refuses, even for an empty word.
     require_valid_torus(_as_torus(d))
-    apply_word = word_to_diagram if isinstance(d, Genus2Diagram) else word_to_torus
     try:
-        moved = apply_word(d, word)
+        moved = word_to_diagram(d, word)
     except WordError as e:
         # The word parsed, so this is a D1 token on a torus document.
         raise _RefusedError(str(e)) from None
@@ -362,11 +362,9 @@ def text_classify(payload: dict, args) -> str:
 def cmd_check_theorem(d, args) -> dict:
     d = _as_torus(d)
     report = theorem_hypotheses(d)
-    # I(s2 V) = (i1, i2, i0), as the moves.orbit docstring proves, so the
-    # three rows are rotations of one triple: pairwise distinct unless
-    # i0 = i1 = i2.
-    i0, i1, i2 = intersection_invariant(d)
-    certified = report.all_hold and not i0 == i1 == i2
+    # The rows I(V), I(s2 V), I(s2^2 V), as diagram._rotations proves them.
+    rows = _rotations(intersection_invariant(d))
+    certified = report.all_hold and len(set(rows)) == 3
     if certified:
         verdict = "three pairwise-inequivalent diagrams certified"
     elif report.all_hold:
@@ -374,7 +372,7 @@ def cmd_check_theorem(d, args) -> dict:
     else:
         verdict = "hypotheses not met: " + "; ".join(report.failures())
     # rotations_inequivalent in closed form: I(V) != (0, 0, 0).
-    inequivalent = (i0, i1, i2) != (0, 0, 0)
+    inequivalent = rows[0] != (0, 0, 0)
     if inequivalent:
         reason = None
     elif report.monodromy_nontrivial:
@@ -383,7 +381,7 @@ def cmd_check_theorem(d, args) -> dict:
         reason = "identity monodromy"
     return {
         "hypotheses": {name: getattr(report, name) for name in report._fields},
-        "invariants": [[i0, i1, i2], [i1, i2, i0], [i2, i0, i1]],
+        "invariants": [list(row) for row in rows],
         "certified": certified,
         "verdict": verdict,
         "rotations_inequivalent": inequivalent,

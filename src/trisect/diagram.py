@@ -339,7 +339,7 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
     return errors
 
 
-# The validity mark.  These three helpers are the only code that sets it,
+# The validity mark.  These two helpers are the only code that sets it,
 # and _trusted alone writes it; require_valid_torus and
 # require_valid_genus2 trust a marked diagram.
 def _mark(d):
@@ -347,7 +347,8 @@ def _mark(d):
 
     Only an exact TorusDiagram whose classes and core are tuples, with an
     exact Monodromy, or an exact Genus2Diagram whose six classes are
-    tuples, is marked, since a list could change after the check.
+    tuples, is marked, since a list could change after the check.  The
+    validators, the moves, embed_torus and handle_slide mark by this rule.
     """
     if type(d) is TorusDiagram:
         mono = d.monodromy
@@ -369,20 +370,6 @@ def _mark(d):
             and type(d.c2) is tuple
         )
     return _trusted(d) if ok else d
-
-
-def _derived(d, out):
-    """Mark out, which a move built from the valid diagram d, and return it.
-
-    Every move takes each field of out either from d or as a new tuple
-    (from transvect, Monodromy.apply or inverse_apply), so when d is a
-    marked diagram of exactly out's type, out is marked directly.
-    Otherwise, as for embed_torus, whose input has the other type, _mark
-    checks out.
-    """
-    if type(d) is type(out) and d._valid:
-        return _trusted(out)
-    return _mark(out)
 
 
 def _trusted(out):
@@ -500,7 +487,7 @@ def embed_torus(d: TorusDiagram) -> Genus2Diagram:
         c2=(0, 0) + tuple(d.c2),
         exponent=d.monodromy.exponent,
     )
-    return _derived(d, out)
+    return _mark(out)
 
 
 def intersection_invariant(d: TorusDiagram | Genus2Diagram) -> tuple[int, int, int]:
@@ -554,6 +541,21 @@ def rotations_inequivalent(d: TorusDiagram | Genus2Diagram) -> bool:
     return intersection_invariant(d) != (0, 0, 0)
 
 
+def _rotations(inv: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    """I(V), I(s2 V) and I(s2^2 V), from inv = I(V).
+
+    Proof.  s2 sends (a2, b2, c2) to (b2, mu^-1(c2), a2), and mu^-1
+    fixes the core d and preserves pair2, so I(s2 V) = (I_b, I_c, I_a);
+    identity monodromy gives (0, 0, 0) throughout.  A canonical form
+    changes each pairing with the core at most in sign, so I is the same
+    on a diagram and its canonical form.  The rows are cyclic shifts of
+    one triple, so they are pairwise distinct, and I separates the three
+    rotations, exactly when the entries of inv are not all equal.
+    """
+    i0, i1, i2 = inv
+    return inv, (i1, i2, i0), (i2, i0, i1)
+
+
 def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
     """Slide one of a2, b2, c2 over a1, replacing it by itself +- a1.
 
@@ -564,11 +566,15 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
     require_valid_genus2(d)
     if target not in ("a2", "b2", "c2"):
         raise ValueError(f"slide target must be one of a2, b2, c2, got {target!r}")
-    # 1.0 and True compare equal to 1 but would build non-int classes.
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"slide sign must be +1 or -1, got {sign!r}")
+    _check_sign(sign, "slide sign")
     moved = tuple(wi + sign * ai for wi, ai in zip(getattr(d, target), d.a1))
-    return _derived(d, d._replace(**{target: moved}))
+    return _mark(d._replace(**{target: moved}))
+
+
+def _check_sign(value, name: str) -> None:
+    # 1.0 and True compare equal to 1 but would build non-int classes.
+    if type(value) is not int or value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
 
 
 class HypothesisReport(_Value):

@@ -11,11 +11,8 @@ so transvect(c, 1, .) is the right-handed Dehn twist about a curve with
 homology class c, and transvect(c, -k, .) inverts transvect(c, k, .).
 diagram.Monodromy applies the rank-2 case in closed form,
 (x0 + m*c0, x1 + m*c1) with m = k * pair2(c, x), on the torus hot path.
-Since pair(c, transvect(c, k, x)) = pair(c, x), the inner rotation in
-moves cycles the intersection invariant, I(s2 V) = (I_b, I_c, I_a), so
-I(V) separates the three rotations exactly when its entries are not all
-equal.  sl2_complete takes its Bezout entry from pow(x, -1, |y|); _xgcd
-stays where its exact coefficients fix a basis (SymplecticReduction).
+sl2_complete takes its Bezout entry from pow(x, -1, |y|); _xgcd stays
+where its exact coefficients fix a basis (SymplecticReduction).
 """
 
 from __future__ import annotations
@@ -45,22 +42,26 @@ def pair4(v: Vec4, w: Vec4) -> int:
     return (v[0] * w[1] - v[1] * w[0]) + (v[2] * w[3] - v[3] * w[2])
 
 
-def _pair(v, w) -> int:
-    if len(v) == 2:
-        return pair2(v, w)
-    return pair4(v, w)
-
-
 def transvect(core, k: int, x):
     """Apply the k-th power of the transvection along core to x.
 
     Rank 2 and rank 4 inputs are both accepted; core and x must have the
-    same length.  k = +1 is the right-handed Dehn twist about core, and
-    transvect(core, -k, transvect(core, k, x)) == x since the core pairs
-    to zero with itself.
+    same length, or ValueError is raised.  k = +1 is the right-handed Dehn
+    twist about core, and transvect(core, -k, transvect(core, k, x)) == x
+    since the core pairs to zero with itself.
     """
-    m = k * _pair(core, x)
+    n = len(core)
+    if n != len(x):
+        raise ValueError(f"core {core} and class {x} have different lengths")
+    m = k * (pair2(core, x) if n == 2 else pair4(core, x))
     return tuple(xi + m * ci for xi, ci in zip(x, core))
+
+
+def _require_ints(v) -> None:
+    # Worded as math.gcd refuses a float; gcd takes True, which this refuses.
+    for x in v:
+        if type(x) is not int:
+            raise TypeError(f"{type(x).__name__!r} object cannot be interpreted as an integer")
 
 
 def is_primitive(v) -> bool:
@@ -112,11 +113,13 @@ def sl2_complete(v: Vec2) -> Mat2:
     The second row is forced to (-y, x) by the determinant condition, and
     the Bezout coefficient in the first row is reduced into the window
     (-|y|/2, |y|/2], which pins the matrix uniquely.  Raises
-    ZeroVectorError on v = 0 and NonPrimitiveError when gcd(x, y) > 1.
+    ZeroVectorError on v = 0, TypeError on an entry that is not an exact
+    int, and NonPrimitiveError when gcd(x, y) > 1.
     """
     x, y = v
     if x == 0 and y == 0:
         raise ZeroVectorError("cannot complete the zero vector")
+    _require_ints(v)
     g = math.gcd(x, y)
     if g != 1:
         raise NonPrimitiveError(f"{v} is not primitive (gcd {g})")
@@ -203,20 +206,22 @@ class SymplecticReduction:
     pair to -1.
 
     a may be any sequence: it is read into a tuple first, so the basis
-    holds no caller's list, and a length other than 4 is a ValueError.
+    holds no caller's list.  It raises ValueError on a length other than
+    4, then ZeroVectorError on zero, then TypeError on a non-int entry.
     """
 
     def __init__(self, a: Vec4):
         a = tuple(a)
         if len(a) != 4:
             raise ValueError(f"{a} is not a rank-4 class")
+        if not any(a):
+            raise ZeroVectorError("cannot reduce along the zero class")
+        _require_ints(a)
         if a == (1, 0, 0, 0):
             # Standard position, where every standard lift starts: the
             # general path below returns exactly the standard basis.
             self.basis = (a, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
             return
-        if not any(a):
-            raise ZeroVectorError("cannot reduce along the zero class")
         if not is_primitive(a):
             raise NonPrimitiveError(f"{a} is not primitive")
         a0, a1, a2, a3 = a[0], a[1], a[2], a[3]

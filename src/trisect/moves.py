@@ -26,11 +26,8 @@ its cube is a basis change, and the outer rotation fixes every node.
 There is one node exactly when I(V) = (0, 0, 0), as
 diagram.rotations_inequivalent proves.  Each rotation (b2, mu^-1(c2),
 a2) is canonicalised straight from its classes, without building the
-rotated diagram.  mu^-1 fixes the core and preserves the pairing, so
-I(s2 V) = (I_b, I_c, I_a) for I(V) = (I_a, I_b, I_c), and I(V)
-separates the three rotations exactly when its entries are not all
-equal: the tie locus is where the theorem's hypotheses hold and
-I_a = I_b = I_c.
+rotated diagram, and the node invariants are the rows of
+diagram._rotations, whose docstring proves them.
 """
 
 from __future__ import annotations
@@ -47,7 +44,8 @@ from .diagram import (
     Monodromy,
     TorusDiagram,
     _core_lift,
-    _derived,
+    _mark,
+    _rotations,
     _trusted,
     intersection_invariant,
     require_valid_genus2,
@@ -68,33 +66,12 @@ SIGMA1_INV = "D1'"
 SIGMA2 = "D2"
 SIGMA2_INV = "D2'"
 TOKENS = (SIGMA1, SIGMA1_INV, SIGMA2, SIGMA2_INV)
-_INVERSE = {SIGMA1: SIGMA1_INV, SIGMA1_INV: SIGMA1, SIGMA2: SIGMA2_INV, SIGMA2_INV: SIGMA2}
 
 ROTATION_WORD = (SIGMA1, SIGMA1, SIGMA1)
 
 
 class WordError(ValueError):
     """A move word could not be parsed or applied."""
-
-
-def parse_word(text: str) -> tuple[str, ...]:
-    """Parse a comma-separated move word such as "D2,D2',D1"."""
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    for t in tokens:
-        if t not in TOKENS:
-            raise WordError(f"unknown move token {t!r} (expected one of {', '.join(TOKENS)})")
-    return tuple(tokens)
-
-
-def reduce_word(word) -> tuple[str, ...]:
-    """Free reduction: cancel adjacent inverse pairs until none remain."""
-    stack: list[str] = []
-    for t in word:
-        if stack and stack[-1] == _INVERSE[t]:
-            stack.pop()
-        else:
-            stack.append(t)
-    return tuple(stack)
 
 
 def apply_sigma1(d: Genus2Diagram) -> Genus2Diagram:
@@ -127,7 +104,7 @@ def _outer(d: Genus2Diagram, a1, b1, c1, core, k: int) -> Genus2Diagram:
         c2=transvect(core, k, d.c2),
         exponent=d.exponent,
     )
-    return _derived(d, out)
+    return _mark(out)
 
 
 def apply_sigma2(d):
@@ -143,7 +120,7 @@ def apply_sigma2(d):
         return _inner(d, d.b2, transvect(_core_lift(d), -d.exponent, d.c2), d.a2)
     require_valid_torus(d)
     mono = d.monodromy
-    return _derived(d, TorusDiagram(d.b2, mono.inverse_apply(d.c2), d.a2, mono, d.sign))
+    return _mark(TorusDiagram(d.b2, mono.inverse_apply(d.c2), d.a2, mono, d.sign))
 
 
 def apply_sigma2_inverse(d):
@@ -153,13 +130,13 @@ def apply_sigma2_inverse(d):
         return _inner(d, d.c2, d.a2, transvect(_core_lift(d), d.exponent, d.b2))
     require_valid_torus(d)
     mono = d.monodromy
-    return _derived(d, TorusDiagram(d.c2, d.a2, mono.apply(d.b2), mono, d.sign))
+    return _mark(TorusDiagram(d.c2, d.a2, mono.apply(d.b2), mono, d.sign))
 
 
 def _inner(d: Genus2Diagram, a2, b2, c2) -> Genus2Diagram:
     """The step both inner rotations share on the genus-2 model: keep the
     first triple and set the second to (a2, b2, c2)."""
-    return _derived(d, Genus2Diagram(d.a1, d.b1, d.c1, a2, b2, c2, d.exponent))
+    return _mark(Genus2Diagram(d.a1, d.b1, d.c1, a2, b2, c2, d.exponent))
 
 
 def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
@@ -175,39 +152,63 @@ def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
     return ((col1[0], col2[0]), (col1[1], col2[1]))
 
 
-_STEPS = {
-    SIGMA1: apply_sigma1,
-    SIGMA1_INV: apply_sigma1_inverse,
-    SIGMA2: apply_sigma2,
-    SIGMA2_INV: apply_sigma2_inverse,
+# Each token -> (its inverse token, the move it applies).
+_MOVES = {
+    SIGMA1: (SIGMA1_INV, apply_sigma1),
+    SIGMA1_INV: (SIGMA1, apply_sigma1_inverse),
+    SIGMA2: (SIGMA2_INV, apply_sigma2),
+    SIGMA2_INV: (SIGMA2, apply_sigma2_inverse),
 }
 
 
-def _apply_word(d, word):
-    """Apply the tokens of word left to right; a D1 token on a diagram
-    that is not a Genus2Diagram is refused before it is looked up."""
+def _move(t) -> tuple:
+    """_MOVES[t]; WordError when t is no token, TypeError when it is unhashable."""
+    if t in _MOVES:
+        return _MOVES[t]
+    raise WordError(f"unknown move token {t!r} (expected one of {', '.join(TOKENS)})")
+
+
+def _refuse_str(word) -> None:
     # A str is a sequence of characters, so its tokens would be "D", "2".
     if isinstance(word, str):
         raise WordError(f"move word {word!r} is a str: pass parse_word(text)")
+
+
+def parse_word(text: str) -> tuple[str, ...]:
+    """Parse a comma-separated move word such as "D2,D2',D1"."""
+    tokens = tuple(t.strip() for t in text.split(",") if t.strip())
+    for t in tokens:
+        _move(t)
+    return tokens
+
+
+def reduce_word(word) -> tuple[str, ...]:
+    """Free reduction of a sequence of tokens: cancel adjacent inverse
+    pairs until none remain."""
+    _refuse_str(word)
+    stack: list[str] = []
+    for t in word:
+        inverse, _ = _move(t)
+        if stack and stack[-1] == inverse:
+            stack.pop()
+        else:
+            stack.append(t)
+    return tuple(stack)
+
+
+def word_to_diagram(d, word):
+    """Apply a move word, a sequence of tokens, left to right; the result
+    has d's model, and a D1 token on a diagram that is not a Genus2Diagram
+    is refused before it is looked up.  word_to_torus is this function."""
+    _refuse_str(word)
     for t in word:
         if t in (SIGMA1, SIGMA1_INV) and not isinstance(d, Genus2Diagram):
             raise WordError("sigma1 requires genus2 model")
-        if t not in _STEPS:
-            raise WordError(f"unknown move token {t!r}")
-        d = _STEPS[t](d)
+        d = _move(t)[1](d)
     return d
 
 
-def word_to_diagram(d: Genus2Diagram, word) -> Genus2Diagram:
-    """Apply a move word, a sequence of tokens, left to right; the result
-    has d's model, and D1 tokens need the genus-2 model."""
-    return _apply_word(d, word)
-
-
-def word_to_torus(d: TorusDiagram, word) -> TorusDiagram:
-    """Apply a move word, a sequence of tokens, left to right; the same
-    function as word_to_diagram, named for the torus model."""
-    return _apply_word(d, word)
+word_to_torus = word_to_diagram
 
 
 def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
@@ -288,12 +289,10 @@ def equivalent_torus(d1: TorusDiagram, d2: TorusDiagram) -> EquivalenceWitness |
     Exponent and sign field must agree.  Returns None when no witness
     exists; existence coincides with equality of canonical forms.
     """
-    require_valid_torus(d1)
-    require_valid_torus(d2)
     # The canonical form keeps the exponent and the sign field, so equal
     # forms agree on both.
-    c1, b1 = _canonical(d1.a2, d1.b2, d1.c2, d1.monodromy, d1.sign)
-    c2, b2 = _canonical(d2.a2, d2.b2, d2.c2, d2.monodromy, d2.sign)
+    c1, b1 = canonical_form(d1)
+    c2, b2 = canonical_form(d2)
     if c1 != c2:
         return None
     # b1 and b2 carry each class of d1 and d2 to the same canonical class up
@@ -382,17 +381,8 @@ def orbit(
     self-loops.  lift, a genus-2 diagram projecting to start, is accepted
     for callers that hold one; it does not change the result.
 
-    Only node 0's invariant (i0, i1, i2) is computed; node 1 gets
-    (i1, i2, i0) and node 2 gets (i2, i0, i1).  Proof: s2 sends
-    (a2, b2, c2) to (b2, mu^-1(c2), a2), and mu^-1 fixes the core d and
-    preserves pair2, so pair2(d, mu^-1(c2)) = pair2(d, c2) and
-    I(s2 V) = (I_b, I_c, I_a); identity monodromy gives (0, 0, 0)
-    throughout.  A canonical form applies a determinant-1 basis change
-    and sign flips to the classes and the core, which change each
-    pairing at most in sign, so I is the same on a diagram and its
-    canonical form.  Hence I(V) separates the three rotations exactly
-    when i0, i1, i2 are not all equal, and the tie locus is the set of
-    diagrams where the theorem's hypotheses hold and i0 = i1 = i2.
+    Only node 0's invariant is computed; the three node invariants are
+    the rows of diagram._rotations, whose docstring proves them.
 
     Edges come from fixed tables in breadth-first order: node 0 at depth
     1, then nodes 1 and 2 in lexicographic node-key order at depth 2 and
@@ -414,8 +404,7 @@ def orbit(
         edges = _EDGES_12
     else:
         edges = _EDGES_21
-    i0, i1, i2 = inv
+    inv0, inv1, inv2 = _rotations(inv)
     return OrbitGraph(
-        (OrbitNode(0, v0, inv), OrbitNode(1, v1, (i1, i2, i0)), OrbitNode(2, v2, (i2, i0, i1))),
-        edges[outer],
+        (OrbitNode(0, v0, inv0), OrbitNode(1, v1, inv1), OrbitNode(2, v2, inv2)), edges[outer]
     )

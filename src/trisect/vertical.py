@@ -24,8 +24,8 @@ import math
 # six times per six_tuple, is plain like the classes in diagram.py.
 from dataclasses import dataclass
 
-from .diagram import Monodromy, TorusDiagram, _set, _Value, require_valid_torus
-from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _complete, is_primitive
+from .diagram import Monodromy, TorusDiagram, _check_sign, _set, _Value, require_valid_torus
+from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _complete, _require_ints
 
 
 class LensSpace(_Value):
@@ -148,13 +148,14 @@ def lens_equiv(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> bool:
 def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
     """Double solid torus with meridian classes v and w.
 
-    Requires both classes primitive.  p = |pair2(v, w)|; q is the first
-    coordinate of w after a basis change taking v to (1, 0).
+    Requires both classes primitive, of exact ints.  p = |pair2(v, w)|; q
+    is the first coordinate of w after a basis change taking v to (1, 0).
     """
     for u in (v, w):
         if not any(u):
             raise ZeroVectorError("meridian class is zero")
-        if not is_primitive(u):
+        _require_ints(u)
+        if math.gcd(*u) != 1:
             raise NonPrimitiveError(f"meridian class {u} is not primitive")
     return _lens_pair(v, w, w)[0]
 
@@ -178,8 +179,6 @@ def _lens_pair(v: Vec2, w: Vec2, x: Vec2) -> tuple[LensSpace, LensSpace]:
     x0, x1 = x
     p = abs(v0 * w1 - v1 * w0)
     r = abs(v0 * x1 - v1 * x0)
-    if p < 2 and r < 2:
-        return _SMALL[p], _SMALL[r]
     u0, u1, _, _ = _complete(v0, v1)
     return (
         _SMALL[p] if p < 2 else _normal_form(p, (u0 * w0 + u1 * w1) % p),
@@ -415,17 +414,18 @@ def case_diagram(
 
     Every case has a2 = (1, 0) and b2 = (0, 1); upper selects the sign of
     the twist exponent, with the remaining data tied to it.  Family 2
-    takes the integer parameter q (the lower branch realizes family
+    takes the exact int parameter q (the lower branch realizes family
     parameter -q); family 4 takes the extra sign eps2; family 5's two
     sub-cases are selected by epsilon.  Family 1 is the identity-monodromy
-    configuration.
+    configuration.  Each sign argument must be an exact int +-1.
     """
+    _check_sign(sign, "sign")
     a2, b2 = (1, 0), (0, 1)
     if family == 1:
         return TorusDiagram(a2, b2, (-1, -1), Monodromy.identity(), sign)
     if family == 2:
-        if q is None:
-            raise ValueError("family 2 requires the parameter q")
+        if type(q) is not int:
+            raise ValueError(f"family 2 requires an int parameter q, got {q!r}")
         if upper:
             c2, core, k = (q - 2, 1), (-1, 1), 1
         else:
@@ -436,17 +436,15 @@ def case_diagram(
         else:
             c2, core, k = (5, 1), (3, 1), -1
     elif family == 4:
-        if eps2 not in (1, -1):
-            raise ValueError("eps2 must be +1 or -1")
+        _check_sign(eps2, "eps2")
         k = 4 if upper else -4
         c2, core = (-1 + (k // 4) * 4 * eps2, eps2), (1, 0)
     elif family == 5:
+        _check_sign(epsilon, "epsilon")
         if epsilon == 1:
             c2 = (-2, -1) if upper else (-2, 1)
-        elif epsilon == -1:
-            c2 = (0, 1) if upper else (0, -1)
         else:
-            raise ValueError("epsilon must be +1 or -1")
+            c2 = (0, 1) if upper else (0, -1)
         core, k = (1, 0), 1 if upper else -1
     else:
         raise ValueError(f"no family {family}")

@@ -55,6 +55,10 @@ def test_transvect_values():
     assert transvect((-1, 1), -1, (1, 0)) == (0, 1)
     # the twist fixes its own core
     assert transvect((-3, 1), 7, (-3, 1)) == (-3, 1)
+    # a core and a class of different lengths
+    for core, x in (((1, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 1))):
+        with pytest.raises(ValueError, match="different lengths"):
+            transvect(core, 1, x)
 
 
 def test_transvect_preserves_pairing_and_inverts():
@@ -349,6 +353,14 @@ def test_symplectic_reduce_errors():
         SymplecticReduction((0, 0, 0, 0))
     with pytest.raises(NonPrimitiveError):
         SymplecticReduction((2, 0, 2, 0))
+    # Entries that compare equal to ints, on the standard shortcut and off
+    # it; the zero check comes first and keeps its error.
+    for a in ((1.0, 0, 0, 0), (True, 0, 0, 0), (True, False, False, False), (0, 1, 0, True)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SymplecticReduction(a)
+    for a in ((0.0, 0, 0, 0), (False, False, False, False)):
+        with pytest.raises(ZeroVectorError):
+            SymplecticReduction(a)
 
 
 # sl2_complete as first written, on the extended gcd, kept verbatim as the
@@ -405,7 +417,7 @@ def test_sl2_complete_matches_xgcd_reference():
 def test_sl2_complete_refuses_floats():
     # The gcd is math.gcd, which takes only integers; the zero check
     # comes first and keeps its error.
-    for v in ((1.0, 0.0), (1.0, 2), (0, 1.0), (3.0, 5.0)):
+    for v in ((1.0, 0.0), (1.0, 2), (0, 1.0), (3.0, 5.0), (True, False), (0, True), (2, True)):
         with pytest.raises(TypeError):
             sl2_complete(v)
     with pytest.raises(ZeroVectorError):

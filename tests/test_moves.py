@@ -83,6 +83,14 @@ def test_reduce_word():
         w = rand_word(rng, rng.randrange(12))
         assert reduce_word(w + inverse_word(w)) == ()
         assert reduce_word(reduce_word(w)) == reduce_word(w)
+    # Tokens are checked as the word appliers check them, a leading one too.
+    for word, match in (
+        ("D2", r"pass parse_word\(text\)"),
+        (("D9",), r"unknown move token 'D9' \(expected one of D1, D1', D2, D2'\)"),
+        (("D2", None), "unknown move token None"),
+    ):
+        with pytest.raises(WordError, match=match):
+            reduce_word(word)
 
 
 def test_sigma2_frozen_values():
@@ -202,12 +210,14 @@ def test_rotation_word_property():
 
 
 def test_word_application_errors():
+    # One function under two names.
+    assert word_to_torus is word_to_diagram
     d = case_diagram(2, q=3)
     g = embed_torus(d)
     for apply, x, word, error, match in (
         (word_to_torus, d, (SIGMA1,), WordError, "sigma1 requires genus2 model"),
         (word_to_torus, d, (SIGMA2, SIGMA1_INV), WordError, "sigma1 requires genus2 model"),
-        (word_to_torus, d, ("D9", SIGMA1), WordError, "unknown move token 'D9'"),
+        (word_to_torus, d, ("D9", SIGMA1), WordError, r"'D9' \(expected one of D1, D1'"),
         (word_to_diagram, g, ("D9",), WordError, "unknown move token 'D9'"),
         (word_to_diagram, g, (SIGMA1, "D9"), WordError, "unknown move token 'D9'"),
         # The model of the diagram decides, not which applier is called.

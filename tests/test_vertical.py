@@ -134,6 +134,13 @@ def test_lens_from_pair_frozen_values():
         lens_from_pair((2, 0), (0, 1))
     with pytest.raises(NonPrimitiveError):
         lens_from_pair((1, 0), (2, 2))
+    # Entries that compare equal to ints; a zero class keeps its error.
+    for v, w in (((True, False), (0, 1)), ((1.0, 0), (0, 1)), ((1, 0), (0, 1.0)),
+                 ((1, 0), (False, True))):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            lens_from_pair(v, w)
+    with pytest.raises(ZeroVectorError):
+        lens_from_pair((0.0, 0), (1, 0))
 
 
 def test_lens_from_pair_symmetries():
@@ -299,6 +306,15 @@ def test_case_diagram_argument_errors():
         case_diagram(4, eps2=0)
     with pytest.raises(ValueError):
         case_diagram(5, epsilon=2)
+    # Arguments that would build a diagram of non-int classes or sign.
+    for family, kwargs in (
+        (2, {"q": 1.5}), (2, {"q": 3.0}), (2, {"q": True}), (2, {"q": "3"}),
+        (1, {"sign": 2}), (3, {"sign": 1.0}), (3, {"sign": True}), (2, {"q": 3, "sign": 0}),
+        (4, {"eps2": 1.0}), (4, {"eps2": True}), (5, {"epsilon": 1.0}),
+    ):
+        with pytest.raises(ValueError):
+            case_diagram(family, **kwargs)
+    assert case_diagram(1, sign=-1).sign == -1
 
 
 def test_six_tuple_matches_pair_table():

@@ -50,6 +50,7 @@ from trisect import (
     lens_equiv,
     lens_from_pair,
     orbit,
+    reduce_word,
     reflect,
     rotate,
     rotations_inequivalent,
@@ -310,7 +311,8 @@ def lens_answers(rng) -> None:
 
 
 def shape_answers() -> None:
-    """Entries of the wrong type or shape: lens spaces, reductions, words."""
+    """Entries of the wrong type or shape: lens spaces, reductions, words,
+    completions, transvections and case arguments."""
     for p, q in ((2, True), (True, False), (5, 2.0), (5.0, 2)):
         show(f"LensSpace {p!r} {q!r}", LensSpace, p, q)
     for a in ([1, 0, 0, 0], [0, 0, 1, 0], (1, 0, 0), (1, 0, 0, 0, 0)):
@@ -331,6 +333,23 @@ def shape_answers() -> None:
     # Slide signs equal to +-1 that are not exact ints.
     for sign in (1.0, True):
         show(f"handle_slide sign {sign!r}", handle_slide, embed_torus(d), "a2", sign)
+    # Words reduce_word refuses as the word appliers do, with one message.
+    for word in ("D2", ("D9",), ("D2", None)):
+        show(f"reduce_word {word!r}", reduce_word, word)
+    show("word_to_torus ('D9',)", word_to_torus, d, ("D9",))
+    show("transvect (1, 0) (0, 1, 0, 0)", transvect, (1, 0), 1, (0, 1, 0, 0))
+    # bool and float entries that compare equal to ints.
+    for v in ((True, False), (1, True), (1.0, 0)):
+        show(f"sl2_complete {v!r}", sl2_complete, v)
+    for a in ((True, 0, 0, 0), (1.0, 0, 0, 0), (0, 0, True, 0), (0.0, 0, 0, 0)):
+        show(f"SymplecticReduction {a!r}", lambda a: SymplecticReduction(a).basis, a)
+    for v, w in (((True, False), (0, 1)), ((1, 0), (False, True)), ((1.0, 0), (0, 1))):
+        show(f"lens_from_pair {v!r} {w!r}", lens_from_pair, v, w)
+    for family, kwargs in (
+        (2, {"q": 1.5}), (2, {"q": True}), (1, {"sign": 2}), (3, {"sign": 1.0}),
+        (3, {"sign": True}), (4, {"eps2": 1.0}), (5, {"epsilon": 1.0}),
+    ):
+        show(f"case_diagram {family} {kwargs!r}", case_diagram, family, **kwargs)
 
 
 def copy_answers() -> None:
