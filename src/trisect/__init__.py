@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
 }
 
-_SUBMODULES = frozenset(("cli", "diagram", "lattice", "moves", "vertical"))
+_SUBMODULES = frozenset(("cli", "diagram", "document", "lattice", "moves", "vertical"))
 
 __all__ = list(_EXPORTS)
 

@@ -1,22 +1,8 @@
 """Command line front end.
 
-Diagrams travel as JSON documents.  Torus model:
-
-    {"model": "torus", "a2": [1, 0], "b2": [0, 1], "c2": [1, 1],
-     "monodromy": {"type": "twist", "core": [-1, 1], "exponent": 1},
-     "sign": 1}
-
-Genus-2 model: "model": "genus2", six length-4 classes a1..c2, and a
-monodromy without a core field (the core is recovered by surgery).  The
-identity monodromy is {"type": "identity"}.  Integer entries may be JSON
-numbers or decimal strings, so values beyond 64 bits survive any writer.
-
-A genus-2 document is valid when it passes the genus-2 checks and
-surgery_project turns it into a valid torus diagram; every verb refuses
-the others.
-
-Each verb builds one payload, a dict: --json prints it, and the text form
-is formatted from it alone.  main is the only caller that prints or picks
+Each verb reads one JSON diagram document (see trisect.document) and
+builds one payload, a dict: --json prints it, and the text form is
+formatted from it alone.  main is the only caller that prints or picks
 an exit code.
 
 Exit codes: 0 success (including negative verdicts), 1 invalid diagram,
@@ -30,222 +16,33 @@ import json
 import sys
 from types import SimpleNamespace
 
-# Only diagram and lattice load with this module: parse_document and the
-# error handling in main need them.  Each verb imports what else it uses,
-# so that one call loads no module its verb does not need.
+# Only document, diagram and lattice load with this module: main reads
+# the document and handles their errors.  Each verb imports what else it
+# uses, so that one call loads no module its verb does not need.
 from .diagram import (
     EXPONENT_CORE_MISMATCH,
     ExponentCoreMismatchError,
     Genus2Diagram,
     InvalidDiagramError,
-    Monodromy,
-    TorusDiagram,
     _rotations,
     intersection_invariant,
-    require_valid_torus,
-    surgery_project,
     theorem_hypotheses,
-    validate_torus,
+)
+from .document import (
+    DocumentError,
+    _as_int,
+    _document_json,
+    load_document,
+    parse_document,  # unused here: perfbench/ imports it from trisect.cli
+    serialize_document,
+    torus_of,
+    write_document,
 )
 from .lattice import NonPrimitiveError, ZeroVectorError
 
 
-class DocumentError(ValueError):
-    """The JSON document could not be read or does not match the schema."""
-
-
 class _RefusedError(ValueError):
     """A valid diagram that the verb cannot act on as asked; main exits 1."""
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool):
-        raise DocumentError(f"{where}: expected an integer, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        # Only JSON whitespace: str.strip() would also take any Unicode
-        # space and the C0 and C1 separators, as in "\x1c7".
-        text = value.strip(" \t\r\n")
-        digits = text[1:] if text[:1] in ("+", "-") else text
-        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
-        # Only ASCII [+-]?[0-9]+: int() alone also accepts underscores, as
-        # in "1_0", and non-ASCII decimal digits such as fullwidth ones.
-        if not (digits.isascii() and digits.isdigit()):
-            raise DocumentError(f"{where}: {shown} is not a decimal integer")
-        try:
-            return int(text)
-        except ValueError:
-            # On ASCII digits int() fails only past the int/str digit limit.
-            limit = sys.get_int_max_str_digits()
-            raise DocumentError(
-                f"{where}: {shown} exceeds the {limit}-digit integer-conversion limit"
-            ) from None
-    raise DocumentError(f"{where}: expected an integer, got {type(value).__name__}")
-
-
-def _as_vec(value, n: int, where: str) -> tuple:
-    if type(value) is list and len(value) == n:
-        # Fast path for plain JSON integers; anything else is checked below.
-        for c in value:
-            if type(c) is not int:
-                break
-        else:
-            return tuple(value)
-    if not isinstance(value, list) or len(value) != n:
-        raise DocumentError(f"{where}: expected a list of {n} integers")
-    return tuple(_as_int(c, f"{where}[{i}]") for i, c in enumerate(value))
-
-
-# The exact key sets of the schema.  A document whose key set matches is
-# read without further key checks; any other key set goes to _check_keys,
-# which names what is missing or unknown.
-_TORUS_KEYS = frozenset(("model", "a2", "b2", "c2", "monodromy", "sign"))
-_GENUS2_KEYS = frozenset(("model", "a1", "b1", "c1", "a2", "b2", "c2", "monodromy"))
-_TWIST_CORE_KEYS = frozenset(("type", "core", "exponent"))
-_TWIST_KEYS = frozenset(("type", "exponent"))
-_IDENTITY_KEYS = frozenset(("type",))
-
-
-def _check_keys(obj: dict, fields: frozenset, where: str):
-    missing = fields - obj.keys()
-    unknown = obj.keys() - fields
-    if missing:
-        raise DocumentError(f"{where}: missing fields {sorted(missing)}")
-    if unknown:
-        raise DocumentError(f"{where}: unknown fields {sorted(unknown)}")
-
-
-def _parse_monodromy(obj, with_core: bool) -> tuple:
-    # Returns (core or None, exponent).
-    if not isinstance(obj, dict):
-        raise DocumentError("monodromy: expected an object")
-    kind = obj.get("type")
-    if kind == "identity":
-        if obj.keys() != _IDENTITY_KEYS:
-            _check_keys(obj, _IDENTITY_KEYS, "monodromy")
-        return (None, 0)
-    if kind == "twist":
-        fields = _TWIST_CORE_KEYS if with_core else _TWIST_KEYS
-        if obj.keys() != fields:
-            _check_keys(obj, fields, "monodromy")
-        core = _as_vec(obj["core"], 2, "monodromy.core") if with_core else None
-        return (core, _as_int(obj["exponent"], "monodromy.exponent"))
-    raise DocumentError(f"monodromy.type: expected 'identity' or 'twist', got {kind!r}")
-
-
-def parse_document(obj) -> TorusDiagram | Genus2Diagram:
-    """Strict schema check; all violations raise DocumentError."""
-    if not isinstance(obj, dict):
-        raise DocumentError("document: expected a JSON object")
-    model = obj.get("model")
-    if model == "torus":
-        if obj.keys() != _TORUS_KEYS:
-            _check_keys(obj, _TORUS_KEYS, "document")
-        # The monodromy is read first, so its errors come first.
-        core, exponent = _parse_monodromy(obj["monodromy"], with_core=True)
-        return TorusDiagram(
-            _as_vec(obj["a2"], 2, "a2"),
-            _as_vec(obj["b2"], 2, "b2"),
-            _as_vec(obj["c2"], 2, "c2"),
-            Monodromy(core, exponent),
-            _as_int(obj["sign"], "sign"),
-        )
-    if model == "genus2":
-        if obj.keys() != _GENUS2_KEYS:
-            _check_keys(obj, _GENUS2_KEYS, "document")
-        _core, exponent = _parse_monodromy(obj["monodromy"], with_core=False)
-        return Genus2Diagram(
-            _as_vec(obj["a1"], 4, "a1"),
-            _as_vec(obj["b1"], 4, "b1"),
-            _as_vec(obj["c1"], 4, "c1"),
-            _as_vec(obj["a2"], 4, "a2"),
-            _as_vec(obj["b2"], 4, "b2"),
-            _as_vec(obj["c2"], 4, "c2"),
-            exponent,
-        )
-    raise DocumentError(f"model: expected 'torus' or 'genus2', got {model!r}")
-
-
-def _unique_keys(pairs: list) -> dict:
-    # JSON readers disagree on a repeated key (first or last wins), so the
-    # document means different things to different readers; refuse it.
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise DocumentError(f"duplicate key {key!r}")
-            seen.add(key)
-    return obj
-
-
-def load_document(path: str) -> TorusDiagram | Genus2Diagram:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror or e}") from None
-    except UnicodeDecodeError:
-        raise DocumentError(f"{path}: not UTF-8 text") from None
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"{path}: invalid JSON ({e})") from None
-    except RecursionError:
-        raise DocumentError(f"{path}: JSON nested too deeply") from None
-    except DocumentError as e:
-        raise DocumentError(f"{path}: {e}") from None
-    except ValueError:
-        # The one plain ValueError of json.load: a bare number past the
-        # int/str digit limit.  _as_int says the same of a decimal string.
-        limit = sys.get_int_max_str_digits()
-        raise DocumentError(
-            f"{path}: a JSON number exceeds the {limit}-digit integer-conversion limit"
-        ) from None
-    return parse_document(obj)
-
-
-def serialize_document(d: TorusDiagram | Genus2Diagram) -> dict:
-    if isinstance(d, Genus2Diagram):
-        mono = {"type": "identity"} if d.exponent == 0 else {"type": "twist", "exponent": d.exponent}
-        return {
-            "model": "genus2",
-            "a1": list(d.a1),
-            "b1": list(d.b1),
-            "c1": list(d.c1),
-            "a2": list(d.a2),
-            "b2": list(d.b2),
-            "c2": list(d.c2),
-            "monodromy": mono,
-        }
-    if d.monodromy.is_identity:
-        mono = {"type": "identity"}
-    else:
-        mono = {"type": "twist", "core": list(d.monodromy.core), "exponent": d.monodromy.exponent}
-    return {
-        "model": "torus",
-        "a2": list(d.a2),
-        "b2": list(d.b2),
-        "c2": list(d.c2),
-        "monodromy": mono,
-        "sign": d.sign,
-    }
-
-
-def _document_json(obj: dict) -> str:
-    # One field per line with vectors inline; deterministic, so identical
-    # diagrams always serialize to identical bytes.
-    return "{\n" + ",\n".join(f'  "{k}": {json.dumps(v)}' for k, v in obj.items()) + "\n}"
-
-
-def document_text(d) -> str:
-    return _document_json(serialize_document(d)) + "\n"
-
-
-def _as_torus(d) -> TorusDiagram:
-    """Commands on vertical pieces and invariants take either model."""
-    if isinstance(d, Genus2Diagram):
-        return surgery_project(d)
-    return d
 
 
 def _fmt_triple(t) -> str:
@@ -256,21 +53,14 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _errors(d) -> list[str]:
-    """Validation error codes; a genus-2 diagram must also project."""
-    if not isinstance(d, Genus2Diagram):
-        return validate_torus(d)
-    try:
-        surgery_project(d)
-    except InvalidDiagramError as e:
-        return e.errors
-    except ExponentCoreMismatchError:
-        return [EXPONENT_CORE_MISMATCH]
-    return []
-
-
 def cmd_validate(d, args) -> dict:
-    errors = _errors(d)
+    try:
+        torus_of(d)
+        errors = []
+    except InvalidDiagramError as e:
+        errors = e.errors
+    except ExponentCoreMismatchError:
+        errors = [EXPONENT_CORE_MISMATCH]
     return {"ok": not errors, "errors": errors}
 
 
@@ -279,7 +69,7 @@ def text_validate(payload: dict, args) -> str:
 
 
 def cmd_invariant(d, args) -> dict:
-    return {"invariant": list(intersection_invariant(_as_torus(d)))}
+    return {"invariant": list(intersection_invariant(torus_of(d)))}
 
 
 def text_invariant(payload: dict, args) -> str:
@@ -291,7 +81,7 @@ def cmd_move(d, args) -> dict:
 
     word = parse_word(args.word)
     # Refuse what every other verb refuses, even for an empty word.
-    require_valid_torus(_as_torus(d))
+    torus_of(d)
     try:
         moved = word_to_diagram(d, word)
     except WordError as e:
@@ -300,24 +90,8 @@ def cmd_move(d, args) -> dict:
     if not args.out:
         return {"word": list(word), "diagram": serialize_document(moved)}
     # main lifts the int/str digit limit for the answers, but the file is
-    # read back under it; refuse an entry load_document would refuse.  A
-    # limit of 0 means none.
-    limit = args.digit_limit
-    if isinstance(moved, Genus2Diagram):
-        classes = (moved.a1, moved.b1, moved.c1, moved.a2, moved.b2, moved.c2)
-    else:
-        classes = (moved.a2, moved.b2, moved.c2, moved.monodromy.core or ())
-    bound = 10**limit
-    if limit and any(abs(x) >= bound for v in classes for x in v):
-        raise DocumentError(
-            f"cannot write {args.out}: an entry exceeds the {limit}-digit"
-            " integer-conversion limit, so the document could not be read back"
-        )
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document_text(moved))
-    except OSError as e:
-        raise DocumentError(f"cannot write {args.out}: {e.strerror or e}") from None
+    # read back under it.
+    write_document(args.out, moved, args.digit_limit)
     return {"word": list(word), "out": args.out}
 
 
@@ -328,7 +102,7 @@ def text_move(payload: dict, args) -> str:
 def cmd_six_tuple(d, args) -> dict:
     from .vertical import six_tuple
 
-    return {"tuple": {name: str(l) for name, l in six_tuple(_as_torus(d)).slots()}}
+    return {"tuple": {name: str(l) for name, l in six_tuple(torus_of(d)).slots()}}
 
 
 def text_six_tuple(payload: dict, args) -> str:
@@ -341,7 +115,7 @@ def text_six_tuple(payload: dict, args) -> str:
 def cmd_classify(d, args) -> dict:
     from .vertical import classify, six_tuple
 
-    match = classify(six_tuple(_as_torus(d)), oriented=args.oriented)
+    match = classify(six_tuple(torus_of(d)), oriented=args.oriented)
     if match is None:
         return {"family": None}
     return {k: getattr(match, k) for k in ("family", "q", "epsilon", "rotations", "reflected")}
@@ -360,7 +134,7 @@ def text_classify(payload: dict, args) -> str:
 
 
 def cmd_check_theorem(d, args) -> dict:
-    d = _as_torus(d)
+    d = torus_of(d)
     report = theorem_hypotheses(d)
     # The rows I(V), I(s2 V), I(s2^2 V), as diagram._rotations proves them.
     rows = _rotations(intersection_invariant(d))
@@ -414,7 +188,7 @@ def cmd_orbit(d, args) -> dict:
     # An argument error comes before the projection can refuse the document.
     _check_depth(args.depth)
     # On a genus-2 document the orbit includes the outer rotations.
-    graph = orbit(_as_torus(d), args.depth, include_sigma1=isinstance(d, Genus2Diagram))
+    graph = orbit(torus_of(d), args.depth, include_sigma1=isinstance(d, Genus2Diagram))
     return {
         "nodes": [
             {

@@ -36,7 +36,8 @@ from trisect import (
     transvect,
     word_to_torus,
 )
-from trisect.cli import document_text, main
+from trisect.cli import main
+from trisect.document import document_text
 
 from conftest import (
     rand_primitive_vec2,

@@ -27,11 +27,11 @@ from trisect import (
     surgery_project,
     theorem_hypotheses,
 )
-from trisect.cli import (
+from trisect.cli import main
+from trisect.document import (
     DocumentError,
     document_text,
     load_document,
-    main,
     parse_document,
     serialize_document,
 )
@@ -69,13 +69,36 @@ def test_validate_invalid_diagram(capsys):
     assert json.loads(out) == {"ok": False, "errors": ["BadExponent"]}
 
 
-def test_document_errors_exit_2(capsys):
+def test_document_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "validate", fixture("invalid/malformed.json"))
     assert code == 2 and "invalid JSON" in err
     code, _, err = run(capsys, "validate", fixture("invalid/unknown_field.json"))
     assert code == 2 and "unknown fields" in err and "color" in err
     code, _, err = run(capsys, "validate", fixture("no_such_file.json"))
     assert code == 2 and "cannot read" in err
+    # A message echoes a long value, or a long list of field names, only in
+    # part, so a huge document gives a short error.  The relative path keeps
+    # the message independent of where the test runs.
+    monkeypatch.chdir(tmp_path)
+    text = Path(fixture("family3.json")).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    long = "x" * 100_000
+    cases = [
+        (json.dumps({**doc, "model": long}), "model: expected 'torus' or 'genus2', got 'xxx"),
+        (json.dumps({**doc, "model": [0] * 50_000}), "model: expected 'torus' or 'genus2', got [0, "),
+        (json.dumps({**doc, "monodromy": {"type": long}}), "monodromy.type: expected"),
+        (json.dumps({**doc, long: 1}), "document: unknown fields ['xxx"),
+        (
+            json.dumps({**doc, **{f"k{i}": 0 for i in range(20_000)}}),
+            "document: unknown fields ['k0', 'k1', 'k10', ...] (20000 fields)",
+        ),
+        (text.replace('"sign": 1', f'"{long}": 1, "{long}": 2, "sign": 1'), "duplicate key 'xxx"),
+    ]
+    for body, message in cases:
+        Path("long.json").write_text(body, encoding="utf-8")
+        code, out, err = run(capsys, "validate", "long.json")
+        assert (code, out) == (2, ""), message
+        assert err.startswith("error: ") and message in err and len(err) < 200, err[:300]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -494,22 +517,37 @@ def test_parse_document_key_sets():
             assert d == diagram and type(d) is type(diagram)
 
 
-def test_genus2_verbs_agree_on_validity(tmp_path, capsys):
-    # Both documents pass validate_genus2, but surgery_project refuses
-    # them, so every verb that reads a diagram exits 1, and
-    # intersection_invariant raises the error the invariant verb reports.
+def test_verbs_agree_on_validity(tmp_path, capsys):
+    # Every verb that reads a diagram refuses the documents validate
+    # refuses: it exits 1, prints nothing, and reports the error that
+    # intersection_invariant raises, which for InvalidDiagramError is the
+    # codes validate prints.  The two genus-2 documents pass
+    # validate_genus2, but surgery_project refuses them.
     doc = json.loads(Path(fixture("genus2_q3.json")).read_text(encoding="utf-8"))
-    cases = [
+    genus2 = [
         ({**doc, "a2": [0, 0, 2, 0]}, ["NonPrimitive"]),
         ({**doc, "monodromy": {"type": "identity"}}, ["ExponentCoreMismatch"]),
     ]
-    for i, (bad, errors) in enumerate(cases):
+    cases = [
+        (fixture("invalid/bad_exponent.json"), ["BadExponent"]),
+        (fixture("invalid/nonprimitive.json"), ["NonPrimitive"]),
+    ]
+    for i, (bad, errors) in enumerate(genus2):
         p = tmp_path / f"bad{i}.json"
         p.write_text(json.dumps(bad), encoding="utf-8")
-        code, out, _ = run(capsys, "validate", str(p), "--json")
+        cases.append((str(p), errors))
+    for path, errors in cases:
+        code, out, _ = run(capsys, "validate", path, "--json")
         assert (code, json.loads(out)) == (1, {"ok": False, "errors": errors})
-        code, out, _ = run(capsys, "validate", str(p))
-        assert (code, out) == (1, "".join(e + "\n" for e in errors))
+        codes = "".join(e + "\n" for e in errors)
+        assert run(capsys, "validate", path) == (1, codes, "")
+        with pytest.raises((InvalidDiagramError, ExponentCoreMismatchError)) as info:
+            intersection_invariant(load_document(path))
+        if isinstance(info.value, InvalidDiagramError):
+            reported = codes
+        else:
+            assert errors == ["ExponentCoreMismatch"]
+            reported = f"error: {info.value}\n"
         for argv in (
             ["invariant"],
             ["move", "--word", "D1,D2"],
@@ -519,15 +557,7 @@ def test_genus2_verbs_agree_on_validity(tmp_path, capsys):
             ["check-theorem"],
             ["orbit", "--depth", "2"],
         ):
-            code, out, _ = run(capsys, argv[0], str(p), *argv[1:])
-            assert (code, out) == (1, ""), argv
-        with pytest.raises((InvalidDiagramError, ExponentCoreMismatchError)) as info:
-            intersection_invariant(parse_document(bad))
-        if isinstance(info.value, InvalidDiagramError):
-            reported = "".join(e + "\n" for e in info.value.errors)
-        else:
-            reported = f"error: {info.value}\n"
-        assert run(capsys, "invariant", str(p)) == (1, "", reported)
+            assert run(capsys, argv[0], path, *argv[1:]) == (1, "", reported), (path, argv)
 
 
 def test_move_refuses_invalid_torus_with_empty_word(capsys):
@@ -949,10 +979,10 @@ def _modules_after(*argvs):
 
 def test_each_verb_imports_only_its_modules():
     loaded = _modules_after(["validate", fixture("family3.json")], ["lens", "9", "4", "9", "2"])
-    core = {"trisect", "trisect.cli", "trisect.diagram", "trisect.lattice"}
+    core = {"trisect", "trisect.cli", "trisect.diagram", "trisect.document", "trisect.lattice"}
     # vertical keeps @dataclass, and dataclasses loads inspect.
     assert loaded == core | {"trisect.vertical", "dataclasses", "inspect"}
-    # The verbs that need only diagram and lattice load neither.
+    # The verbs that need only document, diagram and lattice load neither.
     argvs = [
         [verb, fixture(name)]
         for name in ("family3.json", "genus2_q3.json")
@@ -970,7 +1000,11 @@ def test_package_attributes_load_on_first_use():
         "assert trisect.moves.orbit is trisect.orbit\n"
         "assert trisect.vertical.six_tuple is trisect.six_tuple\n"
         "assert trisect.lattice.pair2 is trisect.pair2 and callable(trisect.cli.main)\n"
-        "assert {'cli', 'diagram', 'moves', 'orbit'} <= set(dir(trisect))\n"
+        # perfbench/ imports these three from trisect.cli.
+        "assert trisect.cli.parse_document is trisect.document.parse_document\n"
+        "assert trisect.cli.load_document is trisect.document.load_document\n"
+        "assert trisect.cli.DocumentError is trisect.document.DocumentError\n"
+        "assert {'cli', 'diagram', 'document', 'moves', 'orbit'} <= set(dir(trisect))\n"
         "try:\n"
         "    trisect.nothere\n"
         "except AttributeError:\n"

@@ -41,8 +41,8 @@ from trisect import (
     word_to_diagram,
     word_to_torus,
 )
-from trisect.cli import parse_document, serialize_document
 from trisect.diagram import require_valid_genus2, require_valid_torus
+from trisect.document import parse_document, serialize_document
 
 from conftest import (
     rand_genus2_diagram,

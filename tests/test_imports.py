@@ -40,7 +40,7 @@ def _imported_modules(tree, siblings):
 def test_package_imports_only_siblings_and_known_stdlib():
     files = sorted(PACKAGE.glob("*.py"))
     siblings = {p.stem for p in files}
-    assert {"cli", "diagram", "lattice", "moves", "vertical"} <= siblings
+    assert {"cli", "diagram", "document", "lattice", "moves", "vertical"} <= siblings
     outside = set()
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -103,3 +103,50 @@ def test_only_diagram_touches_the_validity_mark():
         "    return d._valid or require_valid_torus(d)\n"
     )
     assert sorted(_mark_uses(ast.parse(source))) == ["'_valid'", "__setattr__", "_valid", "_valid"]
+
+
+# The validity rules of diagram.py; cli.py reaches them through torus_of.
+_VALIDITY = {
+    "validate_torus", "validate_genus2", "surgery_project", "require_valid_torus",
+    "require_valid_genus2",
+}
+
+
+def _gate_bypasses(tree):
+    # Every use of a validity rule's name, and every call of open() or of
+    # json.load, json.loads or a method named open.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _VALIDITY:
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr in _VALIDITY:
+            yield node.attr
+        elif isinstance(node, ast.alias) and node.name in _VALIDITY:
+            yield node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "open":
+                yield "open"
+            elif isinstance(f, ast.Attribute) and (
+                f.attr == "open"
+                or (f.attr in ("load", "loads") and ast.unparse(f.value) == "json")
+            ):
+                yield ast.unparse(f)
+
+
+def test_cli_reaches_documents_and_validity_only_through_document():
+    # trisect.document reads and writes documents and holds the one
+    # validity rule, torus_of; cli.py decides neither itself.
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert set(_gate_bypasses(tree)) == set()
+    source = (
+        "import json\n"
+        "from .diagram import surgery_project, validate_torus as v\n"
+        "def f(d, path):\n"
+        "    with open(path) as fh, path.open() as g:\n"
+        "        return json.load(fh), json.loads(g.read()), diagram.require_valid_genus2(d)\n"
+    )
+    assert sorted(_gate_bypasses(ast.parse(source))) == [
+        "json.load", "json.loads", "open", "path.open", "require_valid_genus2", "surgery_project",
+        "validate_torus",
+    ]

@@ -65,7 +65,8 @@ from trisect import (
     word_to_diagram,
     word_to_torus,
 )
-from trisect.cli import document_text, load_document, main
+from trisect.cli import main
+from trisect.document import document_text, load_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SEED = 8080
