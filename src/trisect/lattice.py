@@ -11,8 +11,8 @@ so transvect(c, 1, .) is the right-handed Dehn twist about a curve with
 homology class c, and transvect(c, -k, .) inverts transvect(c, k, .).
 diagram.Monodromy applies the rank-2 case in closed form,
 (x0 + m*c0, x1 + m*c1) with m = k * pair2(c, x), on the torus hot path.
-sl2_complete takes its Bezout entry from pow(x, -1, |y|); _xgcd stays
-where its exact coefficients fix a basis (SymplecticReduction).
+sl2_complete takes its Bezout entry from pow(x, -1, |y|), and
+SymplecticReduction is built from three such completions.
 """
 
 from __future__ import annotations
@@ -46,10 +46,13 @@ def transvect(core, k: int, x):
     """Apply the k-th power of the transvection along core to x.
 
     Rank 2 and rank 4 inputs are both accepted; core and x must have the
-    same length, or ValueError is raised.  k = +1 is the right-handed Dehn
-    twist about core, and transvect(core, -k, transvect(core, k, x)) == x
-    since the core pairs to zero with itself.
+    same length, or ValueError is raised, and k must be an exact int, or
+    TypeError is raised.  k = +1 is the right-handed Dehn twist about
+    core, and transvect(core, -k, transvect(core, k, x)) == x since the
+    core pairs to zero with itself.
     """
+    if type(k) is not int:
+        _require_ints((k,))
     n = len(core)
     if n != len(x):
         raise ValueError(f"core {core} and class {x} have different lengths")
@@ -65,20 +68,12 @@ def _require_ints(v) -> None:
 
 
 def is_primitive(v) -> bool:
-    """True when the entries of v have gcd exactly 1 (so v is nonzero)."""
+    """True when the entries of v have gcd exactly 1 (so v is nonzero).
+
+    Raises TypeError on an entry that is not an exact int, bool included.
+    """
+    _require_ints(v)
     return math.gcd(*v) == 1
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # Returns (g, u, v) with u*a + v*b = g and g = gcd(a, b) >= 0.
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def mat2_apply(m: Mat2, v: Vec2) -> Vec2:
@@ -144,51 +139,6 @@ def _complete(x: int, y: int) -> tuple[int, int, int, int]:
     return x, 0, 0, x
 
 
-def _echelon4(rows) -> list[Vec4]:
-    """Integer row echelon basis of the lattice the rank-4 rows generate.
-
-    Column by column, the first row with a nonzero entry is the pivot.
-    Each later such row r is merged into it by the Bezout step of
-    _xgcd(pivot[col], r[col]) = (g, s, t): pivot <- s*pivot + t*r, and r
-    leaves the remainder (pivot[col]/g)*r - (r[col]/g)*pivot, which is
-    zero in this column.  The pair moves by a determinant-one matrix, so
-    the span is preserved exactly.  The next column works on the rows that
-    were zero here, in order, then the nonzero remainders, in order.  A
-    negative pivot is negated.  The result has strictly increasing
-    positive pivots and is deterministic in the input order.
-    """
-    work = [r for r in rows if r != (0, 0, 0, 0)]
-    out = []
-    for col in range(4):
-        if not work:
-            break
-        rest = []
-        remainders = []
-        pivot = None
-        for r in work:
-            rc = r[col]
-            if not rc:
-                rest.append(r)
-            elif pivot is None:
-                pivot = r
-            else:
-                pc = pivot[col]
-                g, s, t = _xgcd(pc, rc)
-                x, y = pc // g, rc // g
-                p0, p1, p2, p3 = pivot
-                r0, r1, r2, r3 = r
-                pivot = (s * p0 + t * r0, s * p1 + t * r1, s * p2 + t * r2, s * p3 + t * r3)
-                rem = (x * r0 - y * p0, x * r1 - y * p1, x * r2 - y * p2, x * r3 - y * p3)
-                if rem != (0, 0, 0, 0):
-                    remainders.append(rem)
-        if pivot is not None:
-            if pivot[col] < 0:
-                pivot = (-pivot[0], -pivot[1], -pivot[2], -pivot[3])
-            out.append(pivot)
-        work = rest + remainders
-    return out
-
-
 class SymplecticReduction:
     """Symplectic basis (e1, f1, e2, f2) of Z^4 with e1 a chosen class.
 
@@ -197,17 +147,35 @@ class SymplecticReduction:
     w in the complement plane span(e2, f2) are returned by project(); this
     is the class of w in the surgered torus.
 
-    Off the standard class the basis is built in two exact steps, each
-    unrolled over rank 4 on tuples.  f1 solves pair4(a, f1) = 1 by a
-    Bezout chain over the functional's coefficients (-a1, a0, -a3, a2),
-    in that order.  Then _echelon4 reduces the projections of the four
-    unit vectors, in coordinate order, onto the complement of
-    span(a, f1).  The two rows it returns are e2 and f2, swapped if they
-    pair to -1.
+    The basis is the columns of M^-1 for a symplectic M with M a = e1,
+    built from three _complete calls.  Let g and g' be the gcds of the
+    blocks (a0, a1) and (a2, a3), and u and u' their primitive directions,
+    the block over its gcd, or (1, 0) for a zero block.  B = _complete(u)
+    and B' = _complete(u') are in SL2(Z) and send the blocks to (g, 0) and
+    (g', 0).  The block-diagonal pair (B, B') preserves pair4, the sum of
+    one pair2 per block, since each has determinant 1, and sends a to
+    (g, 0, g', 0).  As a is primitive, gcd(g, g') = 1, and
+    A = _complete(g, g'), with first row (p, q), sends (g, g') to (1, 0).
+    Acting by X -> AX on the x coordinates X = (x1, x2) and by
+    Y -> A^-T Y on the y coordinates Y = (y1, y2) preserves
+    pair4 = X.Y' - Y.X' too, because (AX).(A^-T Y') = X.Y', and sends
+    (g, 0, g', 0) to e1.  So M = (A, A^-T)(B, B') is symplectic and
+    M a = e1; then M^-1 is symplectic, so its columns have the Gram
+    matrix of the standard basis, and its first column is a.  With
+    (p1, q1) the first row of B, the columns of B^-1 are u and
+    w = (-q1, p1), so pair2(u, w) = 1; likewise w' for B'.  Read off in
+    blocks, the columns of M^-1 are
+
+        e1 = (g u, g' u') = a      f1 = (p w, q w')
+        e2 = (-q u, p u')          f2 = (-g' w, g w')
+
+    On the standard class, u = u' = (1, 0), w = w' = (0, 1), g' = 0 and
+    (p, q) = (1, 0), so the basis is exactly the standard one.
 
     a may be any sequence: it is read into a tuple first, so the basis
     holds no caller's list.  It raises ValueError on a length other than
-    4, then ZeroVectorError on zero, then TypeError on a non-int entry.
+    4, then ZeroVectorError on zero, then TypeError on a non-int entry,
+    then NonPrimitiveError when the gcd of the entries exceeds 1.
     """
 
     def __init__(self, a: Vec4):
@@ -217,59 +185,22 @@ class SymplecticReduction:
         if not any(a):
             raise ZeroVectorError("cannot reduce along the zero class")
         _require_ints(a)
-        if a == (1, 0, 0, 0):
-            # Standard position, where every standard lift starts: the
-            # general path below returns exactly the standard basis.
-            self.basis = (a, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-            return
-        if not is_primitive(a):
+        a0, a1, a2, a3 = a
+        g1, g2 = math.gcd(a0, a1), math.gcd(a2, a3)
+        if math.gcd(g1, g2) != 1:
             raise NonPrimitiveError(f"{a} is not primitive")
-        a0, a1, a2, a3 = a[0], a[1], a[2], a[3]
-        # The Bezout chain for f1 skips zero coefficients: the running gcd
-        # g is merged with each coefficient c by _xgcd(g, c) = (g', s, t),
-        # the entries found so far are scaled by s and t is the new entry.
-        # Since a is primitive, the chain ends at g = 1.
-        g = u0 = u1 = u2 = u3 = 0
-        if a1:
-            g, _, u0 = _xgcd(g, -a1)
-        if a0:
-            g, s, u1 = _xgcd(g, a0)
-            u0 *= s
-        if a3:
-            g, s, u2 = _xgcd(g, -a3)
-            u0 *= s
-            u1 *= s
-        if a2:
-            g, s, u3 = _xgcd(g, a2)
-            u0 *= s
-            u1 *= s
-            u2 *= s
-        f1 = (u0, u1, u2, u3)
-        # The unit vector e_i projects to e_i - pair4(a, e_i) f1 +
-        # pair4(f1, e_i) a.  In the minors m_ij = a_i u_j - a_j u_i, with
-        # m01 + m23 = pair4(a, f1) = 1, the four projections are the rows
-        # below.
-        m01 = a0 * u1 - a1 * u0
-        m02 = a0 * u2 - a2 * u0
-        m03 = a0 * u3 - a3 * u0
-        m12 = a1 * u2 - a2 * u1
-        m13 = a1 * u3 - a3 * u1
-        m23 = a2 * u3 - a3 * u2
-        comp = _echelon4((
-            (m23, 0, m12, m13),
-            (0, m23, -m02, -m03),
-            (-m03, -m13, m01, 0),
-            (m02, m12, 0, m01),
-        ))
-        if len(comp) != 2:
-            raise AssertionError("complement rank is not 2")
-        e2, f2 = comp
-        eps = pair4(e2, f2)
-        if eps == -1:
-            e2, f2 = f2, e2
-        elif eps != 1:
-            raise AssertionError("complement pairing is not unimodular")
-        self.basis: tuple[Vec4, Vec4, Vec4, Vec4] = (a, f1, e2, f2)
+        u0, u1 = (a0 // g1, a1 // g1) if g1 else (1, 0)
+        u2, u3 = (a2 // g2, a3 // g2) if g2 else (1, 0)
+        p1, q1, _, _ = _complete(u0, u1)
+        p2, q2, _, _ = _complete(u2, u3)
+        w0, w1, w2, w3 = -q1, p1, -q2, p2
+        p, q, _, _ = _complete(g1, g2)
+        self.basis: tuple[Vec4, Vec4, Vec4, Vec4] = (
+            a,
+            (p * w0, p * w1, q * w2, q * w3),
+            (-q * u0, -q * u1, p * u2, p * u3),
+            (-g2 * w0, -g2 * w1, g1 * w2, g1 * w3),
+        )
 
     def project(self, w: Vec4) -> Vec2:
         """Class of w in the surgered torus; w must be disjoint from e1."""

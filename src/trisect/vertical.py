@@ -417,9 +417,12 @@ def case_diagram(
     takes the exact int parameter q (the lower branch realizes family
     parameter -q); family 4 takes the extra sign eps2; family 5's two
     sub-cases are selected by epsilon.  Family 1 is the identity-monodromy
-    configuration.  Each sign argument must be an exact int +-1.
+    configuration.  Each sign argument must be an exact int +-1, and a q
+    given for any other family is refused with ValueError.
     """
     _check_sign(sign, "sign")
+    if q is not None and family != 2:
+        raise ValueError(f"only family 2 takes a parameter q, got q={q!r} for family {family}")
     a2, b2 = (1, 0), (0, 1)
     if family == 1:
         return TorusDiagram(a2, b2, (-1, -1), Monodromy.identity(), sign)

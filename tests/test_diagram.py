@@ -300,8 +300,8 @@ def test_surgery_round_trip_randomized():
 
 
 def test_surgery_standard_a1_lifts():
-    # Standard lifts moved by handle slides keep a1 = (1, 0, 0, 0), the
-    # class the reduction handles without the general echelon path.
+    # Standard lifts moved by handle slides keep a1 = (1, 0, 0, 0), on
+    # which the reduction returns the standard basis.
     rng = random.Random(515)
     for _ in range(1_000):
         d = rand_torus_diagram(rng)

@@ -59,6 +59,12 @@ def test_transvect_values():
     for core, x in (((1, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 1))):
         with pytest.raises(ValueError, match="different lengths"):
             transvect(core, 1, x)
+    # An exponent that is not an exact int, even one equal to an int.
+    for k in (1.0, 0.0, -1.0, True, False, "1", None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            transvect((1, 0), k, (0, 1))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            transvect((0, 0, 1, 0), k, (0, 0, 0, 1))
 
 
 def test_transvect_preserves_pairing_and_inverts():
@@ -131,6 +137,10 @@ def test_is_primitive():
     assert not is_primitive((2, 4))
     assert is_primitive((0, 1, 0, 0))
     assert not is_primitive((2, 2, 2, 2))
+    # Entries that compare equal to ints are refused, as by sl2_complete.
+    for v in ((True, False), (1, True), (False, False), (1.0, 0), (0.0, 0.0), (0, 0, 1.0, 0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            is_primitive(v)
 
 
 def test_is_primitive_matches_abs_gcd():
@@ -170,98 +180,56 @@ def test_symplectic_reduce_standard_position():
     assert r.project((3, 0, -2, 9)) == (-2, 9)
 
 
-def test_symplectic_reduce_standard_shortcut_matches_general_path():
-    # The standard class takes a shortcut.  Every sequence is read as a
-    # tuple first, so the general path is reached through the reference
-    # below, which test_symplectic_reduce_matches_reference holds it to.
+def test_symplectic_reduce_standard_class_matches_reference():
+    # The single construction, with no branch for the standard class,
+    # returns the standard basis there, as the reference below does.
     standard = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    fast = SymplecticReduction((1, 0, 0, 0))
-    assert fast.basis == standard == _reduction_basis_reference((1, 0, 0, 0))
+    r = SymplecticReduction((1, 0, 0, 0))
+    assert r.basis == standard == _reduction_basis_reference((1, 0, 0, 0))
     rng = random.Random(141)
     for _ in range(200):
         w = (rng.randint(-30, 30), 0, rng.randint(-30, 30), rng.randint(-30, 30))
-        assert fast.project(w) == (w[2], w[3])
+        assert r.project(w) == (w[2], w[3])
 
 
-# The general reduction path as first written: a list-based Bezout chain
-# and echelon elimination, kept verbatim (with the extended gcd they
-# share) as the reference for the unrolled rank-4 kernel.
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # Returns (g, u, v) with u*a + v*b = g and g = gcd(a, b) >= 0.
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
+# The reduction as generic 4x4 integer matrices on (x1, y1, x2, y2): M1
+# is the block sum of the completions of the two blocks' directions, M2
+# acts as A on the x coordinates and as A^-T on the y coordinates, with
+# A the completion of the two block gcds.  M = M2 M1 is symplectic, so
+# M^-1 = J^-1 M^T J = -J M^T J, and the basis is its columns.
+_J = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 
 
-def _solve_unit_functional(c: tuple[int, ...]) -> tuple[int, ...]:
-    # Deterministic integer solution u of sum(c[i]*u[i]) == 1; requires c
-    # primitive.  Built by chaining extended gcds through the coordinates.
-    g = 0
-    u = [0] * len(c)
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        g2, s, t = _xgcd(g, ci)
-        u = [s * x for x in u]
-        u[i] += t
-        g = g2
-    if g != 1:
-        raise NonPrimitiveError(f"functional {c} is not primitive (gcd {g})")
-    return tuple(u)
+def _matmul(m, n):
+    return tuple(
+        tuple(sum(m[i][k] * n[k][j] for k in range(len(n))) for j in range(len(n[0])))
+        for i in range(len(m))
+    )
 
 
-def _echelon_basis(rows: list[list[int]]) -> list[tuple]:
-    # Integer row echelon basis of the lattice the rows generate, by
-    # column-wise gcd elimination.  Each combining step acts on a row pair
-    # by a determinant-one matrix, so the span is preserved exactly; the
-    # result has strictly increasing positive pivots and is deterministic
-    # in the input order.
-    work = [list(r) for r in rows if any(r)]
-    out: list[list[int]] = []
-    for col in range(4):
-        rest = [r for r in work if r[col] == 0]
-        sel = [r for r in work if r[col] != 0]
-        if not sel:
-            work = rest
-            continue
-        pivot = sel[0]
-        for r in sel[1:]:
-            g, s, t = _xgcd(pivot[col], r[col])
-            merged = [s * pi + t * ri for pi, ri in zip(pivot, r)]
-            remainder = [
-                (pivot[col] // g) * ri - (r[col] // g) * pi
-                for pi, ri in zip(pivot, r)
-            ]
-            pivot = merged
-            if any(remainder):
-                rest.append(remainder)
-        if pivot[col] < 0:
-            pivot = [-c for c in pivot]
-        out.append(pivot)
-        work = rest
-    return [tuple(b) for b in out]
+def _transpose(m):
+    return tuple(zip(*m))
 
 
 def _reduction_basis_reference(a):
-    """Reference basis: the complement images built by pairing each unit
-    vector with a and f1, as the general path first did."""
-    f1 = _solve_unit_functional((-a[1], a[0], -a[3], a[2]))
-    imgs = []
-    for i in range(4):
-        e = tuple(1 if j == i else 0 for j in range(4))
-        m1, m2 = pair4(a, e), pair4(f1, e)
-        imgs.append(tuple(ei - m1 * fi + m2 * ai for ei, fi, ai in zip(e, f1, a)))
-    comp = _echelon_basis(imgs)
-    assert len(comp) == 2
-    e2, f2 = comp
-    if pair4(e2, f2) == -1:
-        e2, f2 = f2, e2
-    return (a, f1, e2, f2)
+    gcds = [math.gcd(a[0], a[1]), math.gcd(a[2], a[3])]
+    (b00, b01), (b10, b11) = _sl2_complete_reference(
+        (a[0] // gcds[0], a[1] // gcds[0]) if gcds[0] else (1, 0)
+    )
+    (c00, c01), (c10, c11) = _sl2_complete_reference(
+        (a[2] // gcds[1], a[3] // gcds[1]) if gcds[1] else (1, 0)
+    )
+    m1 = ((b00, b01, 0, 0), (b10, b11, 0, 0), (0, 0, c00, c01), (0, 0, c10, c11))
+    (p, q), (r, s) = _sl2_complete_reference(tuple(gcds))
+    # A^-T for A = ((p, q), (r, s)) of determinant 1 is ((s, -r), (-q, p)).
+    m2 = ((p, 0, q, 0), (0, s, 0, -r), (r, 0, s, 0), (0, -q, 0, p))
+    m = _matmul(m2, m1)
+    assert _matmul(_matmul(_transpose(m), _J), m) == _J
+    assert _matmul(m, tuple((x,) for x in a)) == ((1,), (0,), (0,), (0,))
+    minus_j = tuple(tuple(-x for x in row) for row in _J)
+    inverse = _matmul(_matmul(minus_j, _transpose(m)), _J)
+    assert _matmul(m, inverse) == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    return tuple(tuple(col) for col in _transpose(inverse))
 
 
 def test_symplectic_reduce_matches_reference():
@@ -269,8 +237,8 @@ def test_symplectic_reduce_matches_reference():
     classes = []
     for bound in (1, 2, 15, 2**70):
         classes += [rand_primitive_vec4(rng, bound=bound) for _ in range(1_000)]
-    # a1 of genus-2 lifts moved off the standard position, as the
-    # general path meets them in surgery_project.
+    # a1 of genus-2 lifts moved off the standard position, as
+    # surgery_project meets them.
     moved = 0
     while moved < 1_000:
         a1 = rand_genus2_diagram(rng, mixes=4).a1
@@ -286,9 +254,14 @@ def test_symplectic_reduce_matches_reference():
     for a in classes:
         if math.gcd(*a) != 1:
             continue
-        assert SymplecticReduction(a).basis == _reduction_basis_reference(a), a
+        basis = SymplecticReduction(a).basis
+        assert basis == _reduction_basis_reference(a), a
+        # e1 = a, and the Gram matrix of the basis is that of the
+        # standard basis, which is _J.
+        assert basis[0] == a
+        assert tuple(tuple(pair4(u, v) for v in basis) for u in basis) == _J, a
         # A list is read as a tuple and gives the same basis.
-        assert SymplecticReduction(list(a)).basis == _reduction_basis_reference(a), a
+        assert SymplecticReduction(list(a)).basis == basis, a
         checked += 1
     assert checked > 5_000
 
@@ -361,6 +334,18 @@ def test_symplectic_reduce_errors():
     for a in ((0.0, 0, 0, 0), (False, False, False, False)):
         with pytest.raises(ZeroVectorError):
             SymplecticReduction(a)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    # Returns (g, u, v) with u*a + v*b = g and g = gcd(a, b) >= 0.
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
 
 
 # sl2_complete as first written, on the extended gcd, kept verbatim as the

@@ -314,6 +314,10 @@ def test_case_diagram_argument_errors():
     ):
         with pytest.raises(ValueError):
             case_diagram(family, **kwargs)
+    # Only family 2 takes q; any other family refuses it, even an int.
+    for family, q in ((1, 0), (3, 1.5), (3, 3), (4, True), (5, 0)):
+        with pytest.raises(ValueError, match="only family 2 takes a parameter q"):
+            case_diagram(family, q=q)
     assert case_diagram(1, sign=-1).sign == -1
 
 

@@ -268,6 +268,9 @@ def genus2_answers(i: int, g) -> None:
         t = surgery_project(g)
     except Exception:
         return
+    # A change of torus basis moves the literal projection and the witness
+    # matrix, but not the canonical diagram.
+    show(f"{tag} canonical_form projected", lambda t: canonical_form(t)[0], t)
     orbit_answers(f"{tag} projected", t, g)
 
 
@@ -339,6 +342,8 @@ def shape_answers() -> None:
         show(f"reduce_word {word!r}", reduce_word, word)
     show("word_to_torus ('D9',)", word_to_torus, d, ("D9",))
     show("transvect (1, 0) (0, 1, 0, 0)", transvect, (1, 0), 1, (0, 1, 0, 0))
+    for k in (1.0, True):
+        show(f"transvect k={k!r}", transvect, (1, 0), k, (0, 1))
     # bool and float entries that compare equal to ints.
     for v in ((True, False), (1, True), (1.0, 0)):
         show(f"sl2_complete {v!r}", sl2_complete, v)
@@ -348,7 +353,8 @@ def shape_answers() -> None:
         show(f"lens_from_pair {v!r} {w!r}", lens_from_pair, v, w)
     for family, kwargs in (
         (2, {"q": 1.5}), (2, {"q": True}), (1, {"sign": 2}), (3, {"sign": 1.0}),
-        (3, {"sign": True}), (4, {"eps2": 1.0}), (5, {"epsilon": 1.0}),
+        (3, {"sign": True}), (4, {"eps2": 1.0}), (5, {"epsilon": 1.0}), (3, {"q": 1.5}),
+        (1, {"q": 0}),
     ):
         show(f"case_diagram {family} {kwargs!r}", case_diagram, family, **kwargs)
 
