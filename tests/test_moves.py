@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -43,7 +44,7 @@ from trisect import (
     word_to_torus,
 )
 from trisect import diagram as diagram_module
-from trisect.moves import _canonical, _finish_witness, _node_key, _rotated_form, _witness_classes
+from trisect.moves import _finish_witness, _node_key, _witness_classes
 
 from conftest import (
     rand_genus2_diagram,
@@ -266,6 +267,7 @@ def _trusted_outputs(rng):
     for _ in range(3):
         outs = [apply_sigma2(t), apply_sigma2_inverse(t), canonical_form(t)[0]]
         yield from ((out, validate_torus) for out in outs)
+        yield from ((node.diagram, validate_torus) for node in orbit(t, 2).nodes)
         yield embed_torus(t), validate_genus2
         t = rng.choice(outs)
     g = rand_genus2_diagram(rng)
@@ -279,11 +281,14 @@ def _trusted_outputs(rng):
 
 def test_trusted_outputs_are_valid():
     # A marked output skips validation downstream, so the full validator
-    # must accept an unmarked copy of it.
+    # must accept an unmarked copy of it.  A torus output carries a plain
+    # Monodromy.
     rng = random.Random(7207)
     for _ in range(2000):
         for out, validate in _trusted_outputs(rng):
             assert out._valid
+            if validate is validate_torus:
+                assert type(out.monodromy) is Monodromy
             copy = out._replace()
             assert not copy._valid
             assert validate(copy) == [], out
@@ -313,24 +318,7 @@ def test_canonical_form_orbit_invariance():
     rng = random.Random(121)
     for _ in range(1_000):
         d = rand_torus_diagram(rng)
-        m = rand_unimodular(rng)
-        flips = [rng.choice((1, -1)) for _ in range(4)]
-
-        def img(v, f):
-            w = mat2_apply(m, v)
-            return (f * w[0], f * w[1])
-
-        mono = d.monodromy
-        if not mono.is_identity:
-            mono = Monodromy.twist(img(mono.core, flips[3]), mono.exponent)
-        moved = TorusDiagram(
-            a2=img(d.a2, flips[0]),
-            b2=img(d.b2, flips[1]),
-            c2=img(d.c2, flips[2]),
-            monodromy=mono,
-            sign=d.sign,
-        )
-        assert canonical_form(moved)[0] == canonical_form(d)[0]
+        assert canonical_form(_moved(rng, d))[0] == canonical_form(d)[0]
 
 
 def test_canonical_form_all_parallel():
@@ -408,19 +396,7 @@ def test_equivalent_torus_reflexive_and_symmetric():
         d = rand_torus_diagram(rng)
         w = equivalent_torus(d, d)
         assert w is not None
-        m = rand_unimodular(rng)
-        flips = [rng.choice((1, -1)) for _ in range(4)]
-
-        def img(v, f):
-            u = mat2_apply(m, v)
-            return (f * u[0], f * u[1])
-
-        mono = d.monodromy
-        if not mono.is_identity:
-            mono = Monodromy.twist(img(mono.core, flips[3]), mono.exponent)
-        moved = TorusDiagram(
-            img(d.a2, flips[0]), img(d.b2, flips[1]), img(d.c2, flips[2]), mono, d.sign
-        )
+        moved = _moved(rng, d)
         for src, dst in ((d, moved), (moved, d)):
             w = equivalent_torus(src, dst)
             assert w is not None
@@ -583,7 +559,8 @@ def _orbit_bfs(start, depth, include_sigma1=False, lift=None):
 
     Outer rotations act through the standard lift, except on the start
     node when an explicit lift is supplied.  Frontier expansion is ordered
-    lexicographically by node key.
+    lexicographically by node key.  A fractional depth expands as its
+    ceiling, as orbit reads it.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -601,15 +578,12 @@ def _orbit_bfs(start, depth, include_sigma1=False, lift=None):
             (SIGMA2_INV, canonical_form(apply_sigma2_inverse(node))[0]),
         ]
         if include_sigma1:
-            if lift is not None and key == start_key:
-                g = lift
-            else:
-                g = embed_torus(node)
+            g = lift if lift is not None and key == start_key else embed_torus(node)
             for token, step in ((SIGMA1, apply_sigma1), (SIGMA1_INV, apply_sigma1_inverse)):
                 succs.append((token, canonical_form(surgery_project(step(g)))[0]))
         return succs
 
-    for _level in range(depth):
+    for _level in range(math.ceil(depth)):
         new_keys = []
         for key in frontier:
             src = index[key]
@@ -624,25 +598,8 @@ def _orbit_bfs(start, depth, include_sigma1=False, lift=None):
             break
         frontier = sorted(new_keys)
 
-    nodes = tuple(
-        OrbitNode(index=i, diagram=dgm, invariant=intersection_invariant(dgm))
-        for i, dgm in enumerate(diagrams)
-    )
+    nodes = tuple(OrbitNode(i, dgm, intersection_invariant(dgm)) for i, dgm in enumerate(diagrams))
     return OrbitGraph(nodes=nodes, edges=tuple(edges))
-
-
-def test_orbit_matches_bfs_oracle():
-    # Torus starts lift through the standard lift; genus-2 starts are
-    # projected and lifted by the diagram itself, off standard position.
-    rng = random.Random(2109)
-    starts = [(d, embed_torus(d)) for d in (rand_torus_diagram(rng) for _ in range(1_000))]
-    starts += [(surgery_project(g), g) for g in (rand_genus2_diagram(rng) for _ in range(1_000))]
-    for start, g in starts:
-        for depth in range(7):
-            for include_sigma1 in (False, True):
-                for lift in (None, g):
-                    args = (start, depth, include_sigma1, lift)
-                    assert orbit(*args) == _orbit_bfs(*args), args
 
 
 def test_orbit_frozen_shapes():
@@ -686,63 +643,6 @@ def test_orbit_rejects_negative_depth():
         orbit(case_diagram(1), -1)
 
 
-def _rotation_reference(v):
-    """The rotation recipe orbit used before: canonical_form(apply_sigma2(v))."""
-    return canonical_form(apply_sigma2(v))
-
-
-def _rotation_kernel(v):
-    mono = v.monodromy
-    out, b = _canonical(v.b2, mono.inverse_apply(v.c2), v.a2, mono, v.sign)
-    assert _rotated_form(v) == out
-    return out, b
-
-
-def test_rotation_kernel_matches_reference():
-    rng = random.Random(7311)
-    inputs = [rand_torus_diagram(rng) for _ in range(2_000)]
-    for _ in range(300):
-        a, b, c, core = (rand_primitive_vec2(rng, 2**70) for _ in range(4))
-        k = rng.choice((1, -1, 4, -4))
-        inputs.append(TorusDiagram(a, b, c, Monodromy.twist(core, k), rng.choice((1, -1))))
-    inputs += [surgery_project(rand_genus2_diagram(rng)) for _ in range(1_000)]
-    identities = 0
-    for v in inputs:
-        for d in (v, canonical_form(v)[0]):
-            out, b = _rotation_kernel(d)
-            assert (out, b) == _rotation_reference(d), d
-            assert out._valid and type(out.monodromy) is Monodromy
-        identities += v.monodromy.is_identity
-    assert identities > 400
-
-
-def _orbit_rotate_reference(start, depth, include_sigma1=False, lift=None):
-    """The closed-form orbit as built before: each rotation through an
-    apply_sigma2 diagram, expanded nodes ordered by sorted()."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    v0, _ = canonical_form(start)
-    diagrams = [v0]
-    if depth > 0:
-        v1, _ = canonical_form(apply_sigma2(v0))
-        if v1 != v0:
-            diagrams += [v1, canonical_form(apply_sigma2(v1))[0]]
-    n = len(diagrams)
-    expanded = [0] if depth > 0 else []
-    if depth > 1:
-        expanded += sorted(range(1, n), key=lambda i: _node_key(diagrams[i]))
-    edges = []
-    for i in expanded:
-        edges += [(i, SIGMA2, (i + 1) % n), (i, SIGMA2_INV, (i - 1) % n)]
-        if include_sigma1:
-            edges += [(i, SIGMA1, i), (i, SIGMA1_INV, i)]
-    nodes = tuple(
-        OrbitNode(index=i, diagram=dgm, invariant=intersection_invariant(dgm))
-        for i, dgm in enumerate(diagrams)
-    )
-    return OrbitGraph(nodes=nodes, edges=tuple(edges))
-
-
 def _orbit_starts(rng):
     """Seeded orbit starts: torus diagrams, about 30% with identity
     monodromy, projected genus-2 lifts, twist diagrams near 2^70, further
@@ -782,45 +682,65 @@ def _orbit_starts(rng):
     return starts
 
 
-def test_orbit_matches_rotate_reference():
+def _assert_orbit_matches_bfs(genus2):
+    """orbit against the search on seeded starts with a lift each: torus
+    diagrams with their standard lift or, if genus2, genus-2 diagrams
+    projected and lifted by the diagram itself, off standard position.
+
+    A lift is read only with sigma1 on, and depths above 3 take orbit's
+    depth > 1 branch after the search has stopped growing.
+    """
+    rng = random.Random(2109)
+    pairs = [(d, embed_torus(d)) for d in (rand_torus_diagram(rng) for _ in range(1_000))]
+    if genus2:
+        pairs = [(surgery_project(g), g) for g in (rand_genus2_diagram(rng) for _ in range(1_000))]
+    for start, lift in pairs:
+        for depth in range(4):
+            for args in ((start, depth, False, None), (start, depth, True, None),
+                         (start, depth, True, lift)):
+                assert orbit(*args) == _orbit_bfs(*args), args
+
+
+def test_orbit_matches_bfs_oracle_torus_starts():
+    _assert_orbit_matches_bfs(genus2=False)
+
+
+def test_orbit_matches_bfs_oracle_genus2_lifts():
+    _assert_orbit_matches_bfs(genus2=True)
+
+
+def test_orbit_matches_bfs_oracle_special_starts():
+    # Fractional depths and integer flags reach the same branches as the
+    # search expanding to the ceiling of the depth.
     rng = random.Random(7321)
-    starts = _orbit_starts(rng)
     one_node = identities = 0
-    for start in starts:
+    for start in _orbit_starts(rng):
         for depth in (0, 0.5, 1, 1.5, 2, 3):
             for include_sigma1 in (False, True, 0, 1):
-                got = orbit(start, depth, include_sigma1)
-                want = _orbit_rotate_reference(start, depth, include_sigma1)
-                assert got.nodes == want.nodes, (start, depth)
-                assert got.edges == want.edges, (start, depth)
+                args = (start, depth, include_sigma1)
+                assert orbit(*args) == _orbit_bfs(*args), args
         one_node += len(orbit(start, 1).nodes) == 1
         identities += start.monodromy.is_identity
     assert one_node >= 48 and identities > 300
 
 
-def _rotations_inequivalent_reference(d):
-    """The rotate-and-compare decision orbit used before the closed form:
-    s2 V differs from V as canonical forms."""
-    v0, _ = canonical_form(d)
-    return _rotated_form(v0) != v0
-
-
-def test_rotations_inequivalent_matches_rotate_reference():
-    # The closed form I(V) != (0, 0, 0) against canonical forms, on seeded
-    # starts with entries up to 2^70, identity monodromy and the +-core
-    # locus; genus-2 diagrams give the answer of their projection.
+def test_rotations_inequivalent_matches_bfs_oracle():
+    # The closed form I(V) != (0, 0, 0) against the node count of the
+    # breadth-first orbit at depth 1, on seeded starts with entries up to
+    # 2^70, identity monodromy and the +-core locus; genus-2 diagrams give
+    # the answer of their projection.
     rng = random.Random(7327)
     counts = {True: 0, False: 0}
     twist_equal = 0
     for start in _orbit_starts(rng):
         got = rotations_inequivalent(start)
-        assert got is _rotations_inequivalent_reference(start), start
-        assert got is (len(orbit(start, 1).nodes) == 3)
+        nodes = len(_orbit_bfs(start, 1).nodes)
+        assert got is (nodes == 3) and len(orbit(start, 1).nodes) == nodes, start
         counts[got] += 1
         twist_equal += not got and not start.monodromy.is_identity
     for _ in range(300):
         g = rand_genus2_diagram(rng)
-        assert rotations_inequivalent(g) is _rotations_inequivalent_reference(surgery_project(g))
+        assert rotations_inequivalent(g) is (len(_orbit_bfs(surgery_project(g), 1).nodes) == 3)
     assert counts[True] > 900 and counts[False] > 300 and twist_equal == 48
 
 
@@ -851,19 +771,8 @@ class _SubMonodromy(Monodromy):
 
 
 def test_orbit_and_canonical_outputs_are_marked():
-    # Outputs that skip validation downstream must pass the full validator
-    # as unmarked copies.
-    rng = random.Random(7331)
-    for _ in range(500):
-        d = rand_torus_diagram(rng)
-        outs = [canonical_form(d)[0]]
-        outs += [node.diagram for node in orbit(d, 2).nodes]
-        for out in outs:
-            assert out._valid and type(out.monodromy) is Monodromy
-            copy = out._replace()
-            assert not copy._valid
-            assert validate_torus(copy) == []
-    # A Monodromy subclass is never carried into a marked output.
+    # test_trusted_outputs_are_valid checks random orbit and canonical
+    # outputs; a Monodromy subclass is never carried into a marked output.
     ident = case_diagram(1)
     sub = TorusDiagram(ident.a2, ident.b2, ident.c2, _SubMonodromy(None, 0), ident.sign)
     assert validate_torus(sub) == [] and not sub._valid
