@@ -359,7 +359,7 @@ _EDGES_21 = _orbit_edges([0, 2, 1], 3)
 
 
 def _check_depth(depth) -> None:
-    if depth < 0:
+    if not depth >= 0:
         raise ValueError("depth must be nonnegative")
 
 

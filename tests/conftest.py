@@ -1,21 +1,27 @@
 """Shared deterministic generators for the property suites.
 
 Every test seeds its own random.Random, so runs are reproducible; these
-helpers only build valid objects from a supplied generator.
+helpers build valid objects from a supplied generator.  The one exception
+is torus_reference_inputs, the fixed-seed corpus that the kernel oracles
+share.
 """
 
 import math
 import os
+import random
 
 from trisect import (
     MAT2_ID,
     Genus2Diagram,
     Monodromy,
     TorusDiagram,
+    case_diagram,
     embed_torus,
     handle_slide,
     mat2_apply,
     mat2_mul,
+    sl2_complete,
+    surgery_project,
     transvect,
 )
 
@@ -119,3 +125,50 @@ def sweep_case_configs():
         for epsilon in (1, -1):
             out.append((5, {"upper": upper, "epsilon": epsilon}))
     return out
+
+
+def basis_change(d, m):
+    """The torus diagram d under the unimodular basis change m."""
+    mono = d.monodromy
+    if not mono.is_identity:
+        mono = Monodromy.twist(mat2_apply(m, mono.core), mono.exponent)
+    return TorusDiagram(
+        mat2_apply(m, d.a2), mat2_apply(m, d.b2), mat2_apply(m, d.c2), mono, d.sign
+    )
+
+
+def torus_reference_inputs():
+    """Fixed-seed torus corpus for the kernel oracles: the case grid in
+    both signs, random diagrams (about 30% identity monodromy), projections
+    of moved genus-2 lifts, and entries near 2^70."""
+    for family, kwargs in sweep_case_configs():
+        for sign in (1, -1):
+            yield case_diagram(family, sign=sign, **kwargs)
+    rng = random.Random(4041)
+    for _ in range(2_000):
+        yield rand_torus_diagram(rng)
+    # Projections of genus-2 lifts moved off the standard position.
+    moved = 0
+    while moved < 1_000:
+        g = rand_genus2_diagram(rng, mixes=4)
+        if g.a1 != (1, 0, 0, 0):
+            yield surgery_project(g)
+            moved += 1
+    # Entries near 2^70: random classes, whose slots are huge, and large
+    # basis changes of calibrated and random diagrams, whose slots are not.
+    big = 2**70
+    configs = sweep_case_configs()
+    for i in range(300):
+        if i % 2:
+            a, b, c, core = (rand_primitive_vec2(rng, big) for _ in range(4))
+            yield TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))))
+            continue
+        if i % 4:
+            d = rand_torus_diagram(rng)
+        else:
+            family, kwargs = configs[rng.randrange(len(configs))]
+            d = case_diagram(family, **kwargs)
+        v = (big + rng.randrange(big), big + rng.randrange(big))
+        while math.gcd(*v) != 1:
+            v = (v[0] + 1, v[1])
+        yield basis_change(d, sl2_complete(v))

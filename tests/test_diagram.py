@@ -50,6 +50,7 @@ from conftest import (
     rand_primitive_vec4,
     rand_torus_diagram,
     sweep_case_configs,
+    torus_reference_inputs,
 )
 
 
@@ -98,21 +99,9 @@ def _hypotheses_reference(d):
     )
 
 
-def _torus_reference_inputs():
-    for family, kwargs in sweep_case_configs():
-        yield case_diagram(family, **kwargs)
-    rng = random.Random(5454)
-    for _ in range(2_000):
-        yield rand_torus_diagram(rng)
-    big = 2**70
-    for _ in range(300):
-        a, b, c, core = (rand_primitive_vec2(rng, big) for _ in range(4))
-        yield TorusDiagram(a, b, c, twist(core, rng.choice((1, -1, 4, -4))))
-
-
 def test_invariant_and_hypotheses_match_reference():
     held = 0
-    for d in _torus_reference_inputs():
+    for d in torus_reference_inputs():
         assert intersection_invariant(d) == _invariant_reference(d), d
         report = theorem_hypotheses(d)
         assert report == _hypotheses_reference(d), d
@@ -290,13 +279,6 @@ def test_validate_accepts_case_tables():
             assert validate_torus(d) == [], (family, kwargs, sign)
             g = embed_torus(d)
             assert validate_genus2(g) == [], (family, kwargs, sign)
-
-
-def test_surgery_round_trip_randomized():
-    rng = random.Random(505)
-    for _ in range(1_000):
-        d = rand_torus_diagram(rng)
-        assert surgery_project(embed_torus(d)) == d
 
 
 def test_surgery_standard_a1_lifts():
@@ -538,34 +520,6 @@ def test_exponent_core_mismatch():
         surgery_project(bad2)
 
 
-def test_invariant_values_on_case_tables():
-    for upper in (True, False):
-        for q in range(-10, 11):
-            if q == 1:
-                continue
-            d = case_diagram(2, q=q, upper=upper)
-            expect = abs(1 - q) if upper else abs(1 + q)
-            assert intersection_invariant(d) == (1, 1, expect), (q, upper)
-        assert intersection_invariant(case_diagram(3, upper=upper)) == (1, 3, 2)
-        for eps2 in (1, -1):
-            assert intersection_invariant(case_diagram(4, upper=upper, eps2=eps2)) == (0, 1, 1)
-        for epsilon in (1, -1):
-            assert intersection_invariant(case_diagram(5, upper=upper, epsilon=epsilon)) == (
-                0,
-                1,
-                1,
-            )
-    assert intersection_invariant(case_diagram(1)) == (0, 0, 0)
-
-
-def test_invariant_identity_is_zero():
-    rng = random.Random(707)
-    for _ in range(500):
-        d = rand_torus_diagram(rng, allow_identity=True)
-        if d.monodromy.is_identity:
-            assert intersection_invariant(d) == (0, 0, 0)
-
-
 def test_invariant_commutes_with_projection():
     rng = random.Random(808)
     for _ in range(1_000):
@@ -633,30 +587,6 @@ def test_theorem_hypotheses_examples():
     r = theorem_hypotheses(d)
     assert not r.a2_pulled_c2_independent
     assert r.failures() == ["a2 and mu^-1(c2) are parallel"]
-
-
-def test_theorem_hypotheses_on_case_grid():
-    # The excluded family-2 parameters are exactly where a hypothesis
-    # fails; everywhere else the invariant triple is non-constant, so the
-    # three rotations are separated.
-    from trisect import apply_sigma2
-
-    for family, kwargs in sweep_case_configs():
-        d = case_diagram(family, **kwargs)
-        r = theorem_hypotheses(d)
-        if family == 2:
-            q = kwargs["q"]
-            excluded = {0, 2} if kwargs["upper"] else {0, -2}
-            assert r.all_hold == (q not in excluded), (kwargs, r)
-        elif family == 1:
-            assert not r.monodromy_nontrivial
-        elif family == 5 and kwargs["epsilon"] == -1:
-            assert not r.b2_c2_independent
-        else:
-            assert r.all_hold, (family, kwargs, r)
-        if r.all_hold:
-            triples = [intersection_invariant(x) for x in (d, apply_sigma2(d), apply_sigma2(apply_sigma2(d)))]
-            assert len(set(triples)) == 3, (family, kwargs, triples)
 
 
 def good_torus():

@@ -639,8 +639,10 @@ def test_orbit_with_outer_rotation():
 
 
 def test_orbit_rejects_negative_depth():
-    with pytest.raises(ValueError):
-        orbit(case_diagram(1), -1)
+    # NaN compares false with everything, so only "not depth >= 0" refuses it.
+    for depth in (-1, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            orbit(case_diagram(1), depth)
 
 
 def _orbit_starts(rng):

@@ -9,10 +9,8 @@ from trisect import (
     S3,
     LensSpace,
     FamilyMatch,
-    Monodromy,
     NonPrimitiveError,
     SixTuple,
-    TorusDiagram,
     ZeroVectorError,
     canonical_form,
     case_diagram,
@@ -29,11 +27,12 @@ from trisect import (
 )
 
 from conftest import (
+    basis_change,
     rand_genus2_diagram,
     rand_primitive_vec2,
     rand_torus_diagram,
     rand_unimodular,
-    sweep_case_configs,
+    torus_reference_inputs,
 )
 
 
@@ -161,25 +160,6 @@ def test_lens_from_pair_symmetries():
         assert lens_from_pair(mat2_apply(m, v), mat2_apply(m, w)) == lens
 
 
-def test_lens_from_pair_completion_oracle():
-    # q must not depend on which Bezout completion takes v to (1, 0): the
-    # completions form a one-parameter family and every member must read
-    # off the same residue.
-    rng = random.Random(27)
-    for _ in range(2_000):
-        v = rand_primitive_vec2(rng, 50)
-        w = rand_primitive_vec2(rng, 50)
-        lens = lens_from_pair(v, w)
-        if lens.p <= 1:
-            continue
-        (a0, b0), second = sl2_complete(v)
-        assert second == (-v[1], v[0])
-        for t in range(-3, 4):
-            a, b = a0 + t * v[1], b0 - t * v[0]
-            assert a * v[0] + b * v[1] == 1
-            assert (a * w[0] + b * w[1]) % lens.p == lens.q
-
-
 def test_six_tuple_frozen_cases():
     assert six_tuple(case_diagram(1)).as_rows() == (
         (S1XS2, S1XS2, S1XS2),
@@ -217,51 +197,12 @@ def test_six_tuple_invariance():
     for _ in range(1_000):
         d = rand_torus_diagram(rng)
         t = six_tuple(d)
-        m = rand_unimodular(rng)
-        mono = d.monodromy
-        if not mono.is_identity:
-            mono = Monodromy.twist(mat2_apply(m, mono.core), mono.exponent)
-        moved = TorusDiagram(
-            mat2_apply(m, d.a2),
-            mat2_apply(m, d.b2),
-            mat2_apply(m, d.c2),
-            mono,
-            d.sign,
-        )
-        assert six_tuple(moved) == t
+        assert six_tuple(basis_change(d, rand_unimodular(rng))) == t
         # canonical form also flips signs, which can mirror single slots
         ct = six_tuple(canonical_form(d)[0])
         for (name, lens), (cname, clens) in zip(t.slots(), ct.slots()):
             assert name == cname
             assert lens_equiv(lens, clens), (name, lens, clens)
-
-
-def expected_match(family, kwargs):
-    if family == 1:
-        return (1, None, None)
-    if family == 2:
-        q = kwargs["q"] if kwargs["upper"] else -kwargs["q"]
-        if q == 1:
-            return (5, None, -1)
-        return (2, q, 1)
-    if family == 3:
-        return (3, None, 1)
-    if family == 4:
-        k_sign = 1 if kwargs["upper"] else -1
-        return (4, None, -k_sign * kwargs["eps2"])
-    return (5, None, kwargs["epsilon"])
-
-
-def test_classify_calibration_sweep():
-    for family, kwargs in sweep_case_configs():
-        t = six_tuple(case_diagram(family, **kwargs))
-        m = classify(t)
-        assert m is not None, (family, kwargs)
-        assert (m.family, m.q, m.epsilon) == expected_match(family, kwargs), (
-            family,
-            kwargs,
-            m,
-        )
 
 
 def test_classify_symmetry_images():
@@ -463,51 +404,8 @@ def _classify_reference(t, oriented=False):
     return None
 
 
-def _basis_change(d, m):
-    mono = d.monodromy
-    if not mono.is_identity:
-        mono = Monodromy.twist(mat2_apply(m, mono.core), mono.exponent)
-    return TorusDiagram(
-        mat2_apply(m, d.a2), mat2_apply(m, d.b2), mat2_apply(m, d.c2), mono, d.sign
-    )
-
-
-def _reference_inputs():
-    for family, kwargs in sweep_case_configs():
-        for sign in (1, -1):
-            yield case_diagram(family, sign=sign, **kwargs)
-    rng = random.Random(4041)
-    for _ in range(2_000):
-        yield rand_torus_diagram(rng)
-    # Projections of genus-2 lifts moved off the standard position.
-    moved = 0
-    while moved < 1_000:
-        g = rand_genus2_diagram(rng, mixes=4)
-        if g.a1 != (1, 0, 0, 0):
-            yield surgery_project(g)
-            moved += 1
-    # Entries near 2^70: random classes, whose slots are huge, and large
-    # basis changes of calibrated and random diagrams, whose slots are not.
-    big = 2**70
-    configs = sweep_case_configs()
-    for i in range(300):
-        if i % 2:
-            a, b, c, core = (rand_primitive_vec2(rng, big) for _ in range(4))
-            yield TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))))
-            continue
-        if i % 4:
-            d = rand_torus_diagram(rng)
-        else:
-            family, kwargs = configs[rng.randrange(len(configs))]
-            d = case_diagram(family, **kwargs)
-        v = (big + rng.randrange(big), big + rng.randrange(big))
-        while math.gcd(*v) != 1:
-            v = (v[0] + 1, v[1])
-        yield _basis_change(d, sl2_complete(v))
-
-
 def test_six_tuple_matches_reference():
-    for d in _reference_inputs():
+    for d in torus_reference_inputs():
         assert six_tuple(d) == _six_tuple_reference(d), d
 
 
@@ -553,7 +451,7 @@ def test_lens_equiv_matches_reference():
 
 def test_classify_matches_reference():
     matched = 0
-    for d in _reference_inputs():
+    for d in torus_reference_inputs():
         t = six_tuple(d)
         # every symmetry image, so that matches reach every branch
         images = [t, rotate(t), rotate(rotate(t))]

@@ -3,7 +3,7 @@
 Each line is a label and either the repr of the result or the type and
 message of the exception raised.  The corpus is deterministic: seeded
 torus and genus-2 diagrams (some with entries near 2^70), invalid
-variants of both models, orbits at whole and fractional depths, SL2
+variants of both models, orbits at whole, fractional and NaN depths, SL2
 completions, lens spaces, entries of the wrong type or shape, copies and
 pickle round trips of each value class, and every fixture through
 trisect.cli.main, with a few more documents and outputs in a temporary
@@ -275,7 +275,7 @@ def genus2_answers(i: int, g) -> None:
 
 
 def orbit_answers(tag: str, d, lift=None) -> None:
-    for depth in (0, 1, 2, 3, 0.5, 1.5):
+    for depth in (0, 1, 2, 3, 0.5, 1.5, float("nan")):
         for sigma1 in (False, True):
             show(f"{tag} orbit[{depth}, sigma1={sigma1}]", orbit, d, depth, sigma1, lift)
 
