@@ -58,15 +58,35 @@ class _Value:
     """Base of the frozen value classes below.
 
     Each subclass names its fields in _fields, stores them in __slots__
-    and writes out __init__, __eq__ and __hash__ over them, as
-    @dataclass(frozen=True, slots=True) would generate them; this base
-    refuses assignment and deletion, gives the dataclass repr, and builds
-    changed copies with _replace.  copy, deepcopy and pickle rebuild an
-    instance through its constructor (__reduce__).
+    and writes its own __init__.  __init_subclass__ generates the
+    subclass's __eq__ and __hash__ from _fields, in the source that
+    @dataclass(eq=True, frozen=True) generates: == compares the field
+    tuples of two instances of one class, and the hash is that of the
+    field tuple.  This base also refuses assignment and deletion, gives
+    the dataclass repr, and builds changed copies with _replace.  copy,
+    deepcopy and pickle rebuild an instance through its constructor
+    (__reduce__).
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        mine = "".join(f"self.{name}," for name in cls._fields)
+        theirs = "".join(f"other.{name}," for name in cls._fields)
+        source = (
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({mine}))\n"
+        )
+        methods = {}
+        exec(compile(source, f"<{cls.__qualname__} __eq__ and __hash__>", "exec"), {}, methods)
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -103,14 +123,6 @@ class Monodromy(_Value):
     def __init__(self, core: Vec2 | None, exponent: int):
         _set(self, "core", core)
         _set(self, "exponent", exponent)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.core, self.exponent) == (other.core, other.exponent)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.core, self.exponent))
 
     @classmethod
     def identity(cls) -> "Monodromy":
@@ -162,16 +174,6 @@ class TorusDiagram(_Value):
         _set(self, "sign", sign)
         _set(self, "_valid", False)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a2, self.b2, self.c2, self.monodromy, self.sign) == (
-                other.a2, other.b2, other.c2, other.monodromy, other.sign
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a2, self.b2, self.c2, self.monodromy, self.sign))
-
     def classes(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.a2, self.b2, self.c2)
 
@@ -196,16 +198,6 @@ class Genus2Diagram(_Value):
         _set(self, "c2", c2)
         _set(self, "exponent", exponent)
         _set(self, "_valid", False)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a1, self.b1, self.c1, self.a2, self.b2, self.c2, self.exponent) == (
-                other.a1, other.b1, other.c1, other.a2, other.b2, other.c2, other.exponent
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a1, self.b1, self.c1, self.a2, self.b2, self.c2, self.exponent))
 
 
 def _pairwise_unit(x, y, z, pairing) -> bool:
@@ -458,6 +450,15 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     return _trusted(TorusDiagram(a2, b2, c2, mono, pair4(d.a1, d.b1)))
 
 
+def torus_of(d: TorusDiagram | Genus2Diagram) -> TorusDiagram:
+    """The valid torus diagram d stands for: d itself or its surgery
+    projection.  Raises InvalidDiagramError or ExponentCoreMismatchError."""
+    if isinstance(d, Genus2Diagram):
+        return surgery_project(d)
+    require_valid_torus(d)
+    return d
+
+
 def embed_torus(d: TorusDiagram) -> Genus2Diagram:
     """Standard genus-2 lift of a torus diagram.
 
@@ -498,9 +499,7 @@ def intersection_invariant(d: TorusDiagram | Genus2Diagram) -> tuple[int, int, i
     projected by surgery_project first, so it is refused exactly when its
     projection is.
     """
-    if isinstance(d, Genus2Diagram):
-        d = surgery_project(d)
-    require_valid_torus(d)
+    d = torus_of(d)
     mono = d.monodromy
     if mono.exponent == 0:
         return (0, 0, 0)
@@ -597,20 +596,6 @@ class HypothesisReport(_Value):
         _set(self, "monodromy_nontrivial", monodromy_nontrivial)
         _set(self, "b2_c2_independent", b2_c2_independent)
         _set(self, "a2_pulled_c2_independent", a2_pulled_c2_independent)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.monodromy_nontrivial, self.b2_c2_independent, self.a2_pulled_c2_independent
-            ) == (
-                other.monodromy_nontrivial, other.b2_c2_independent, other.a2_pulled_c2_independent
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(
-            (self.monodromy_nontrivial, self.b2_c2_independent, self.a2_pulled_c2_independent)
-        )
 
     @property
     def all_hold(self) -> bool:

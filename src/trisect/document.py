@@ -1,4 +1,4 @@
-"""JSON diagram documents: the one reader, writer and validity rule.
+"""JSON diagram documents: the one reader and writer, and the validity rule.
 
 Torus model:
 
@@ -13,7 +13,9 @@ numbers or decimal strings, so values beyond 64 bits survive any writer.
 
 A document is valid when torus_of accepts it: a torus document passes
 validate_torus, and a genus-2 one passes the genus-2 checks and
-surgery_project turns it into a valid torus diagram.
+surgery_project turns it into a valid torus diagram.  trisect.diagram
+defines torus_of; this module passes it on, so the CLI reaches documents
+and validity through this module alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .diagram import Genus2Diagram, Monodromy, TorusDiagram, require_valid_torus, surgery_project
+from .diagram import Genus2Diagram, Monodromy, TorusDiagram, torus_of
 
 
 class DocumentError(ValueError):
@@ -179,15 +181,6 @@ def load_document(path: str) -> TorusDiagram | Genus2Diagram:
             f"{path}: a JSON number exceeds the {limit}-digit integer-conversion limit"
         ) from None
     return parse_document(obj)
-
-
-def torus_of(d: TorusDiagram | Genus2Diagram) -> TorusDiagram:
-    """The valid torus diagram d stands for: d itself or its surgery
-    projection.  Raises InvalidDiagramError or ExponentCoreMismatchError."""
-    if isinstance(d, Genus2Diagram):
-        return surgery_project(d)
-    require_valid_torus(d)
-    return d
 
 
 def serialize_document(d: TorusDiagram | Genus2Diagram) -> dict:

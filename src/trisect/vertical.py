@@ -53,14 +53,6 @@ class LensSpace(_Value):
         _set(self, "p", p)
         _set(self, "q", q)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q) == (other.p, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
     @classmethod
     def from_pq(cls, p: int, q: int) -> "LensSpace":
         """Normalize arbitrary coprime surgery data, two ints, to the normal form."""

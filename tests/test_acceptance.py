@@ -12,7 +12,6 @@ import time
 
 from trisect import (
     LensSpace,
-    Monodromy,
     TorusDiagram,
     apply_sigma1,
     apply_sigma2,
@@ -40,6 +39,7 @@ from trisect.cli import main
 from trisect.document import document_text
 
 from conftest import (
+    basis_change,
     rand_primitive_vec2,
     rand_primitive_vec4,
     rand_torus_diagram,
@@ -245,13 +245,7 @@ def test_criterion_4_property_suites():
         c, _ = canonical_form(d)
         assert canonical_form(c)[0] == c
         m = rand_unimodular(rng)
-        mono = d.monodromy
-        if not mono.is_identity:
-            mono = Monodromy.twist(mat2_apply(m, mono.core), mono.exponent)
-        moved = TorusDiagram(
-            mat2_apply(m, d.a2), mat2_apply(m, d.b2), mat2_apply(m, d.c2), mono, d.sign
-        )
-        assert canonical_form(moved)[0] == c
+        assert canonical_form(basis_change(d, m))[0] == c
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"property suites took {elapsed:.1f}s"

@@ -811,6 +811,37 @@ def test_value_classes_keep_dataclass_semantics():
         monodromy_nontrivial=False, b2_c2_independent=True, a2_pulled_c2_independent=True
     ) == report
     assert LensSpace(p=9, q=4) == lens
+    # == and hash are generated from _fields, so a change to any one
+    # field alone gives an unequal value.
+    for x, _ in fields:
+        for name in x._fields:
+            new = {"p": 11, "q": 5}[name] if x is lens else None
+            assert x._replace(**{name: new}) != x, (type(x).__name__, name)
+    # A new subclass that declares only _fields, __slots__ and __init__
+    # gets the same == and hash.
+    class Pair(trisect.diagram._Value):
+        _fields = ("x", "y")
+        __slots__ = _fields
+
+        def __init__(self, x, y):
+            trisect.diagram._set(self, "x", x)
+            trisect.diagram._set(self, "y", y)
+
+    class SubPair(Pair):
+        __slots__ = ()
+
+    p = Pair(1, (2, 3))
+    assert p == Pair(1, (2, 3)) and hash(p) == hash((1, (2, 3)))
+    assert p != Pair(1, (2, 4)) and p != Pair(0, (2, 3))
+    # Equal field tuples in another class, a subclass included, are not equal.
+    for other in ((1, (2, 3)), Monodromy(1, (2, 3)), SubPair(1, (2, 3))):
+        assert p != other and other != p
+        assert p.__eq__(other) is NotImplemented
+    assert SubPair(1, (2, 3)) == SubPair(1, (2, 3))
+    # A traceback through the generated methods names the class.
+    for method in (Pair.__eq__, Pair.__hash__):
+        assert method.__qualname__.endswith("Pair." + method.__name__)
+        assert "Pair" in method.__code__.co_filename
 
 
 def test_value_classes_are_slotted_and_copy_to_equal_values():

@@ -105,7 +105,8 @@ def test_only_diagram_touches_the_validity_mark():
     assert sorted(_mark_uses(ast.parse(source))) == ["'_valid'", "__setattr__", "_valid", "_valid"]
 
 
-# The validity rules of diagram.py; cli.py reaches them through torus_of.
+# The validity rules of diagram.py; cli.py reaches them through torus_of,
+# which diagram.py defines and document.py passes on.
 _VALIDITY = {
     "validate_torus", "validate_genus2", "surgery_project", "require_valid_torus",
     "require_valid_genus2",
@@ -134,8 +135,8 @@ def _gate_bypasses(tree):
 
 
 def test_cli_reaches_documents_and_validity_only_through_document():
-    # trisect.document reads and writes documents and holds the one
-    # validity rule, torus_of; cli.py decides neither itself.
+    # trisect.document reads and writes documents and passes on the one
+    # validity rule, diagram.torus_of; cli.py decides neither itself.
     path = PACKAGE / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert set(_gate_bypasses(tree)) == set()
@@ -149,4 +150,43 @@ def test_cli_reaches_documents_and_validity_only_through_document():
     assert sorted(_gate_bypasses(ast.parse(source))) == [
         "json.load", "json.loads", "open", "path.open", "require_valid_genus2", "surgery_project",
         "validate_torus",
+    ]
+
+
+def _code_generators(tree, where=()):
+    # (enclosing class and function names, callee) for every call of exec,
+    # eval or compile, by name or as an attribute.
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _code_generators(node, (*where, node.name))
+            continue
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("exec", "eval", "compile"):
+                yield ".".join(where), name
+        yield from _code_generators(node, where)
+
+
+def test_only_the_value_base_generates_code():
+    # _Value.__init_subclass__ writes each value class's __eq__ and
+    # __hash__; no other code in the package compiles or runs source text.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update((path.name, *call) for call in _code_generators(tree))
+    assert found == {
+        ("diagram.py", "_Value.__init_subclass__", "exec"),
+        ("diagram.py", "_Value.__init_subclass__", "compile"),
+    }
+    source = (
+        "x = eval('1')\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        exec(compile('', '<f>', 'exec'))\n"
+        "        def g():\n"
+        "            return re.compile('a'), builtins.eval\n"
+    )
+    assert sorted(_code_generators(ast.parse(source))) == [
+        ("", "eval"), ("A.f", "compile"), ("A.f", "exec"), ("A.f.g", "compile"),
     ]
