@@ -57,24 +57,50 @@ class ExponentCoreMismatchError(ValueError):
 class _Value:
     """Base of the frozen value classes below.
 
-    Each subclass names its fields in _fields, stores them in __slots__
-    and writes its own __init__.  __init_subclass__ generates the
-    subclass's __eq__ and __hash__ from _fields, in the source that
-    @dataclass(eq=True, frozen=True) generates: == compares the field
-    tuples of two instances of one class, and the hash is that of the
-    field tuple.  This base also refuses assignment and deletion, gives
-    the dataclass repr, and builds changed copies with _replace.  copy,
-    deepcopy and pickle rebuild an instance through its constructor
+    Each subclass names its fields in _fields and stores them in
+    __slots__; _field_defaults gives defaults for trailing fields, as in
+    namedtuple.  __init_subclass__ generates from _fields the subclass's
+    constructor, __eq__ and __hash__.
+
+    Construction.  Assignment is refused, and a store through
+    object.__setattr__ costs a call per field.  So each subclass gets an
+    open twin, made with one type() call: a subclass with no slots of its
+    own, and so the same layout, whose __setattr__ and __delattr__ are
+    object's.  The generated _build(cls, *fields) makes the object as the
+    twin, stores each field plainly, sets each slot outside _fields (the
+    validity mark of the diagram classes) to False, and switches the
+    object's class to cls, so no value leaves it as the twin.  _build is
+    the class's __new__ unless the class writes its own, as LensSpace
+    does to check its normal form first.  A subclass builds through its
+    own twin, so one with an instance dict builds too.
+
+    Semantics, those of @dataclass(eq=True, frozen=True): == compares
+    the field tuples of two instances of one class, and the hash is that
+    of the field tuple.  This base also refuses assignment and deletion,
+    gives the dataclass repr, and builds changed copies with _replace.
+    copy, deepcopy and pickle rebuild an instance through its constructor
     (__reduce__).
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _field_defaults: dict = {}
 
-    def __init_subclass__(cls):
-        mine = "".join(f"self.{name}," for name in cls._fields)
-        theirs = "".join(f"other.{name}," for name in cls._fields)
+    def __init_subclass__(cls, twin=False):
+        if twin:
+            return
+        fields, defaults = cls._fields, cls._field_defaults
+        marks = [n for k in cls.__mro__ for n in vars(k).get("__slots__", ()) if n not in fields]
+        params = "".join(f", {n}=defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
+        mine = "".join(f"self.{name}," for name in fields)
+        theirs = "".join(f"other.{name}," for name in fields)
         source = (
+            f"def _build(cls{params}):\n"
+            "    self = new(cls._open)\n"
+            + "".join(f"    self.{name} = {name}\n" for name in fields)
+            + "".join(f"    self.{name} = False\n" for name in marks)
+            + "    self.__class__ = cls\n"
+            "    return self\n"
             "def __eq__(self, other):\n"
             "    if other.__class__ is self.__class__:\n"
             f"        return ({mine}) == ({theirs})\n"
@@ -83,10 +109,21 @@ class _Value:
             f"    return hash(({mine}))\n"
         )
         methods = {}
-        exec(compile(source, f"<{cls.__qualname__} __eq__ and __hash__>", "exec"), {}, methods)
+        namespace = {"new": object.__new__, "defaults": defaults}
+        exec(compile(source, f"<{cls.__qualname__} generated methods>", "exec"), namespace, methods)
         for name, method in methods.items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
+        cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+        build = staticmethod(methods["_build"])
+        # A __new__ that the class or a base below _Value wrote stays; an
+        # inherited generated one gives way to this class's.
+        if cls.__new__ is object.__new__ or cls.__new__ is getattr(cls, "_build", None):
+            cls.__new__ = build
+        cls._build = build
+        cls._open = type(cls.__name__, (cls,), {
+            "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+            "__module__": cls.__module__, "__qualname__": f"{cls.__qualname__}._open",
+        }, twin=True)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,19 +147,11 @@ class _Value:
         return (self.__class__, tuple([getattr(self, name) for name in self._fields]))
 
 
-# Fields are set once, in __init__, past the refusing __setattr__.
-_set = object.__setattr__
-
-
 class Monodromy(_Value):
     """Identity, or the k-th power of the twist along the core class."""
 
     _fields = ("core", "exponent")
     __slots__ = _fields
-
-    def __init__(self, core: Vec2 | None, exponent: int):
-        _set(self, "core", core)
-        _set(self, "exponent", exponent)
 
     @classmethod
     def identity(cls) -> "Monodromy":
@@ -163,16 +192,9 @@ class TorusDiagram(_Value):
     """
 
     _fields = ("a2", "b2", "c2", "monodromy", "sign")
+    _field_defaults = {"sign": 1}
     # _valid: the validity mark (see _mark); not a field, so ==, hash and repr ignore it.
     __slots__ = (*_fields, "_valid")
-
-    def __init__(self, a2: Vec2, b2: Vec2, c2: Vec2, monodromy: Monodromy, sign: int = 1):
-        _set(self, "a2", a2)
-        _set(self, "b2", b2)
-        _set(self, "c2", c2)
-        _set(self, "monodromy", monodromy)
-        _set(self, "sign", sign)
-        _set(self, "_valid", False)
 
     def classes(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.a2, self.b2, self.c2)
@@ -188,16 +210,6 @@ class Genus2Diagram(_Value):
     _fields = ("a1", "b1", "c1", "a2", "b2", "c2", "exponent")
     # _valid: the validity mark (see _mark); not a field, so ==, hash and repr ignore it.
     __slots__ = (*_fields, "_valid")
-
-    def __init__(self, a1: Vec4, b1: Vec4, c1: Vec4, a2: Vec4, b2: Vec4, c2: Vec4, exponent: int):
-        _set(self, "a1", a1)
-        _set(self, "b1", b1)
-        _set(self, "c1", c1)
-        _set(self, "a2", a2)
-        _set(self, "b2", b2)
-        _set(self, "c2", c2)
-        _set(self, "exponent", exponent)
-        _set(self, "_valid", False)
 
 
 def _pairwise_unit(x, y, z, pairing) -> bool:
@@ -589,13 +601,6 @@ class HypothesisReport(_Value):
 
     _fields = ("monodromy_nontrivial", "b2_c2_independent", "a2_pulled_c2_independent")
     __slots__ = _fields
-
-    def __init__(
-        self, monodromy_nontrivial: bool, b2_c2_independent: bool, a2_pulled_c2_independent: bool
-    ):
-        _set(self, "monodromy_nontrivial", monodromy_nontrivial)
-        _set(self, "b2_c2_independent", b2_c2_independent)
-        _set(self, "a2_pulled_c2_independent", a2_pulled_c2_independent)
 
     @property
     def all_hold(self) -> bool:

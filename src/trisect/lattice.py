@@ -203,7 +203,15 @@ class SymplecticReduction:
         )
 
     def project(self, w: Vec4) -> Vec2:
-        """Class of w in the surgered torus; w must be disjoint from e1."""
+        """Class of w in the surgered torus; w must be disjoint from e1.
+
+        As the constructor does, it raises ValueError on a length other
+        than 4 and TypeError on a non-int entry, before the disjointness
+        check.
+        """
+        if len(w) != 4:
+            raise ValueError(f"{w} is not a rank-4 class")
+        _require_ints(w)
         a, _f1, e2, f2 = self.basis
         if pair4(a, w) != 0:
             raise ValueError(f"{w} is not disjoint from the surgery class {a}")

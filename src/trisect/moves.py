@@ -33,10 +33,11 @@ diagram._rotations, whose docstring proves them.
 from __future__ import annotations
 
 # perfbench/test_oracles.py builds altered OrbitGraph values with
-# dataclasses.replace, so this module keeps @dataclass; the classes in
-# diagram.py are plain, and the verbs that need only them never load it.
-# Unlike SixTuple in vertical.py, these are not slots=True: no workload
-# holds many of them.
+# dataclasses.replace, so this module keeps @dataclass.  Its classes keep
+# an instance dict and the dataclass constructor, since no workload holds
+# many of them; the value classes of diagram.py and vertical.py are
+# diagram._Value classes, and the verbs that need only diagram.py never
+# load dataclasses.
 from dataclasses import dataclass
 
 from .diagram import (

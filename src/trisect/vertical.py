@@ -17,14 +17,14 @@ S^1 x S^2 = L(0, 1) are stored in those normal forms.
 from __future__ import annotations
 
 import math
-# perfbench/test_oracles.py builds altered SixTuple values with
-# dataclasses.replace, so SixTuple stays a dataclass, and FamilyMatch with
-# it as the module loads dataclasses anyway; both are slots=True, so they
-# carry no instance dict, as the plain classes do.  LensSpace, built up to
-# six times per six_tuple, is plain like the classes in diagram.py.
+# SixTuple keeps a bare @dataclass(init=False, repr=False, eq=False) only
+# because perfbench/test_oracles.py builds altered six-tuples with
+# dataclasses.replace: the decorator adds the field table replace reads
+# and nothing else, and replace builds through SixTuple(**changes).  Every
+# value class here, SixTuple included, is a diagram._Value.
 from dataclasses import dataclass
 
-from .diagram import Monodromy, TorusDiagram, _check_sign, _set, _Value, require_valid_torus
+from .diagram import Monodromy, TorusDiagram, _check_sign, _Value, require_valid_torus
 from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _complete, _require_ints
 
 
@@ -39,7 +39,7 @@ class LensSpace(_Value):
     _fields = ("p", "q")
     __slots__ = _fields
 
-    def __init__(self, p: int, q: int):
+    def __new__(cls, p: int, q: int):
         if type(p) is not int or type(q) is not int:
             ok = False
         elif p == 0:
@@ -50,8 +50,7 @@ class LensSpace(_Value):
             ok = p >= 2 and 0 < q < p and math.gcd(p, q) == 1
         if not ok:
             raise ValueError(f"({p}, {q}) is not a lens space normal form")
-        _set(self, "p", p)
-        _set(self, "q", q)
+        return cls._build(cls, p, q)
 
     @classmethod
     def from_pq(cls, p: int, q: int) -> "LensSpace":
@@ -93,16 +92,13 @@ class LensSpace(_Value):
         return f"L({self.p},{self.q})"
 
 
-_new = object.__new__
+_build_lens = LensSpace._build
 
 
 def _normal_form(p: int, q: int) -> LensSpace:
     """LensSpace(p, q), unchecked, for ints the caller has shown to be a
     normal form."""
-    out = _new(LensSpace)
-    _set(out, "p", p)
-    _set(out, "q", q)
-    return out
+    return _build_lens(LensSpace, p, q)
 
 
 S3 = LensSpace(1, 0)
@@ -137,11 +133,27 @@ def lens_equiv(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> bool:
     )
 
 
+_SMALL = (S1XS2, S3)  # the lens spaces of order p = 0 and p = 1
+
+
+def _lens(p: int, q: int) -> LensSpace:
+    """The lens space of order p >= 0 whose class q, not yet reduced mod
+    p, was read off a completion as lens_from_pair reads it."""
+    return _SMALL[p] if p < 2 else _build_lens(LensSpace, p, q % p)
+
+
 def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
     """Double solid torus with meridian classes v and w.
 
     Requires both classes primitive, of exact ints.  p = |pair2(v, w)|; q
     is the first coordinate of w after a basis change taking v to (1, 0).
+    Any Bezout row u of v (u . v = 1) is the first row of a
+    determinant-one matrix with second row (-v1, v0), which takes v to
+    (1, 0) and w to (u . w, pair2(v, w)) = (q, +-p); that vector is
+    primitive, so gcd(p, q) = 1.  q mod p does not depend on the row: two
+    Bezout rows differ by t * (-v1, v0), which moves u . w by
+    t * pair2(v, w) = +-t * p.  So the first row of _complete serves, and
+    q % p is the normal form.
     """
     for u in (v, w):
         if not any(u):
@@ -149,37 +161,14 @@ def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
         _require_ints(u)
         if math.gcd(*u) != 1:
             raise NonPrimitiveError(f"meridian class {u} is not primitive")
-    return _lens_pair(v, w, w)[0]
-
-
-_SMALL = (S1XS2, S3)  # the lens spaces of order p = 0 and p = 1
-
-
-def _lens_pair(v: Vec2, w: Vec2, x: Vec2) -> tuple[LensSpace, LensSpace]:
-    """Lens spaces of the pairs (v, w) and (v, x) of primitive classes.
-
-    v is completed once.  Any Bezout row u of v (u . v = 1) is the first
-    row of a determinant-one matrix with second row (-v1, v0), which takes
-    v to (1, 0) and w to (u . w, pair2(v, w)) = (q, +-p); that vector is
-    primitive, so gcd(p, q) = 1.  q mod p does not depend on the row: two
-    Bezout rows differ by t * (-v1, v0), which moves u . w by
-    t * pair2(v, w) = +-t * p.  So the first row of _complete serves, and
-    q % p is the normal form.
-    """
     v0, v1 = v
     w0, w1 = w
-    x0, x1 = x
-    p = abs(v0 * w1 - v1 * w0)
-    r = abs(v0 * x1 - v1 * x0)
     u0, u1, _, _ = _complete(v0, v1)
-    return (
-        _SMALL[p] if p < 2 else _normal_form(p, (u0 * w0 + u1 * w1) % p),
-        _SMALL[r] if r < 2 else _normal_form(r, (u0 * x0 + u1 * x1) % r),
-    )
+    return _lens(abs(v0 * w1 - v1 * w0), u0 * w0 + u1 * w1)
 
 
-@dataclass(frozen=True, slots=True)
-class SixTuple:
+@dataclass(init=False, repr=False, eq=False)
+class SixTuple(_Value):
     """The six vertical pieces, arranged as the 2 x 3 matrix
 
         ( aa  bb  cc )
@@ -188,6 +177,8 @@ class SixTuple:
     where slot xy is glued from the x-class and the monodromy pullback of
     the y-class (the cb slot needs no pullback)."""
 
+    _fields = ("aa", "bb", "cc", "ba", "cb", "ac")
+    __slots__ = _fields
     aa: LensSpace
     bb: LensSpace
     cc: LensSpace
@@ -222,21 +213,51 @@ def six_tuple(d: TorusDiagram) -> SixTuple:
     So each diagonal slot aa, bb, cc glues a class to itself, a parallel
     pair, and is S^1 x S^2; each other slot ba, cb, ac glues two classes
     that meet once, and is S^3.
+
+    Under a twist mu = T_d^k every slot is read off the pairings, with no
+    pulled-back class built.  Slot xy is the lens space of the pair
+    (x, mu^-1 y), or (c, b) for cb.  The classes are primitive once
+    validated and mu is unimodular, so both classes of a pair are
+    primitive, and by lens_from_pair the order is |pair2| of the pair
+    and the class is u_x . (mu^-1 y) mod the order, with u_x the first
+    row of _complete(x); so each of a, b, c is completed once.  Write
+    e_x = pair2(x, d).  Then mu^-1 x = x + k e_x d, as in
+    Monodromy.inverse_apply, and since pair2 and the dot product are
+    bilinear:
+    - pair2(v, mu^-1 w) = pair2(v, w) + k e_w pair2(v, d)
+      = pair2(v, w) + k e_v e_w;
+    - u_v . mu^-1 w = u_v . w + k e_w (u_v . d).
+    With pair2(x, x) = 0 and u_x . x = 1 this gives
+    - p_xx = |k| e_x^2 and q_xx = 1 + k e_x (u_x . d), for x = a, b, c;
+    - p_ba = |pair2(b, a) + k e_a e_b|, q_ba = u_b . a + k e_a (u_b . d);
+    - p_ac = |pair2(a, c) + k e_a e_c|, q_ac = u_a . c + k e_c (u_a . d);
+    - p_cb = |pair2(c, b)| and q_cb = u_c . b, with no pull-back.
+    These are the exact integers the pulled-back classes give, so every
+    slot, q reduced mod p by _lens, is the same lens space.
     """
     require_valid_torus(d)
     mono = d.monodromy
-    if mono.exponent == 0:
+    k = mono.exponent
+    if k == 0:
         return _IDENTITY_SIX
-    # The classes are primitive once validated, and the monodromy is
-    # unimodular, so every pull-back is primitive too.  Each of a, b, c
-    # is completed once, for the two slots it opens.
-    pull = mono.inverse_apply
-    a, b, c = d.a2, d.b2, d.c2
-    pa, pc = pull(a), pull(c)
-    aa, ac = _lens_pair(a, pa, pc)
-    bb, ba = _lens_pair(b, pull(b), pa)
-    cc, cb = _lens_pair(c, pc, b)
-    return SixTuple(aa, bb, cc, ba, cb, ac)
+    d0, d1 = mono.core
+    a0, a1 = d.a2
+    b0, b1 = d.b2
+    c0, c1 = d.c2
+    ea, eb, ec = a0 * d1 - a1 * d0, b0 * d1 - b1 * d0, c0 * d1 - c1 * d0
+    ua0, ua1, _, _ = _complete(a0, a1)
+    ub0, ub1, _, _ = _complete(b0, b1)
+    uc0, uc1, _, _ = _complete(c0, c1)
+    ud_a, ud_b, ud_c = ua0 * d0 + ua1 * d1, ub0 * d0 + ub1 * d1, uc0 * d0 + uc1 * d1
+    ka, kb, kc = k * ea, k * eb, k * ec
+    return SixTuple(
+        _lens(abs(ka * ea), 1 + ka * ud_a),
+        _lens(abs(kb * eb), 1 + kb * ud_b),
+        _lens(abs(kc * ec), 1 + kc * ud_c),
+        _lens(abs(b0 * a1 - b1 * a0 + ka * eb), ub0 * a0 + ub1 * a1 + ka * ud_b),
+        _lens(abs(c0 * b1 - c1 * b0), uc0 * b0 + uc1 * b1),
+        _lens(abs(a0 * c1 - a1 * c0 + ka * ec), ua0 * c0 + ua1 * c1 + kc * ud_a),
+    )
 
 
 # Slot permutations, in the slot order (aa, bb, cc, ba, cb, ac): slot i of
@@ -268,19 +289,15 @@ def rotate(t: SixTuple) -> SixTuple:
     return SixTuple(*[slots[i] for i in _ROTATE])
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyMatch:
+class FamilyMatch(_Value):
     """Which parametric family a six-tuple realizes, and how.
 
     rotations and reflected record the symmetry image that matched; q and
     epsilon are the family parameters (None where the family has none).
     """
 
-    family: int
-    q: int | None
-    epsilon: int | None
-    rotations: int
-    reflected: bool
+    _fields = ("family", "q", "epsilon", "rotations", "reflected")
+    __slots__ = _fields
 
 
 def _target(p: int, q: int, oriented: bool) -> tuple[int, int]:

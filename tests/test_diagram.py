@@ -9,11 +9,13 @@ import pytest
 import trisect.diagram
 from trisect import (
     ExponentCoreMismatchError,
+    FamilyMatch,
     Genus2Diagram,
     HypothesisReport,
     InvalidDiagramError,
     LensSpace,
     Monodromy,
+    SixTuple,
     SymplecticReduction,
     TorusDiagram,
     WordError,
@@ -774,12 +776,18 @@ def test_value_classes_keep_dataclass_semantics():
     assert repr(Monodromy.identity()) == "Monodromy(core=None, exponent=0)"
     lens = LensSpace(9, 4)
     assert repr(lens) == "LensSpace(p=9, q=4)"
+    six = six_tuple(case_diagram(3))
+    match = classify(six_tuple(case_diagram(2, q=3)))
+    assert repr(match) == "FamilyMatch(family=2, q=3, epsilon=1, rotations=0, reflected=False)"
     fields = (
         (d, ((1, 0), (0, 1), (1, 1), Monodromy((-1, 1), 1), 1)),
         (g, (g.a1, g.b1, g.c1, g.a2, g.b2, g.c2, 1)),
         (d.monodromy, ((-1, 1), 1)),
         (report, (False, True, True)),
         (lens, (9, 4)),
+        (six, (LensSpace(1, 0), LensSpace(9, 4), LensSpace(4, 3), LensSpace(2, 1),
+               LensSpace(5, 4), LensSpace(1, 0))),
+        (match, (2, 3, 1, 0, False)),
     )
     for x, values in fields:
         assert hash(x) == hash(values)
@@ -811,26 +819,27 @@ def test_value_classes_keep_dataclass_semantics():
         monodromy_nontrivial=False, b2_c2_independent=True, a2_pulled_c2_independent=True
     ) == report
     assert LensSpace(p=9, q=4) == lens
+    assert SixTuple(**{name: getattr(six, name) for name in six._fields}) == six
+    assert FamilyMatch(family=2, q=3, epsilon=1, rotations=0, reflected=False) == match
     # == and hash are generated from _fields, so a change to any one
     # field alone gives an unequal value.
     for x, _ in fields:
         for name in x._fields:
             new = {"p": 11, "q": 5}[name] if x is lens else None
             assert x._replace(**{name: new}) != x, (type(x).__name__, name)
-    # A new subclass that declares only _fields, __slots__ and __init__
-    # gets the same == and hash.
+    # A new subclass that declares only _fields and __slots__ gets the same
+    # constructor, == and hash, and is frozen.
     class Pair(trisect.diagram._Value):
         _fields = ("x", "y")
         __slots__ = _fields
-
-        def __init__(self, x, y):
-            trisect.diagram._set(self, "x", x)
-            trisect.diagram._set(self, "y", y)
 
     class SubPair(Pair):
         __slots__ = ()
 
     p = Pair(1, (2, 3))
+    assert type(p) is Pair and Pair(y=(2, 3), x=1) == p
+    with pytest.raises(AttributeError):
+        p.x = 2
     assert p == Pair(1, (2, 3)) and hash(p) == hash((1, (2, 3)))
     assert p != Pair(1, (2, 4)) and p != Pair(0, (2, 3))
     # Equal field tuples in another class, a subclass included, are not equal.
@@ -846,15 +855,14 @@ def test_value_classes_keep_dataclass_semantics():
 
 def test_value_classes_are_slotted_and_copy_to_equal_values():
     d = good_torus()
+    # Each value leaves its constructor as the public class itself.
     xs = [
-        d, d.monodromy, embed_torus(d), theorem_hypotheses(d), LensSpace(9, 4),
-        six_tuple(d), classify(six_tuple(case_diagram(3))),
+        (d, TorusDiagram), (d.monodromy, Monodromy), (embed_torus(d), Genus2Diagram),
+        (theorem_hypotheses(d), HypothesisReport), (LensSpace(9, 4), LensSpace),
+        (six_tuple(d), SixTuple), (classify(six_tuple(case_diagram(3))), FamilyMatch),
     ]
-    assert {type(x).__name__ for x in xs} == {
-        "TorusDiagram", "Monodromy", "Genus2Diagram", "HypothesisReport",
-        "LensSpace", "SixTuple", "FamilyMatch",
-    }
-    for x in xs:
+    for x, cls in xs:
+        assert type(x) is cls, (type(x), cls)
         # Every field has a slot; a field added without one would bring
         # back the per-instance dict.
         assert not hasattr(x, "__dict__"), type(x).__name__

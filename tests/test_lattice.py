@@ -305,6 +305,17 @@ def test_symplectic_reduce_projection_requires_disjoint():
         r.project((0, 1, 0, 0))
 
 
+def test_symplectic_reduce_projection_refuses_bad_shapes():
+    # A fifth entry was ignored, a float came back as a float, and a short
+    # class ran out of range; each is refused as the constructor refuses it.
+    r = SymplecticReduction((1, 0, 0, 0))
+    for w in ((0, 0, 1, 0, 5), (0, 0, 1)):
+        with pytest.raises(ValueError, match="is not a rank-4 class"):
+            r.project(w)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        r.project((0, 0, 1.5, 0))
+
+
 def test_symplectic_reduce_reads_a_sequence_of_four():
     standard = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     a = [1, 0, 0, 0]

@@ -781,6 +781,15 @@ def test_orbit_and_canonical_outputs_are_marked():
     out, _ = canonical_form(sub)
     assert type(out.monodromy) is Monodromy and out._valid
     assert out == canonical_form(ident)[0]
+    # The subclass has an instance dict and builds through its own open
+    # twin; it is still frozen, and equal to no Monodromy.
+    twist = _SubMonodromy((1, 0), 1)
+    assert type(twist) is _SubMonodromy and twist.__dict__ == {}
+    for name in ("core", "exponent", "other"):
+        with pytest.raises(AttributeError):
+            setattr(twist, name, None)
+    assert twist == _SubMonodromy((1, 0), 1) and hash(twist) == hash(((1, 0), 1))
+    assert twist != Monodromy((1, 0), 1) and Monodromy((1, 0), 1) != twist
 
 
 def test_orbit_validates_its_start_once(monkeypatch):

@@ -13,12 +13,19 @@ To compare two checkouts, run on each
     PYTHONPATH=<tree>/src python3 tools/answers.py > <tree>.txt
 
 and diff the two files.  Only the standard library and trisect are used.
+
+With --digest the tool prints, instead, the digest that
+tests/answers.sha256 holds (see digest).  A change that means to change
+answers regenerates that file with
+
+    PYTHONPATH=src python3 tools/answers.py --digest > tests/answers.sha256
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import math
 import os
@@ -489,6 +496,46 @@ def cli_answer(argv) -> None:
     print(f"main {argv!r} -> {code!r} {out.getvalue()!r} {err.getvalue()!r}")
 
 
+def families(text: str) -> dict[str, list[str]]:
+    """The lines of an answers text by label family, in order.  The family
+    is the first word of a line without its index: torus[3] is torus.
+    Lines end at "\n" only, as print ends them."""
+    out = {}
+    for line in text.removesuffix("\n").split("\n"):
+        out.setdefault(line.split(" ", 1)[0].split("[", 1)[0], []).append(line)
+    return out
+
+
+def fingerprint(line: str) -> str:
+    """Four hex digits of the line's SHA-256, enough to find the first
+    changed line of a family whose digest changed."""
+    return hashlib.sha256(line.encode()).hexdigest()[:4]
+
+
+def digest(text: str) -> str:
+    """Per label family, its line count and the SHA-256 of its lines, one
+    family a row as "family count sha256", sorted by family.  Then each
+    family's line fingerprints, 16 lines a row as "@family hex...".  The
+    table decides equality; the fingerprints only locate a change."""
+    grouped = sorted(families(text).items())
+    rows = []
+    for family, lines in grouped:
+        sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        rows.append(f"{family} {len(lines)} {sha}")
+    for family, lines in grouped:
+        for i in range(0, len(lines), 16):
+            rows.append(f"@{family} " + "".join(map(fingerprint, lines[i:i + 16])))
+    return "\n".join(rows) + "\n"
+
+
+def answers_text() -> str:
+    """The output of run(), as one string."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run()
+    return out.getvalue()
+
+
 def run() -> None:
     rng = random.Random(SEED)
     print(f"# trisect answers, seed {SEED}, package {Path(trisect.__file__).parent.name}")
@@ -504,5 +551,10 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    run()
+    if sys.argv[1:] == ["--digest"]:
+        sys.stdout.write(digest(answers_text()))
+    elif sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--digest]")
+    else:
+        run()
     sys.stdout.flush()
