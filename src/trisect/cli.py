@@ -16,9 +16,9 @@ import json
 import sys
 from types import SimpleNamespace
 
-# Only document, diagram and lattice load with this module: main reads
-# the document and handles their errors.  Each verb imports what else it
-# uses, so that one call loads no module its verb does not need.
+# Only document and diagram (and lattice, which diagram imports) load with
+# this module: main reads the document and handles their errors.  Each
+# verb imports what else it uses, so one call loads no module it does not need.
 from .diagram import (
     EXPONENT_CORE_MISMATCH,
     ExponentCoreMismatchError,
@@ -26,6 +26,7 @@ from .diagram import (
     InvalidDiagramError,
     _rotations,
     intersection_invariant,
+    rotations_inequivalent,
     theorem_hypotheses,
 )
 from .document import (
@@ -38,7 +39,6 @@ from .document import (
     torus_of,
     write_document,
 )
-from .lattice import NonPrimitiveError, ZeroVectorError
 
 
 class _RefusedError(ValueError):
@@ -118,7 +118,7 @@ def cmd_classify(d, args) -> dict:
     match = classify(six_tuple(torus_of(d)), oriented=args.oriented)
     if match is None:
         return {"family": None}
-    return {k: getattr(match, k) for k in ("family", "q", "epsilon", "rotations", "reflected")}
+    return {k: getattr(match, k) for k in match._fields}
 
 
 def text_classify(payload: dict, args) -> str:
@@ -145,8 +145,7 @@ def cmd_check_theorem(d, args) -> dict:
         verdict = "hypotheses hold but the invariant does not separate the rotations"
     else:
         verdict = "hypotheses not met: " + "; ".join(report.failures())
-    # rotations_inequivalent in closed form: I(V) != (0, 0, 0).
-    inequivalent = rows[0] != (0, 0, 0)
+    inequivalent = rotations_inequivalent(d)
     if inequivalent:
         reason = None
     elif report.monodromy_nontrivial:
@@ -461,7 +460,7 @@ def main(argv=None) -> int:
         for code in e.errors:
             print(code, file=sys.stderr)
         return 1
-    except (ExponentCoreMismatchError, NonPrimitiveError, _RefusedError, ZeroVectorError) as e:
+    except (ExponentCoreMismatchError, _RefusedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

@@ -216,42 +216,19 @@ def _pairwise_unit(x, y, z, pairing) -> bool:
     return all(abs(pairing(u, v)) == 1 for u, v in ((x, y), (y, z), (z, x)))
 
 
-# The shape rule for classes, checked before any arithmetic: a tuple or
+# The shape rule for a class, checked before any arithmetic: a tuple or
 # list of exactly n entries of exact type int.  1.0 and True compare equal
 # to integers and math.gcd takes True, and a class of another length would
-# slip past gcd and the pairings.  Each validator checks all its classes in
-# one call for their width, which reports the first class apart from the
-# others: the torus core and the genus-2 a1 have rules of their own.
-def _vec2_shapes(first, x, y, z) -> tuple[bool, bool]:
-    """Whether first has the shape for n = 2, and whether x, y and z do."""
-    return (
-        type(first) in _SEQUENCES and len(first) == 2 and type(first[0]) is type(first[1]) is int,
-        type(x) in _SEQUENCES
-        and type(y) in _SEQUENCES
-        and type(z) in _SEQUENCES
-        and len(x) == len(y) == len(z) == 2
-        and type(x[0]) is type(x[1]) is type(y[0]) is type(y[1]) is type(z[0]) is type(z[1]) is int,
-    )
+# slip past gcd and the pairings.
+def _is_vec2(v) -> bool:
+    return type(v) in _SEQUENCES and len(v) == 2 and type(v[0]) is type(v[1]) is int
 
 
-def _vec4_shapes(first, u, v, x, y, z) -> tuple[bool, bool]:
-    """Whether first has the shape for n = 4, and whether u, v, x, y and z do."""
+def _is_vec4(v) -> bool:
     return (
-        type(first) in _SEQUENCES
-        and len(first) == 4
-        and type(first[0]) is type(first[1]) is type(first[2]) is type(first[3]) is int,
-        type(u) in _SEQUENCES
-        and type(v) in _SEQUENCES
-        and type(x) in _SEQUENCES
-        and type(y) in _SEQUENCES
-        and type(z) in _SEQUENCES
-        and len(u) == len(v) == len(x) == len(y) == len(z) == 4
-        and type(u[0]) is type(u[1]) is type(u[2]) is type(u[3])
-        is type(v[0]) is type(v[1]) is type(v[2]) is type(v[3])
-        is type(x[0]) is type(x[1]) is type(x[2]) is type(x[3])
-        is type(y[0]) is type(y[1]) is type(y[2]) is type(y[3])
-        is type(z[0]) is type(z[1]) is type(z[2]) is type(z[3])
-        is int,
+        type(v) in _SEQUENCES
+        and len(v) == 4
+        and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is int
     )
 
 
@@ -263,7 +240,7 @@ def _fields_or_none(d, cls) -> list:
 def validate_torus(d: TorusDiagram) -> list[str]:
     """Every violated invariant of the torus model, empty when valid.
 
-    Each class and the core must first have the shape _vec2_shapes checks.
+    Each class and the core must first have the shape _is_vec2 checks.
     A class that fails is not primitive, and the arithmetic rules are not
     applied to it.  The exponent and the sign must be exact ints too.  A
     field d lacks counts as None.  A valid diagram is marked (see _mark).
@@ -278,7 +255,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
         k, core = mono.exponent, mono.core
     except AttributeError:  # not a Monodromy: refused as BadExponent below
         k = core = None
-    core_shaped, shaped = _vec2_shapes(core, a, b, c)
+    shaped = _is_vec2(a) and _is_vec2(b) and _is_vec2(c)
     if not (shaped and gcd(*a) == gcd(*b) == gcd(*c) == 1):
         errors.append(NON_PRIMITIVE)
     if type(k) is not int:
@@ -290,7 +267,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
             errors.append(IDENTITY_CASE_VIOLATION)
     elif k not in TWIST_EXPONENTS or core is None:
         errors.append(BAD_EXPONENT)
-    elif not (core_shaped and gcd(*core) == 1):
+    elif not (_is_vec2(core) and gcd(*core) == 1):
         errors.append(NON_PRIMITIVE)
     if type(sign) is not int or sign not in (1, -1):
         errors.append(BAD_SIGN)
@@ -302,7 +279,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
 def validate_genus2(d: Genus2Diagram) -> list[str]:
     """Every violated invariant of the genus-2 model, empty when valid.
 
-    Each class must first have the shape _vec4_shapes checks; a1 failing
+    Each class must first have the shape _is_vec4 checks; a1 failing
     is NonPrimitiveA1, any other class failing is NonPrimitive, and the
     pairings are then not computed.  A field d lacks counts as None.  A
     valid diagram is marked (see _mark).  surgery_project can still refuse
@@ -316,7 +293,8 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
         k = d.exponent
     except AttributeError:
         a1, b1, c1, a2, b2, c2, k = _fields_or_none(d, Genus2Diagram)
-    a1_shaped, shaped = _vec4_shapes(a1, b1, c1, a2, b2, c2)
+    a1_shaped = _is_vec4(a1)
+    shaped = _is_vec4(b1) and _is_vec4(c1) and _is_vec4(a2) and _is_vec4(b2) and _is_vec4(c2)
     if not (a1_shaped and gcd(*a1) == 1):
         errors.append(NON_PRIMITIVE_A1)
     # The other classes need no gcd of their own: they project to the
@@ -483,22 +461,16 @@ def embed_torus(d: TorusDiagram) -> Genus2Diagram:
     diagram is valid.
     """
     require_valid_torus(d)
+    s = d.sign
     dx, dy = d.monodromy.core if d.monodromy.core is not None else (0, 0)
-    a1 = (1, 0, 0, 0)
-    if d.sign == 1:
-        b1 = (0, 1, 0, 0)
-        c1 = (-1, -1, dx, dy)
-    else:
-        b1 = (0, -1, 0, 0)
-        c1 = (-1, 1, dx, dy)
     out = Genus2Diagram(
-        a1=a1,
-        b1=b1,
-        c1=c1,
-        a2=(0, 0) + tuple(d.a2),
-        b2=(0, 0) + tuple(d.b2),
-        c2=(0, 0) + tuple(d.c2),
-        exponent=d.monodromy.exponent,
+        (1, 0, 0, 0),
+        (0, s, 0, 0),
+        (-1, -s, dx, dy),
+        (0, 0) + tuple(d.a2),
+        (0, 0) + tuple(d.b2),
+        (0, 0) + tuple(d.c2),
+        d.monodromy.exponent,
     )
     return _mark(out)
 

@@ -33,7 +33,7 @@ class LensSpace(_Value):
     S^3, else p >= 2 with 0 < q < p and gcd(p, q) = 1.
 
     The constructor checks the normal form; code that has proven it
-    builds through _normal_form instead.
+    builds through _lens instead.
     """
 
     _fields = ("p", "q")
@@ -68,7 +68,7 @@ class LensSpace(_Value):
         q %= p
         if math.gcd(p, q) != 1:
             raise ValueError(f"L({p}, {q}) is not a lens space (gcd {math.gcd(p, q)})")
-        return _normal_form(p, q)
+        return _lens(p, q)
 
     @property
     def is_s3(self) -> bool:
@@ -82,7 +82,7 @@ class LensSpace(_Value):
         """Orientation reversal; S^3 and S^1 x S^2 are amphichiral."""
         if self.p <= 1:
             return self
-        return _normal_form(self.p, self.p - self.q)
+        return _lens(self.p, self.p - self.q)
 
     def __str__(self) -> str:
         if self.is_s3:
@@ -93,14 +93,6 @@ class LensSpace(_Value):
 
 
 _build_lens = LensSpace._build
-
-
-def _normal_form(p: int, q: int) -> LensSpace:
-    """LensSpace(p, q), unchecked, for ints the caller has shown to be a
-    normal form."""
-    return _build_lens(LensSpace, p, q)
-
-
 S3 = LensSpace(1, 0)
 S1XS2 = LensSpace(0, 1)
 
@@ -137,8 +129,8 @@ _SMALL = (S1XS2, S3)  # the lens spaces of order p = 0 and p = 1
 
 
 def _lens(p: int, q: int) -> LensSpace:
-    """The lens space of order p >= 0 whose class q, not yet reduced mod
-    p, was read off a completion as lens_from_pair reads it."""
+    """LensSpace(p, q mod p), unchecked, for an order p >= 0 and a class q
+    that the caller has shown coprime to p."""
     return _SMALL[p] if p < 2 else _build_lens(LensSpace, p, q % p)
 
 
@@ -190,14 +182,7 @@ class SixTuple(_Value):
         return ((self.aa, self.bb, self.cc), (self.ba, self.cb, self.ac))
 
     def slots(self):
-        return (
-            ("aa", self.aa),
-            ("bb", self.bb),
-            ("cc", self.cc),
-            ("ba", self.ba),
-            ("cb", self.cb),
-            ("ac", self.ac),
-        )
+        return tuple([(name, getattr(self, name)) for name in self._fields])
 
 
 # The six-tuple of every valid identity-monodromy diagram (see six_tuple).

@@ -558,6 +558,69 @@ def test_verbs_agree_on_validity(tmp_path, capsys):
             ["orbit", "--depth", "2"],
         ):
             assert run(capsys, argv[0], path, *argv[1:]) == (1, "", reported), (path, argv)
+    # A fixed-seed corpus, about half of it broken in one field by _corrupt:
+    # every document verb exits as validate does, with validate's stderr on
+    # exit 2, its codes on stderr on exit 1 (one error line for
+    # ExponentCoreMismatch), and nothing on stderr on exit 0.
+    rng = random.Random(2727)
+    seen = []
+    for i in range(150):
+        d = rand_genus2_diagram(rng) if rng.random() < 0.5 else rand_torus_diagram(rng)
+        doc = serialize_document(d)
+        if rng.random() < 0.5:
+            _corrupt(rng, doc)
+        path = tmp_path / f"corpus{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        seen.append(out if code == 1 else code)
+        for argv in (
+            ["invariant"],
+            ["six-tuple"],
+            ["classify"],
+            ["check-theorem"],
+            ["orbit", "--depth", "2"],
+            ["move", "--word", "D2,D2'"],
+        ):
+            verb_code, _, verb_err = run(capsys, argv[0], str(path), *argv[1:])
+            assert verb_code == code, (doc, argv)
+            if out == "ExponentCoreMismatch\n":
+                assert verb_err.startswith("error: ") and verb_err.count("\n") == 1
+            else:
+                assert verb_err == {0: "", 1: out, 2: err}[code], (doc, argv)
+    assert 60 <= seen.count(0) <= 90
+    codes = {"NonPrimitive\n", "BadExponent\n", "BadSign\n", "IdentityCaseViolation\n"}
+    assert codes <= set(seen)
+
+
+def _corrupt(rng, doc):
+    """Break doc, a serialized diagram, in one field: a class (the twist core
+    included) made non-primitive or zero, exponent 2 or 0, sign 0, a1 made
+    non-primitive, or identity monodromy on a twisted genus-2 document."""
+    mono = doc["monodromy"]
+    places = [(doc, k) for k in ("b1", "c1", "a2", "b2", "c2") if k in doc]
+    if "core" in mono:
+        places.append((mono, "core"))
+    kinds = ["non-primitive", "zero"]
+    if mono["type"] == "twist":
+        kinds.append("exponent")
+    if doc["model"] == "genus2":
+        kinds += ["a1", "identity"] if mono["type"] == "twist" else ["a1"]
+    else:
+        kinds.append("sign")
+    kind = rng.choice(kinds)
+    if kind == "zero" and "a1" in doc:
+        places.append((doc, "a1"))
+    if kind in ("non-primitive", "zero"):
+        where, key = rng.choice(places)
+        where[key] = [2 * x if kind == "non-primitive" else 0 for x in where[key]]
+    elif kind == "exponent":
+        mono["exponent"] = rng.choice((2, 0))
+    elif kind == "sign":
+        doc["sign"] = 0
+    elif kind == "a1":
+        doc["a1"] = [3 * x for x in doc["a1"]]
+    else:
+        doc["monodromy"] = {"type": "identity"}
 
 
 def test_move_refuses_invalid_torus_with_empty_word(capsys):

@@ -111,6 +111,17 @@ def test_invariant_and_hypotheses_match_reference():
     assert held > 1_000
 
 
+def _bad_shapes(v):
+    """Each way a class like v, a tuple of ints, can break the shape rule:
+    a bool, a float or a str in each position, one entry short or long,
+    None, and a dict (a non-sequence with integer entries at 0, 1, ...)."""
+    shapes = [v[:-1], v + (0,), None, dict(enumerate(v))]
+    for i, entry in enumerate(v):
+        for cast in (bool, float, str):
+            shapes.append(v[:i] + (cast(entry),) + v[i + 1:])
+    return shapes
+
+
 def test_validate_torus_examples():
     ok = TorusDiagram((1, 0), (0, 1), (1, 1), twist((-1, 1), 1))
     assert validate_torus(ok) == []
@@ -153,33 +164,39 @@ def test_validate_torus_examples():
     assert validate_torus(TorusDiagram((1.0, 0), (0, 1), (1, 1), twist(ok_core, 1))) == [
         "NonPrimitive"
     ]
-    # A class that is not a sequence of integers is not primitive, and with
-    # identity monodromy it is not paired either; integer classes still are.
+    # Integer classes that are not primitive are still paired.
     ident = Monodromy.identity()
-    for a2 in (None, (1.0, 0), ("1", "0")):
-        assert validate_torus(TorusDiagram(a2, (0, 1), (1, 1), ident)) == ["NonPrimitive"]
     assert validate_torus(TorusDiagram((2, 0), (0, 1), (1, 2), ident)) == [
         "NonPrimitive",
         "IdentityCaseViolation",
     ]
-    # Only tuples or lists of exactly two exact ints pass the shape check:
-    # bool entries and a class or core of another length are not primitive,
-    # and are not paired.
-    twist_ok = twist(ok_core, 1)
-    for a2, mono in (
-        ((True, False), twist_ok),
-        ((1, 0, 0), twist_ok),
-        ((1,), twist_ok),
-        ((1, 0, 0), ident),
-        ((1,), ident),
-        ((1, 0), Monodromy((-1, 1, 0), 1)),
-        ((1, 0), Monodromy((False, True), 1)),
+    # Each class and the twist core is checked by the shape rule on its own:
+    # a class that breaks it is not primitive and is not paired, and a core
+    # that breaks it is not primitive, or a bad exponent when it is None.
+    # Both bases are valid and have entries 0 and 1 only, so a bool or float
+    # shape equals the entry it replaces: a shape check that let one through
+    # would answer differently.
+    for base in (
+        TorusDiagram((1, 0), (0, 1), (1, 1), twist((1, 0), 1)),
+        TorusDiagram((1, 0), (0, 1), (1, 1), ident),
     ):
-        d = TorusDiagram(a2, (0, 1), (1, 1), mono)
-        assert validate_torus(d) == ["NonPrimitive"], (a2, mono)
-        assert not d._valid
-        with pytest.raises(InvalidDiagramError):
-            apply_sigma2(d)
+        assert validate_torus(base) == []
+        bad = [
+            (base._replace(**{field: shape}), ["NonPrimitive"])
+            for field in ("a2", "b2", "c2")
+            for shape in _bad_shapes(getattr(base, field))
+        ]
+        if base.monodromy.exponent:
+            bad += [
+                (base._replace(monodromy=Monodromy(shape, 1)),
+                 ["BadExponent" if shape is None else "NonPrimitive"])
+                for shape in _bad_shapes(base.monodromy.core)
+            ]
+        for d, codes in bad:
+            assert validate_torus(d) == codes, d
+            assert not d._valid
+            with pytest.raises(InvalidDiagramError):
+                apply_sigma2(d)
     # A monodromy that is not a Monodromy is a bad exponent, not a crash.
     assert validate_torus(TorusDiagram((1, 0), (0, 1), (1, 1), None)) == ["BadExponent"]
     assert validate_torus(TorusDiagram((2, 0), (0, 1), (1, 1), None, sign=3)) == [
@@ -227,31 +244,27 @@ def test_validate_genus2_examples():
         with pytest.raises(InvalidDiagramError) as e:
             move(floaty)
         assert e.value.errors == ["NonPrimitive"]
-    # A class that is not a sequence of integers is recorded by the integer
-    # guards and not paired, for twist and identity monodromy alike.
+    # Each class is checked by the shape rule on its own, for twist and
+    # identity monodromy alike: a1 breaking it is NonPrimitiveA1, any other
+    # class NonPrimitive, and none is paired.
     ident = embed_torus(case_diagram(1))
     for base in (g, ident):
-        for field, value, codes in (
-            ("a2", None, ["NonPrimitive"]),
-            ("a2", (0, 0, "1", 0), ["NonPrimitive"]),
-            ("c2", None, ["NonPrimitive"]),
-            ("b1", None, ["NonPrimitive"]),
-            ("b1", (0, "1", 0, 0), ["NonPrimitive"]),
-            ("a1", None, ["NonPrimitiveA1"]),
-        ):
-            bad = base._replace(**{field: value})
-            assert validate_genus2(bad) == codes, (field, value)
-            with pytest.raises(InvalidDiagramError) as e:
-                surgery_project(bad)
-            assert e.value.errors == codes
+        for field in ("a1", "b1", "c1", "a2", "b2", "c2"):
+            codes = ["NonPrimitiveA1"] if field == "a1" else ["NonPrimitive"]
+            for shape in _bad_shapes(getattr(base, field)):
+                bad = base._replace(**{field: shape})
+                assert validate_genus2(bad) == codes, (field, shape)
+                assert not bad._valid
+                with pytest.raises(InvalidDiagramError) as e:
+                    surgery_project(bad)
+                assert e.value.errors == codes
     assert validate_genus2(g._replace(a2=None, exponent=2)) == [
         "NonPrimitive",
         "BadExponent",
     ]
 
-    # Only tuples or lists of exactly four exact ints pass the shape check:
-    # an entry that gcd takes (a bool, or any type with __index__) and a
-    # class of another length are refused, and are not paired.
+    # Classes of entries that gcd takes, bools throughout or any type with
+    # __index__, break the shape rule too.
     class _IndexOnly:
         def __index__(self):
             return 0
@@ -260,9 +273,6 @@ def test_validate_genus2_examples():
         ("a2", (0, 0, _IndexOnly(), 1), ["NonPrimitive"]),
         ("b2", (False, False, False, True), ["NonPrimitive"]),
         ("a1", (True, False, False, False), ["NonPrimitiveA1"]),
-        ("c2", (0, 0, 1), ["NonPrimitive"]),
-        ("a2", (0, 0, 1, 0, 0), ["NonPrimitive"]),
-        ("a1", (1, 0, 0), ["NonPrimitiveA1"]),
     ):
         for base in (g, ident):
             bad = base._replace(**{field: value})
