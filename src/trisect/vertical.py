@@ -92,7 +92,6 @@ class LensSpace(_Value):
         return f"L({self.p},{self.q})"
 
 
-_build_lens = LensSpace._build
 S3 = LensSpace(1, 0)
 S1XS2 = LensSpace(0, 1)
 
@@ -131,7 +130,7 @@ _SMALL = (S1XS2, S3)  # the lens spaces of order p = 0 and p = 1
 def _lens(p: int, q: int) -> LensSpace:
     """LensSpace(p, q mod p), unchecked, for an order p >= 0 and a class q
     that the caller has shown coprime to p."""
-    return _SMALL[p] if p < 2 else _build_lens(LensSpace, p, q % p)
+    return _SMALL[p] if p < 2 else LensSpace._build(LensSpace, p, q % p)
 
 
 def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
