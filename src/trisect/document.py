@@ -109,7 +109,10 @@ def _parse_monodromy(obj, with_core: bool) -> tuple:
         if obj.keys() != fields:
             _check_keys(obj, fields, "monodromy")
         core = _as_vec(obj["core"], 2, "monodromy.core") if with_core else None
-        return (core, _as_int(obj["exponent"], "monodromy.exponent"))
+        exponent = _as_int(obj["exponent"], "monodromy.exponent")
+        if exponent == 0:
+            raise DocumentError("monodromy.exponent: a twist has a nonzero exponent")
+        return (core, exponent)
     raise DocumentError(f"monodromy.type: expected 'identity' or 'twist', got {_shown(kind)}")
 
 

@@ -32,12 +32,10 @@ diagram._rotations, whose docstring proves them.
 
 from __future__ import annotations
 
-# perfbench/test_oracles.py builds altered OrbitGraph values with
-# dataclasses.replace, so this module keeps @dataclass.  Its classes keep
-# an instance dict and the dataclass constructor, since no workload holds
-# many of them; the value classes of diagram.py and vertical.py are
-# diagram._Value classes, and the verbs that need only diagram.py never
-# load dataclasses.
+# OrbitGraph keeps a bare @dataclass(init=False, repr=False, eq=False), as
+# vertical.SixTuple does, only because perfbench/test_oracles.py builds
+# altered graphs with dataclasses.replace.  Every value class here is a
+# diagram._Value.
 from dataclasses import dataclass
 
 from .diagram import (
@@ -48,6 +46,7 @@ from .diagram import (
     _mark,
     _rotations,
     _trusted,
+    _Value,
     intersection_invariant,
     require_valid_genus2,
     require_valid_torus,
@@ -264,8 +263,7 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
     return _trusted(out), ((p, q), (r, s))
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(_Value):
     """Determinant-1 matrix and per-class signs carrying one diagram to another.
 
     flips lists the signs for (a2, b2, c2) and, for twist monodromy, the
@@ -273,8 +271,8 @@ class EquivalenceWitness:
     flip times the corresponding target class.
     """
 
-    matrix: Mat2
-    flips: tuple[int, ...]
+    _fields = ("matrix", "flips")
+    __slots__ = _fields
 
 
 def _witness_classes(d: TorusDiagram) -> list[Vec2]:
@@ -315,15 +313,15 @@ def _finish_witness(m: Mat2, vs, ws) -> EquivalenceWitness | None:
     return EquivalenceWitness(matrix=m, flips=tuple(flips))
 
 
-@dataclass(frozen=True)
-class OrbitNode:
-    index: int
-    diagram: TorusDiagram
-    invariant: tuple[int, int, int]
+class OrbitNode(_Value):
+    _fields = ("index", "diagram", "invariant")
+    __slots__ = _fields
 
 
-@dataclass(frozen=True)
-class OrbitGraph:
+@dataclass(init=False, repr=False, eq=False)
+class OrbitGraph(_Value):
+    _fields = ("nodes", "edges")
+    __slots__ = _fields
     nodes: tuple[OrbitNode, ...]
     edges: tuple[tuple[int, str, int], ...]
 

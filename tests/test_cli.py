@@ -467,6 +467,15 @@ def test_parse_document_key_sets():
             {**genus2, "monodromy": {"type": "twist", "exp": 1}},
             "monodromy: missing fields ['exponent']",
         ),
+        # A twist of exponent 0 is refused in both models, not read as the identity.
+        (
+            {**torus, "monodromy": {"type": "twist", "core": [-1, 1], "exponent": 0}},
+            "monodromy.exponent: a twist has a nonzero exponent",
+        ),
+        (
+            {**genus2, "monodromy": {"type": "twist", "exponent": 0}},
+            "monodromy.exponent: a twist has a nonzero exponent",
+        ),
         # The monodromy is read before the classes.
         (
             {**torus, "a2": [1], "monodromy": {"type": "twist", "core": [1], "exponent": 1}},
@@ -594,8 +603,9 @@ def test_verbs_agree_on_validity(tmp_path, capsys):
 
 def _corrupt(rng, doc):
     """Break doc, a serialized diagram, in one field: a class (the twist core
-    included) made non-primitive or zero, exponent 2 or 0, sign 0, a1 made
-    non-primitive, or identity monodromy on a twisted genus-2 document."""
+    included) made non-primitive or zero, exponent 2, a twist of exponent 0
+    (a document error), sign 0, a1 made non-primitive, or identity
+    monodromy on a twisted genus-2 document."""
     mono = doc["monodromy"]
     places = [(doc, k) for k in ("b1", "c1", "a2", "b2", "c2") if k in doc]
     if "core" in mono:

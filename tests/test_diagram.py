@@ -8,6 +8,7 @@ import pytest
 
 import trisect.diagram
 from trisect import (
+    EquivalenceWitness,
     ExponentCoreMismatchError,
     FamilyMatch,
     Genus2Diagram,
@@ -15,6 +16,8 @@ from trisect import (
     InvalidDiagramError,
     LensSpace,
     Monodromy,
+    OrbitGraph,
+    OrbitNode,
     SixTuple,
     SymplecticReduction,
     TorusDiagram,
@@ -787,6 +790,24 @@ def test_value_classes_keep_dataclass_semantics():
     six = six_tuple(case_diagram(3))
     match = classify(six_tuple(case_diagram(2, q=3)))
     assert repr(match) == "FamilyMatch(family=2, q=3, epsilon=1, rotations=0, reflected=False)"
+    graph = orbit(case_diagram(3), 2)
+    node = graph.nodes[0]
+    witness = equivalent_torus(d, d)
+    node_reprs = (
+        "OrbitNode(index=0, diagram=TorusDiagram(a2=(1, 0), b2=(0, 1), c2=(5, -1), "
+        "monodromy=Monodromy(core=(3, -1), exponent=1), sign=1), invariant=(1, 3, 2))",
+        "OrbitNode(index=1, diagram=TorusDiagram(a2=(1, 0), b2=(0, 1), c2=(1, -1), "
+        "monodromy=Monodromy(core=(2, -3), exponent=1), sign=1), invariant=(3, 2, 1))",
+        "OrbitNode(index=2, diagram=TorusDiagram(a2=(1, 0), b2=(0, 1), c2=(2, -1), "
+        "monodromy=Monodromy(core=(1, -2), exponent=1), sign=1), invariant=(2, 1, 3))",
+    )
+    assert repr(node) == node_reprs[0]
+    assert repr(graph) == (
+        f"OrbitGraph(nodes=({', '.join(node_reprs)}), "
+        "edges=((0, 'D2', 1), (0, \"D2'\", 2), (2, 'D2', 0), (2, \"D2'\", 1), "
+        "(1, 'D2', 2), (1, \"D2'\", 0)))"
+    )
+    assert repr(witness) == "EquivalenceWitness(matrix=((1, 0), (0, 1)), flips=(1, 1, 1, 1))"
     fields = (
         (d, ((1, 0), (0, 1), (1, 1), Monodromy((-1, 1), 1), 1)),
         (g, (g.a1, g.b1, g.c1, g.a2, g.b2, g.c2, 1)),
@@ -796,6 +817,9 @@ def test_value_classes_keep_dataclass_semantics():
         (six, (LensSpace(1, 0), LensSpace(9, 4), LensSpace(4, 3), LensSpace(2, 1),
                LensSpace(5, 4), LensSpace(1, 0))),
         (match, (2, 3, 1, 0, False)),
+        (graph, (graph.nodes, graph.edges)),
+        (node, (0, node.diagram, (1, 3, 2))),
+        (witness, (((1, 0), (0, 1)), (1, 1, 1, 1))),
     )
     for x, values in fields:
         assert hash(x) == hash(values)
@@ -829,6 +853,9 @@ def test_value_classes_keep_dataclass_semantics():
     assert LensSpace(p=9, q=4) == lens
     assert SixTuple(**{name: getattr(six, name) for name in six._fields}) == six
     assert FamilyMatch(family=2, q=3, epsilon=1, rotations=0, reflected=False) == match
+    assert OrbitGraph(nodes=graph.nodes, edges=graph.edges) == graph
+    assert OrbitNode(index=0, diagram=node.diagram, invariant=(1, 3, 2)) == node
+    assert EquivalenceWitness(matrix=((1, 0), (0, 1)), flips=(1, 1, 1, 1)) == witness
     # == and hash are generated from _fields, so a change to any one
     # field alone gives an unequal value.
     for x, _ in fields:
@@ -868,6 +895,8 @@ def test_value_classes_are_slotted_and_copy_to_equal_values():
         (d, TorusDiagram), (d.monodromy, Monodromy), (embed_torus(d), Genus2Diagram),
         (theorem_hypotheses(d), HypothesisReport), (LensSpace(9, 4), LensSpace),
         (six_tuple(d), SixTuple), (classify(six_tuple(case_diagram(3))), FamilyMatch),
+        (orbit(case_diagram(3), 2), OrbitGraph), (orbit(case_diagram(3), 2).nodes[0], OrbitNode),
+        (equivalent_torus(d, d), EquivalenceWitness),
     ]
     for x, cls in xs:
         assert type(x) is cls, (type(x), cls)

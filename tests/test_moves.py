@@ -44,7 +44,7 @@ from trisect import (
     word_to_torus,
 )
 from trisect import diagram as diagram_module
-from trisect.moves import _finish_witness, _node_key, _witness_classes
+from trisect.moves import _node_key
 
 from conftest import (
     rand_genus2_diagram,
@@ -451,13 +451,36 @@ def test_equivalent_torus_degenerate_branch():
     assert equivalent_torus(d3, d1) is None
 
 
+def _classes(d):
+    """a2, b2, c2 and, under a twist, the core: the classes a witness carries."""
+    core = (d.monodromy.core,) if d.monodromy.exponent else ()
+    return (d.a2, d.b2, d.c2, *core)
+
+
+def _flips(m, vs, ws):
+    """The signs f with m v = f w for each pair (v, w), or None when some
+    image is neither w nor -w."""
+    flips = []
+    (p, q), (r, s) = m
+    for (v0, v1), (w0, w1) in zip(vs, ws):
+        img = (p * v0 + q * v1, r * v0 + s * v1)
+        if img == (w0, w1):
+            flips.append(1)
+        elif img == (-w0, -w1):
+            flips.append(-1)
+        else:
+            return None
+    return tuple(flips)
+
+
 def _equivalent_torus_reference(d1, d2):
     """Reference equivalent_torus: solve for the basis change on a pair of
-    independent source classes, trying every sign pattern on the targets."""
+    independent source classes, trying every sign pattern on the targets.
+    Returns the flips of a witness, or None."""
     if d1.sign != d2.sign or d1.monodromy.exponent != d2.monodromy.exponent:
         return None
-    vs = _witness_classes(d1)
-    ws = _witness_classes(d2)
+    vs = _classes(d1)
+    ws = _classes(d2)
     n = len(vs)
     pivot = None
     for i in range(n):
@@ -473,7 +496,7 @@ def _equivalent_torus_reference(d1, d2):
         if any(pair2(ws[i], ws[j]) != 0 for i in range(n) for j in range(i + 1, n)):
             return None
         m = mat2_mul(mat2_inv(sl2_complete(ws[0])), sl2_complete(vs[0]))
-        return _finish_witness(m, vs, ws)
+        return _flips(m, vs, ws)
     i, j = pivot
     p = pair2(vs[i], vs[j])
     vm = ((vs[i][0], vs[j][0]), (vs[i][1], vs[j][1]))
@@ -487,9 +510,9 @@ def _equivalent_torus_reference(d1, d2):
             m = tuple(tuple(c // p for c in row) for row in num)
             if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
                 continue
-            witness = _finish_witness(m, vs, ws)
-            if witness is not None:
-                return witness
+            flips = _flips(m, vs, ws)
+            if flips is not None:
+                return flips
     return None
 
 
@@ -530,11 +553,7 @@ def test_equivalent_torus_matches_pivot_reference():
             continue
         found += 1
         assert mat2_det(w.matrix) == 1
-        targets = _witness_classes(d2)
-        assert len(w.flips) == len(targets)
-        for f, v, t in zip(w.flips, _witness_classes(d1), targets):
-            assert f in (1, -1)
-            assert mat2_apply(w.matrix, v) == (f * t[0], f * t[1])
+        assert w.flips == _flips(w.matrix, _classes(d1), _classes(d2)), (d1, d2)
     # 1,400 pairs are equivalent by construction; most of the rest are not.
     assert 1_400 <= found < len(pairs) - 500
 
@@ -550,8 +569,7 @@ def test_equivalent_torus_list_classes():
         for src, dst in ((d, listed), (listed, d)):
             w = equivalent_torus(src, dst)
             assert w is not None and mat2_det(w.matrix) == 1
-            for f, v, t in zip(w.flips, _witness_classes(src), _witness_classes(dst)):
-                assert mat2_apply(w.matrix, v) == (f * t[0], f * t[1])
+            assert w.flips == _flips(w.matrix, _classes(src), _classes(dst))
 
 
 def _orbit_bfs(start, depth, include_sigma1=False, lift=None):
