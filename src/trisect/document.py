@@ -64,16 +64,13 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_vec(value, n: int, where: str) -> tuple:
-    if type(value) is list and len(value) == n:
-        # Fast path for plain JSON integers; anything else is checked below.
-        for c in value:
-            if type(c) is not int:
-                break
-        else:
-            return tuple(value)
     if not isinstance(value, list) or len(value) != n:
         raise DocumentError(f"{where}: expected a list of {n} integers")
-    return tuple(_as_int(c, f"{where}[{i}]") for i, c in enumerate(value))
+    for c in value:
+        # Fast path for plain JSON integers; any other entry sends the list to _as_int.
+        if type(c) is not int:
+            return tuple(_as_int(x, f"{where}[{i}]") for i, x in enumerate(value))
+    return tuple(value)
 
 
 # The exact key sets of the schema.  A document whose key set matches is
@@ -152,20 +149,18 @@ def parse_document(obj) -> TorusDiagram | Genus2Diagram:
 def _unique_keys(pairs: list) -> dict:
     # JSON readers disagree on a repeated key (first or last wins), so the
     # document means different things to different readers; refuse it.
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise DocumentError(f"duplicate key {_shown(key)}")
-            seen.add(key)
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"duplicate key {_shown(key)}")
+        obj[key] = value
     return obj
 
 
 def load_document(path: str) -> TorusDiagram | Genus2Diagram:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
+            return parse_document(json.load(fh, object_pairs_hook=_unique_keys))
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError:
@@ -183,7 +178,6 @@ def load_document(path: str) -> TorusDiagram | Genus2Diagram:
         raise DocumentError(
             f"{path}: a JSON number exceeds the {limit}-digit integer-conversion limit"
         ) from None
-    return parse_document(obj)
 
 
 def serialize_document(d: TorusDiagram | Genus2Diagram) -> dict:

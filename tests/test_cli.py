@@ -74,6 +74,8 @@ def test_document_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "invalid JSON" in err
     code, _, err = run(capsys, "validate", fixture("invalid/unknown_field.json"))
     assert code == 2 and "unknown fields" in err and "color" in err
+    # Every refusal of a document file names the file, schema errors too.
+    assert err.startswith(f"error: {fixture('invalid/unknown_field.json')}: "), err
     code, _, err = run(capsys, "validate", fixture("no_such_file.json"))
     assert code == 2 and "cannot read" in err
     # A message echoes a long value, or a long list of field names, only in
@@ -98,7 +100,8 @@ def test_document_errors_exit_2(tmp_path, capsys, monkeypatch):
         Path("long.json").write_text(body, encoding="utf-8")
         code, out, err = run(capsys, "validate", "long.json")
         assert (code, out) == (2, ""), message
-        assert err.startswith("error: ") and message in err and len(err) < 200, err[:300]
+        assert err.startswith("error: long.json: ") and message in err, err[:300]
+        assert len(err) < 200, err[:300]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -205,9 +208,12 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
-def test_overlong_decimal_string_exit_2(tmp_path, capsys):
+def test_overlong_decimal_string_exit_2(tmp_path, capsys, monkeypatch):
     # Past the interpreter's integer-conversion limit the value is still a
-    # decimal integer; the error says so and echoes only a prefix of it.
+    # decimal integer; the error says so, names the file and echoes only a
+    # prefix of the value.  The relative path keeps the length bound a
+    # measure of the echo alone.
+    monkeypatch.chdir(tmp_path)
     doc = {
         "model": "torus",
         "a2": ["1" * 5_001, "0"],
@@ -216,16 +222,17 @@ def test_overlong_decimal_string_exit_2(tmp_path, capsys):
         "monodromy": {"type": "identity"},
         "sign": 1,
     }
-    p = tmp_path / "long.json"
+    p = Path("long.json")
     p.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run(capsys, "validate", str(p))
-    assert code == 2
-    assert "a2[0]" in err and "4300-digit integer-conversion limit" in err
+    code, _, err = run(capsys, "validate", "long.json")
+    assert code == 2 and err.startswith("error: long.json: a2[0]: ")
+    assert "4300-digit integer-conversion limit" in err
     assert "not a decimal integer" not in err and len(err) < 200
     doc["a2"][0] = "x" * 5_001
     p.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run(capsys, "validate", str(p))
-    assert code == 2 and "not a decimal integer" in err and len(err) < 200
+    code, _, err = run(capsys, "validate", "long.json")
+    assert code == 2 and err.startswith("error: long.json: a2[0]: ")
+    assert "not a decimal integer" in err and len(err) < 200
 
 
 def test_oversized_json_number_exit_2(tmp_path, capsys):

@@ -5,8 +5,9 @@ message of the exception raised.  The corpus is deterministic: seeded
 torus and genus-2 diagrams (some with entries near 2^70), invalid
 variants of both models, orbits at whole, fractional and NaN depths, SL2
 completions, lens spaces, entries of the wrong type or shape, copies and
-pickle round trips of each value class, and every fixture through
-trisect.cli.main, with a few more documents and outputs in a temporary
+pickle round trips of each value class, equivalence witnesses, and every
+fixture through trisect.cli.main, with a few more documents and outputs,
+one document per refusal of trisect.document among them, in a temporary
 directory.
 To compare two checkouts, run on each
 
@@ -27,6 +28,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import json
 import math
 import os
 import pickle
@@ -159,12 +161,17 @@ def genus2(rng):
     return g
 
 
-def torus_inputs(rng):
-    for family, kwargs in (
+# The paper's case diagrams, one or two of each family.
+CASES = tuple(
+    case_diagram(family, **kwargs) for family, kwargs in (
         (1, {}), (2, {"q": 3}), (2, {"q": -4, "upper": False}), (3, {}), (3, {"upper": False}),
         (4, {"eps2": -1}), (5, {"epsilon": 1}), (5, {"epsilon": -1, "upper": False}),
-    ):
-        yield case_diagram(family, **kwargs)
+    )
+)
+
+
+def torus_inputs(rng):
+    yield from CASES
     for _ in range(400):
         yield torus(rng)
     for _ in range(50):
@@ -229,8 +236,22 @@ def genus2_inputs(rng):
         variant(lift, c2=(0, 0, 1)),
         variant(lift, a1=(1, 0, 0)),
         variant(lift, a2=(0, 0, 1, 0, 0)),
+        *mismatched_lifts(),
     ):
         yield bad
+
+
+def mismatched_lifts():
+    """Two lifts that pass validate_genus2 whose core disagrees with the
+    exponent: a1+b1+c1 projects to (1, 0) under the identity, and to zero
+    under a twist."""
+    return (
+        Genus2Diagram(
+            (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 1, 0),
+            (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1), 0,
+        ),
+        variant(embed_torus(case_diagram(3)), c1=(-1, -1, 0, 0)),
+    )
 
 
 def torus_answers(i: int, d) -> None:
@@ -371,12 +392,36 @@ def copy_answers() -> None:
     each with whether it equals the original."""
     d = case_diagram(3)
     t = six_tuple(d)
+    graph = orbit(d, 1)
     clones = (("copy", copy.copy), ("deepcopy", copy.deepcopy),
               ("pickle", lambda x: pickle.loads(pickle.dumps(x))))
-    for x in (d, d.monodromy, embed_torus(d), theorem_hypotheses(d), t, t.bb, classify(t)):
+    for x in (d, d.monodromy, embed_torus(d), theorem_hypotheses(d), t, t.bb, classify(t),
+              equivalent_torus(d, d), graph.nodes[0], graph):
         for name, clone in clones:
             y = clone(x)
             print(f"{name} {type(x).__name__} -> {(y, y == x)!r}")
+
+
+def move_answers() -> None:
+    """equivalent_torus of each case diagram against two partners, and
+    reduce_word on words of real moves.  The first partner is the diagram
+    under the basis change ((2, 1), (1, 1)) with b2 negated, so its witness
+    flips b2; the second is its sigma2 image, equivalent exactly when
+    I(V) = (0, 0, 0)."""
+    m = ((2, 1), (1, 1))
+    for i, d in enumerate(CASES):
+        mono = d.monodromy
+        if not mono.is_identity:
+            mono = Monodromy.twist(apply(m, mono.core), mono.exponent)
+        b2 = tuple(-x for x in apply(m, d.b2))
+        partner = TorusDiagram(apply(m, d.a2), b2, apply(m, d.c2), mono, d.sign)
+        show(f"equivalent_torus[{i}] basis change", equivalent_torus, d, partner)
+        show(f"equivalent_torus[{i}] sigma2", equivalent_torus, d, apply_sigma2(d))
+    for word in (
+        ("D2", "D2'", "D1", "D2", "D2"), ("D1", "D1'"), ("D2'", "D2", "D2"),
+        ("D1", "D2", "D2'", "D1'", "D2'"), (),
+    ):
+        show(f"reduce_word {word!r}", reduce_word, word)
 
 
 def cli_answers() -> None:
@@ -439,11 +484,16 @@ def cli_answers() -> None:
     # is valid, with 3,001-digit entries whose pairings pass the int/str
     # digit limit.  tie.json lies on the tie locus, and core.json has every
     # class equal to +-core.  bad_genus2.json has the twist exponent 3.
+    # mismatch0.json and mismatch1.json are the mismatched lifts.  Each of
+    # refused_documents but strings.json is refused by one check of
+    # load_document; latin1.json is not UTF-8, and missing.json does not
+    # exist.
     big = 10**3000
     long_answers = TorusDiagram((1, 0), (0, 1), (big, 1), Monodromy.twist((1, big), 1))
     tie = TorusDiagram((0, 1), (1, 1), (-1, 1), Monodromy.twist((1, 0), 1))
     core = TorusDiagram((2, 1), (-2, -1), (2, 1), Monodromy.twist((2, 1), 4), -1)
     bad_genus2 = variant(load_document(FIXTURES / "genus2_q3.json"), exponent=3)
+    refused = refused_documents()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
@@ -457,8 +507,12 @@ def cli_answers() -> None:
                 ("tie.json", document_text(tie)),
                 ("core.json", document_text(core)),
                 ("bad_genus2.json", document_text(bad_genus2)),
+                *((f"mismatch{i}.json", document_text(g))
+                  for i, g in enumerate(mismatched_lifts())),
+                *refused,
             ):
                 Path(name).write_text(doc, encoding="utf-8")
+            Path("latin1.json").write_bytes(text.replace('"torus"', '"t\xf6rus"').encode("latin-1"))
             for argv in (
                 ["move", "family3.json", "--word", "D2", "--out", "no_such_dir/x.json"],
                 ["move", "family3.json", "--word", "D2", "--out", "out.json"],
@@ -478,12 +532,46 @@ def cli_answers() -> None:
                   for js in ([], ["--json"])),
                 # The depth is refused before the document.
                 *(["orbit", "bad_genus2.json", "--depth", "-1", *js] for js in ([], ["--json"])),
+                *(["classify", name, *js] for name in ("tie.json", "core.json")
+                  for js in ([], ["--json"])),
+                *([verb, f"mismatch{i}.json", *rest] for i in range(2)
+                  for verb, *rest in (["validate", "--json"], ["invariant"])),
+                *(["validate", name] for name, _ in refused),
+                ["validate", "latin1.json"],
+                ["validate", "missing.json"],
             ):
                 cli_answer(argv)
             for name in ("out.json", "long_out.json"):
                 show(f"file {name}", Path(name).read_text, encoding="utf-8")
         finally:
             os.chdir(here)
+
+
+def refused_documents() -> list[tuple[str, str]]:
+    """(name, text) of documents built from fixtures/family3.json and
+    fixtures/genus2_q3.json: strings.json, read with decimal-string entries,
+    and one document per refusal of the schema and the JSON reader."""
+    torus_doc = json.loads((FIXTURES / "family3.json").read_text(encoding="utf-8"))
+    genus2_doc = json.loads((FIXTURES / "genus2_q3.json").read_text(encoding="utf-8"))
+    docs = [
+        ("strings.json", {**torus_doc, "a2": ["1", "0"], "c2": ["+5", " -1 "], "sign": "1"}),
+        ("bool.json", {**torus_doc, "sign": True}),
+        ("float.json", {**torus_doc, "b2": [0, 1.0]}),
+        ("not_list.json", {**torus_doc, "a2": "1, 0"}),
+        ("length3.json", {**torus_doc, "c2": [5, -1, 0]}),
+        ("monodromy_list.json", {**torus_doc, "monodromy": [-3, 1]}),
+        ("monodromy_type.json", {**torus_doc, "monodromy": {"type": 2}}),
+        ("no_core.json", {**torus_doc, "monodromy": {"type": "twist", "exponent": 1}}),
+        ("identity_core.json", {**torus_doc, "monodromy": {"type": "identity", "core": [-3, 1]}}),
+        ("twist0.json", {**genus2_doc, "monodromy": {"type": "twist", "exponent": 0}}),
+        ("no_c1.json", {k: v for k, v in genus2_doc.items() if k != "c1"}),
+        ("sphere.json", {**torus_doc, "model": "sphere"}),
+        ("array.json", [torus_doc]),
+        ("digits.json", {**torus_doc, "a2": ["1" * 5_000, "0"]}),
+    ]
+    return [(name, json.dumps(doc)) for name, doc in docs] + [
+        ("deep.json", "[" * 100_000 + "]" * 100_000),
+    ]
 
 
 def cli_answer(argv) -> None:
@@ -548,6 +636,7 @@ def run() -> None:
     shape_answers()
     copy_answers()
     cli_answers()
+    move_answers()
 
 
 if __name__ == "__main__":
