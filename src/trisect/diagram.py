@@ -147,6 +147,17 @@ class _Value:
         return (self.__class__, tuple([getattr(self, name) for name in self._fields]))
 
 
+class _FieldTable:
+    """__dataclass_fields__ of a _Value class that dataclasses must accept.
+    Only dataclasses reads that name, so importing it on the first read loads
+    nothing new; the bare dataclass() then puts the real table over this one.
+    Threads that race here each apply it and get equal tables, so no lock."""
+
+    def __get__(self, obj, cls):
+        from dataclasses import dataclass
+        return dataclass(init=False, repr=False, eq=False)(cls).__dataclass_fields__
+
+
 class Monodromy(_Value):
     """Identity, or the k-th power of the twist along the core class."""
 

@@ -32,17 +32,12 @@ diagram._rotations, whose docstring proves them.
 
 from __future__ import annotations
 
-# OrbitGraph keeps a bare @dataclass(init=False, repr=False, eq=False), as
-# vertical.SixTuple does, only because perfbench/test_oracles.py builds
-# altered graphs with dataclasses.replace.  Every value class here is a
-# diagram._Value.
-from dataclasses import dataclass
-
 from .diagram import (
     Genus2Diagram,
     Monodromy,
     TorusDiagram,
     _core_lift,
+    _FieldTable,
     _mark,
     _rotations,
     _trusted,
@@ -318,10 +313,10 @@ class OrbitNode(_Value):
     __slots__ = _fields
 
 
-@dataclass(init=False, repr=False, eq=False)
 class OrbitGraph(_Value):
     _fields = ("nodes", "edges")
     __slots__ = _fields
+    __dataclass_fields__ = _FieldTable()
     nodes: tuple[OrbitNode, ...]
     edges: tuple[tuple[int, str, int], ...]
 
@@ -358,6 +353,8 @@ _EDGES_21 = _orbit_edges([0, 2, 1], 3)
 
 
 def _check_depth(depth) -> None:
+    if depth is True or depth is False:
+        raise TypeError("depth must be a number, not bool")
     if not depth >= 0:
         raise ValueError("depth must be nonnegative")
 
@@ -388,13 +385,14 @@ def orbit(
     beyond.
     """
     _check_depth(depth)
+    if include_sigma1 is not True and include_sigma1 is not False:
+        raise TypeError(f"include_sigma1 must be a bool, not {type(include_sigma1).__name__}")
     v0, _ = canonical_form(start)
     inv = intersection_invariant(v0)
     if not depth > 0:
         return OrbitGraph((OrbitNode(0, v0, inv),), ())
-    outer = 1 if include_sigma1 else 0
     if inv == (0, 0, 0):
-        return OrbitGraph((OrbitNode(0, v0, inv),), _EDGES_ONE[outer])
+        return OrbitGraph((OrbitNode(0, v0, inv),), _EDGES_ONE[include_sigma1])
     v1 = _rotated_form(v0)
     v2 = _rotated_form(v1)
     if not depth > 1:
@@ -405,5 +403,6 @@ def orbit(
         edges = _EDGES_21
     inv0, inv1, inv2 = _rotations(inv)
     return OrbitGraph(
-        (OrbitNode(0, v0, inv0), OrbitNode(1, v1, inv1), OrbitNode(2, v2, inv2)), edges[outer]
+        (OrbitNode(0, v0, inv0), OrbitNode(1, v1, inv1), OrbitNode(2, v2, inv2)),
+        edges[include_sigma1],
     )

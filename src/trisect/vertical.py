@@ -17,14 +17,8 @@ S^1 x S^2 = L(0, 1) are stored in those normal forms.
 from __future__ import annotations
 
 import math
-# SixTuple keeps a bare @dataclass(init=False, repr=False, eq=False) only
-# because perfbench/test_oracles.py builds altered six-tuples with
-# dataclasses.replace: the decorator adds the field table replace reads
-# and nothing else, and replace builds through SixTuple(**changes).  Every
-# value class here, SixTuple included, is a diagram._Value.
-from dataclasses import dataclass
 
-from .diagram import Monodromy, TorusDiagram, _check_sign, _Value, require_valid_torus
+from .diagram import Monodromy, TorusDiagram, _check_sign, _FieldTable, _Value, require_valid_torus
 from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _complete, _require_ints
 
 
@@ -119,9 +113,9 @@ def lens_equiv(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> bool:
     """Homeomorphism of lens spaces: equal orders and equal class keys
     (q' = q^{+-1} mod p, also negated when orientation is ignored).
     S^3 and S^1 x S^2 only match themselves."""
-    return l1.p == l2.p and _lens_key(l1.p, l1.q, oriented) == _lens_key(
-        l2.p, l2.q, oriented
-    )
+    if oriented is not True and oriented is not False:
+        raise TypeError(f"oriented must be a bool, not {type(oriented).__name__}")
+    return l1.p == l2.p and _lens_key(l1.p, l1.q, oriented) == _lens_key(l2.p, l2.q, oriented)
 
 
 _SMALL = (S1XS2, S3)  # the lens spaces of order p = 0 and p = 1
@@ -158,7 +152,6 @@ def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
     return _lens(abs(v0 * w1 - v1 * w0), u0 * w0 + u1 * w1)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SixTuple(_Value):
     """The six vertical pieces, arranged as the 2 x 3 matrix
 
@@ -170,6 +163,7 @@ class SixTuple(_Value):
 
     _fields = ("aa", "bb", "cc", "ba", "cb", "ac")
     __slots__ = _fields
+    __dataclass_fields__ = _FieldTable()
     aa: LensSpace
     bb: LensSpace
     cc: LensSpace
@@ -370,6 +364,8 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
     symmetries only permute the slots and mirroring keeps p, so this
     condition is necessary and never changes the match found.
     """
+    if oriented is not True and oriented is not False:
+        raise TypeError(f"oriented must be a bool, not {type(oriented).__name__}")
     slots = (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac)
     ps = [l.p for l in slots]
     if ps == [0, 0, 0, 1, 1, 1]:
@@ -377,7 +373,6 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
     ps.sort()
     if ps.count(1) < 2 or (ps[0] != 0 and ps != [1, 1, 2, 4, 5, 9]):
         return None
-    oriented = bool(oriented)
     keyed = [(l.p, _lens_key(l.p, l.q, oriented)) for l in slots]
     mirrored = [(l.p, _lens_key(l.p, -l.q, oriented)) for l in slots] if oriented else keyed
     images = []

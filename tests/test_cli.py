@@ -1043,11 +1043,11 @@ WATCHED = ("trisect", "argparse", "gettext", "locale", "dataclasses", "inspect")
 
 def _modules_after(*argvs):
     """The WATCHED modules and their submodules loaded after main ran each
-    argv, in a fresh interpreter."""
+    argv, each with exit code 0, in a fresh interpreter."""
     code = (
         "import json, sys\n"
         "from trisect.cli import main\n"
-        "for argv in json.loads(sys.argv[1]): main(argv)\n"
+        "for argv in json.loads(sys.argv[1]): assert main(argv) == 0, argv\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     proc = run_python(code, json.dumps(argvs))
@@ -1057,17 +1057,25 @@ def _modules_after(*argvs):
 
 
 def test_each_verb_imports_only_its_modules():
-    loaded = _modules_after(["validate", fixture("family3.json")], ["lens", "9", "4", "9", "2"])
+    # Each verb loads the core modules and at most the one module its
+    # builder needs; none loads argparse, dataclasses or inspect.
     core = {"trisect", "trisect.cli", "trisect.diagram", "trisect.document", "trisect.lattice"}
-    # vertical keeps @dataclass, and dataclasses loads inspect.
-    assert loaded == core | {"trisect.vertical", "dataclasses", "inspect"}
-    # The verbs that need only document, diagram and lattice load neither.
-    argvs = [
-        [verb, fixture(name)]
-        for name in ("family3.json", "genus2_q3.json")
-        for verb in ("validate", "invariant", "check-theorem")
-    ]
-    assert _modules_after(*argvs, ["--help"]) == core
+    own = {
+        "validate": set(), "invariant": set(), "check-theorem": set(),
+        "six-tuple": {"trisect.vertical"}, "classify": {"trisect.vertical"},
+        "lens": {"trisect.vertical"}, "move": {"trisect.moves"}, "orbit": {"trisect.moves"},
+    }
+    options = {"move": ["--word", "D2,D2'"], "orbit": ["--depth", "2"]}
+    for verb, modules in own.items():
+        if verb == "lens":
+            argvs = [["lens", "9", "4", "9", "2"], ["lens", "5", "1", "5", "4", "--oriented"]]
+        else:
+            argvs = [
+                [verb, fixture(name), *options.get(verb, [])]
+                for name in ("family3.json", "genus2_q3.json")
+            ]
+        assert _modules_after(*argvs) == core | modules, verb
+    assert _modules_after(["--help"]) == core
 
 
 def test_package_attributes_load_on_first_use():

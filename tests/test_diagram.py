@@ -57,6 +57,7 @@ from conftest import (
     sweep_case_configs,
     torus_reference_inputs,
 )
+from test_cli import run_python
 
 
 def twist(core, k):
@@ -906,6 +907,63 @@ def test_value_classes_are_slotted_and_copy_to_equal_values():
         for clone in _COPIES:
             y = clone(x)
             assert type(y) is type(x) and y == x and hash(y) == hash(x), (x, clone)
+
+
+def test_dataclasses_sees_exactly_sixtuple_and_orbitgraph():
+    # In a fresh interpreter: the value modules do not load dataclasses,
+    # and once the caller has, SixTuple and OrbitGraph, and no other value
+    # class, are dataclasses whose fields() and replace() agree with
+    # _fields and _replace.  Two threads asking first get equal tables.
+    code = """
+import sys, threading
+import trisect.moves, trisect.vertical
+from trisect import *
+d = case_diagram(3)
+graph = orbit(d, 2)
+values = [
+    d, d.monodromy, embed_torus(d), theorem_hypotheses(d), LensSpace(9, 4), six_tuple(d),
+    classify(six_tuple(d)), graph, graph.nodes[0], equivalent_torus(d, d),
+]
+assert "dataclasses" not in sys.modules
+import dataclasses
+
+def table():
+    return [(f.name, f.type) for c in (SixTuple, OrbitGraph) for f in dataclasses.fields(c)]
+tables, barrier = [], threading.Barrier(2)
+def first_request():
+    barrier.wait()
+    tables.append(table())
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_request) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=30)
+    assert not t.is_alive()
+assert len(tables) == 2 and tables[0] == tables[1], tables
+assert tables[0] == table()
+
+others = {SixTuple: six_tuple(case_diagram(2, q=3)), OrbitGraph: orbit(case_diagram(1), 1)}
+assert {type(x) for x in values} >= set(others) and len({type(x) for x in values}) == 10
+for x in values:
+    cls = type(x)
+    assert dataclasses.is_dataclass(x) == dataclasses.is_dataclass(cls) == (cls in others), cls
+    try:
+        dataclasses.replace(x, nothere=1)
+    except TypeError:
+        pass
+    else:
+        raise AssertionError(cls)
+    if cls in others:
+        assert [f.name for f in dataclasses.fields(x)] == list(x._fields), cls
+        for name in x._fields:
+            new = getattr(others[cls], name)
+            y = dataclasses.replace(x, **{name: new})
+            assert y == x._replace(**{name: new}) and type(y) is cls, (cls, name)
+print("ok")
+"""
+    proc = run_python(code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_certification_path_validates_each_document_once(monkeypatch):

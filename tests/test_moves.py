@@ -663,6 +663,20 @@ def test_orbit_rejects_negative_depth():
             orbit(case_diagram(1), depth)
 
 
+def test_orbit_refuses_a_flag_or_depth_of_another_type():
+    # bool("no") is True, so a string once added the outer-rotation loops
+    # (12 edges against 6); a bool depth is a flag in the depth's place.
+    d = case_diagram(3)
+    for depth in (0, 2):
+        for flag in ("no", "", 0, 1, None):
+            with pytest.raises(TypeError, match="include_sigma1 must be a bool"):
+                orbit(d, depth, include_sigma1=flag)
+    for depth in (True, False):
+        with pytest.raises(TypeError, match="depth must be a number, not bool"):
+            orbit(d, depth)
+    assert len(orbit(d, 2, include_sigma1=False).edges) == 6
+
+
 def _orbit_starts(rng):
     """Seeded orbit starts: torus diagrams, about 30% with identity
     monodromy, projected genus-2 lifts, twist diagrams near 2^70, further
@@ -730,13 +744,13 @@ def test_orbit_matches_bfs_oracle_genus2_lifts():
 
 
 def test_orbit_matches_bfs_oracle_special_starts():
-    # Fractional depths and integer flags reach the same branches as the
-    # search expanding to the ceiling of the depth.
+    # Fractional depths reach the same branches as the search expanding to
+    # the ceiling of the depth.
     rng = random.Random(7321)
     one_node = identities = 0
     for start in _orbit_starts(rng):
         for depth in (0, 0.5, 1, 1.5, 2, 3):
-            for include_sigma1 in (False, True, 0, 1):
+            for include_sigma1 in (False, True):
                 args = (start, depth, include_sigma1)
                 assert orbit(*args) == _orbit_bfs(*args), args
         one_node += len(orbit(start, 1).nodes) == 1

@@ -232,6 +232,22 @@ def test_classify_oriented():
     assert (m.family, m.epsilon) == (5, 1)
 
 
+def test_oriented_flag_must_be_a_bool():
+    # bool("no") is True, so a string once gave the oriented answers:
+    # epsilon -1 for family 3, and L(5, 1) apart from L(5, 4).
+    family3, family1 = six_tuple(case_diagram(3)), six_tuple(case_diagram(1))
+    for flag in ("no", "", 0, 1, None):
+        for call in (
+            lambda: classify(family3, oriented=flag),
+            lambda: classify(family1, oriented=flag),
+            lambda: lens_equiv(LensSpace(5, 1), LensSpace(5, 4), oriented=flag),
+        ):
+            with pytest.raises(TypeError, match="oriented must be a bool"):
+                call()
+    assert classify(family3, oriented=False).epsilon == 1
+    assert lens_equiv(LensSpace(5, 1), LensSpace(5, 4), oriented=False)
+
+
 def test_classify_no_match():
     assert classify(tup(S3, S3, S3, S3, S3, S3)) is None
     seven = LensSpace(7, 1)
