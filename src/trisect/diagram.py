@@ -19,9 +19,9 @@ from __future__ import annotations
 from math import gcd
 
 from .lattice import (
-    SymplecticReduction,
     Vec2,
     Vec4,
+    _reduce,
     pair2,
     pair4,
 )
@@ -72,7 +72,11 @@ class _Value:
     object's class to cls, so no value leaves it as the twin.  _build is
     the class's __new__ unless the class writes its own, as LensSpace
     does to check its normal form first.  A subclass builds through its
-    own twin, so one with an instance dict builds too.
+    own twin, so one with an instance dict builds too.  A class with a
+    validity mark also gets _build_marked(*fields), from the same compile
+    call: the same steps, with the mark set to True and the class fixed.
+    Only diagram.py calls it, through _marked_torus and _marked_genus2;
+    the constructor, _replace, copy and pickle all build unmarked.
 
     Semantics, those of @dataclass(eq=True, frozen=True): == compares
     the field tuples of two instances of one class, and the hash is that
@@ -92,12 +96,13 @@ class _Value:
         fields, defaults = cls._fields, cls._field_defaults
         marks = [n for k in cls.__mro__ for n in vars(k).get("__slots__", ()) if n not in fields]
         params = "".join(f", {n}=defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
+        stores = "".join(f"    self.{name} = {name}\n" for name in fields)
         mine = "".join(f"self.{name}," for name in fields)
         theirs = "".join(f"other.{name}," for name in fields)
         source = (
             f"def _build(cls{params}):\n"
             "    self = new(cls._open)\n"
-            + "".join(f"    self.{name} = {name}\n" for name in fields)
+            + stores
             + "".join(f"    self.{name} = False\n" for name in marks)
             + "    self.__class__ = cls\n"
             "    return self\n"
@@ -108,8 +113,17 @@ class _Value:
             "def __hash__(self):\n"
             f"    return hash(({mine}))\n"
         )
+        if marks:
+            source += (
+                f"def _build_marked({params[2:]}):\n"
+                "    self = new(twin)\n"
+                + stores
+                + "".join(f"    self.{name} = True\n" for name in marks)
+                + "    self.__class__ = owner\n"
+                "    return self\n"
+            )
         methods = {}
-        namespace = {"new": object.__new__, "defaults": defaults}
+        namespace = {"new": object.__new__, "defaults": defaults, "owner": cls}
         exec(compile(source, f"<{cls.__qualname__} generated methods>", "exec"), namespace, methods)
         for name, method in methods.items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -120,10 +134,12 @@ class _Value:
         if cls.__new__ is object.__new__ or cls.__new__ is getattr(cls, "_build", None):
             cls.__new__ = build
         cls._build = build
-        cls._open = type(cls.__name__, (cls,), {
+        cls._open = namespace["twin"] = type(cls.__name__, (cls,), {
             "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
             "__module__": cls.__module__, "__qualname__": f"{cls.__qualname__}._open",
         }, twin=True)
+        if marks:
+            cls._build_marked = staticmethod(methods["_build_marked"])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -166,7 +182,8 @@ class Monodromy(_Value):
 
     @classmethod
     def identity(cls) -> "Monodromy":
-        return cls(None, 0)
+        """The identity; on Monodromy itself, the one shared _IDENTITY."""
+        return _IDENTITY if cls is Monodromy else cls(None, 0)
 
     @classmethod
     def twist(cls, core: Vec2, exponent: int) -> "Monodromy":
@@ -221,6 +238,14 @@ class Genus2Diagram(_Value):
     _fields = ("a1", "b1", "c1", "a2", "b2", "c2", "exponent")
     # _valid: the validity mark (see _mark); not a field, so ==, hash and repr ignore it.
     __slots__ = (*_fields, "_valid")
+
+
+_IDENTITY = Monodromy(None, 0)
+# Build a diagram marked, in one step, for a caller that has shown it valid
+# and built its classes as tuples and its monodromy as an exact Monodromy
+# (see _mark).
+_marked_torus = TorusDiagram._build_marked
+_marked_genus2 = Genus2Diagram._build_marked
 
 
 def _pairwise_unit(x, y, z, pairing) -> bool:
@@ -283,7 +308,7 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     if type(sign) is not int or sign not in (1, -1):
         errors.append(BAD_SIGN)
     if not errors:
-        _mark(d)
+        _mark_torus(d, a, b, c, mono, core)
     return errors
 
 
@@ -328,48 +353,45 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
         if not _pairwise_unit(a2, b2, c2, pair4):
             errors.append(IDENTITY_CASE_VIOLATION)
     if not errors:
-        _mark(d)
+        _mark_genus2(d, a1, b1, c1, a2, b2, c2)
     return errors
 
 
-# The validity mark.  These two helpers are the only code that sets it,
-# and _trusted alone writes it; require_valid_torus and
-# require_valid_genus2 trust a marked diagram.
-def _mark(d):
-    """Mark d, known to be valid, and return it.
+# The validity mark; require_valid_torus and require_valid_genus2 trust a
+# marked diagram.  Only an exact TorusDiagram whose classes and core are
+# tuples, with an exact Monodromy, or an exact Genus2Diagram whose six
+# classes are tuples, is marked, since a list could change after the check.
+# _mark_torus and _mark_genus2 hold this rule and alone set the mark on a
+# built diagram: the validators pass them the fields they checked, and the
+# moves and handle_slide mark their outputs through _mark.  surgery_project,
+# embed_torus and moves._canonical, which build every class as a tuple,
+# build their outputs marked through _marked_torus and _marked_genus2.
+def _mark_torus(d, a2, b2, c2, mono, core) -> None:
+    if (
+        type(d) is TorusDiagram
+        and type(a2) is type(b2) is type(c2) is tuple
+        and type(mono) is Monodromy
+        and (core is None or type(core) is tuple)
+    ):
+        object.__setattr__(d, "_valid", True)
 
-    Only an exact TorusDiagram whose classes and core are tuples, with an
-    exact Monodromy, or an exact Genus2Diagram whose six classes are
-    tuples, is marked, since a list could change after the check.  The
-    validators, the moves, embed_torus and handle_slide mark by this rule.
-    """
+
+def _mark_genus2(d, a1, b1, c1, a2, b2, c2) -> None:
+    if (
+        type(d) is Genus2Diagram
+        and type(a1) is type(b1) is type(c1) is type(a2) is type(b2) is type(c2) is tuple
+    ):
+        object.__setattr__(d, "_valid", True)
+
+
+def _mark(d):
+    """Mark d, known to be valid, if the rule above allows, and return it."""
     if type(d) is TorusDiagram:
         mono = d.monodromy
-        ok = (
-            type(d.a2) is tuple
-            and type(d.b2) is tuple
-            and type(d.c2) is tuple
-            and type(mono) is Monodromy
-            and (mono.core is None or type(mono.core) is tuple)
-        )
+        _mark_torus(d, d.a2, d.b2, d.c2, mono, mono.core)
     else:
-        ok = (
-            type(d) is Genus2Diagram
-            and type(d.a1) is tuple
-            and type(d.b1) is tuple
-            and type(d.c1) is tuple
-            and type(d.a2) is tuple
-            and type(d.b2) is tuple
-            and type(d.c2) is tuple
-        )
-    return _trusted(d) if ok else d
-
-
-def _trusted(out):
-    """Mark out, whose every field the caller built as a new tuple or an
-    exact Monodromy and has shown valid, and return it."""
-    object.__setattr__(out, "_valid", True)
-    return out
+        _mark_genus2(d, d.a1, d.b1, d.c1, d.a2, d.b2, d.c2)
+    return d
 
 
 def _core_lift(d: Genus2Diagram) -> Vec4:
@@ -404,8 +426,10 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
 
     With (a1, f1, e2, f2) the basis of SymplecticReduction(a1), a class w
     disjoint from a1 projects to (-pair4(f2, w), pair4(e2, w)), computed
-    inline.  The output is not passed through validate_torus: on a valid
-    genus-2 diagram, every torus rule but primitivity already holds.
+    inline.  e2 and f2 come from lattice._reduce, the constructor's
+    formula without its checks, which validate_genus2 has made.  The
+    output is not passed through validate_torus: on a valid genus-2
+    diagram, every torus rule but primitivity already holds.
     - Exponent: validate_genus2 admits only an exact int in {0, +-1, +-4},
       and the exponent-core check pairs 0 with the identity and the
       others with a nonzero core.
@@ -422,11 +446,12 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     passes validate_genus2 and projects to core (2, 0).  So primitivity is
     checked here, and refused with InvalidDiagramError(["NonPrimitive"])
     as validate_torus would.  validate_genus2 admits integer entries
-    only, so the output is built of tuples and exact Monodromy and is
-    marked with _trusted.
+    only, so every class is a new tuple and the monodromy an exact
+    Monodromy, and the output is built marked, by _marked_torus.
     """
     require_valid_genus2(d)
-    _a, _f1, (e0, e1, e2, e3), (f0, f1, f2, f3) = SymplecticReduction(d.a1).basis
+    a1 = d.a1
+    _, (e0, e1, e2, e3), (f0, f1, f2, f3) = _reduce(*a1)
     core, a2, b2, c2 = [
         (f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2)
         for w0, w1, w2, w3 in (_core_lift(d), d.a2, d.b2, d.c2)
@@ -437,7 +462,7 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
             raise ExponentCoreMismatchError(
                 f"identity monodromy but a1+b1+c1 projects to {core}"
             )
-        mono = Monodromy(None, 0)
+        mono = _IDENTITY
         primitive = True
     else:
         if core == (0, 0):
@@ -448,7 +473,7 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
         primitive = gcd(*core) == 1
     if not (primitive and gcd(*a2) == 1 and gcd(*b2) == 1 and gcd(*c2) == 1):
         raise InvalidDiagramError([NON_PRIMITIVE])
-    return _trusted(TorusDiagram(a2, b2, c2, mono, pair4(d.a1, d.b1)))
+    return _marked_torus(a2, b2, c2, mono, pair4(a1, d.b1))
 
 
 def torus_of(d: TorusDiagram | Genus2Diagram) -> TorusDiagram:
@@ -469,12 +494,12 @@ def embed_torus(d: TorusDiagram) -> Genus2Diagram:
     second block (zero for identity monodromy); for s = -1, b1 = -beta1
     and c1 = -alpha1 + beta1 + dt.  In both cases a1 + b1 + c1 = dt, so
     surgery_project(embed_torus(d)) == d exactly, and the lift of a valid
-    diagram is valid.
+    diagram is valid.  Every class is a new tuple, so it is built marked.
     """
     require_valid_torus(d)
     s = d.sign
     dx, dy = d.monodromy.core if d.monodromy.core is not None else (0, 0)
-    out = Genus2Diagram(
+    return _marked_genus2(
         (1, 0, 0, 0),
         (0, s, 0, 0),
         (-1, -s, dx, dy),
@@ -483,7 +508,6 @@ def embed_torus(d: TorusDiagram) -> Genus2Diagram:
         (0, 0) + tuple(d.c2),
         d.monodromy.exponent,
     )
-    return _mark(out)
 
 
 def intersection_invariant(d: TorusDiagram | Genus2Diagram) -> tuple[int, int, int]:

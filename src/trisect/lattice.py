@@ -175,7 +175,10 @@ class SymplecticReduction:
     a may be any sequence: it is read into a tuple first, so the basis
     holds no caller's list.  It raises ValueError on a length other than
     4, then ZeroVectorError on zero, then TypeError on a non-int entry,
-    then NonPrimitiveError when the gcd of the entries exceeds 1.
+    then NonPrimitiveError when the gcd of the entries exceeds 1.  The
+    other three vectors then come from _reduce, which holds the formulas
+    above; surgery_project calls it directly on an a1 that
+    validate_genus2 has checked.
     """
 
     def __init__(self, a: Vec4):
@@ -185,22 +188,9 @@ class SymplecticReduction:
         if not any(a):
             raise ZeroVectorError("cannot reduce along the zero class")
         _require_ints(a)
-        a0, a1, a2, a3 = a
-        g1, g2 = math.gcd(a0, a1), math.gcd(a2, a3)
-        if math.gcd(g1, g2) != 1:
+        if math.gcd(*a) != 1:
             raise NonPrimitiveError(f"{a} is not primitive")
-        u0, u1 = (a0 // g1, a1 // g1) if g1 else (1, 0)
-        u2, u3 = (a2 // g2, a3 // g2) if g2 else (1, 0)
-        p1, q1, _, _ = _complete(u0, u1)
-        p2, q2, _, _ = _complete(u2, u3)
-        w0, w1, w2, w3 = -q1, p1, -q2, p2
-        p, q, _, _ = _complete(g1, g2)
-        self.basis: tuple[Vec4, Vec4, Vec4, Vec4] = (
-            a,
-            (p * w0, p * w1, q * w2, q * w3),
-            (-q * u0, -q * u1, p * u2, p * u3),
-            (-g2 * w0, -g2 * w1, g1 * w2, g1 * w3),
-        )
+        self.basis: tuple[Vec4, Vec4, Vec4, Vec4] = (a, *_reduce(*a))
 
     def project(self, w: Vec4) -> Vec2:
         """Class of w in the surgered torus; w must be disjoint from e1.
@@ -217,3 +207,20 @@ class SymplecticReduction:
             raise ValueError(f"{w} is not disjoint from the surgery class {a}")
         return (-pair4(f2, w), pair4(e2, w))
 
+
+def _reduce(a0: int, a1: int, a2: int, a3: int) -> tuple[Vec4, Vec4, Vec4]:
+    """(f1, e2, f2) of SymplecticReduction((a0, a1, a2, a3)), by the
+    formulas its docstring proves.  The caller has checked that the class
+    is primitive with exact int entries."""
+    g1, g2 = math.gcd(a0, a1), math.gcd(a2, a3)
+    u0, u1 = (a0 // g1, a1 // g1) if g1 else (1, 0)
+    u2, u3 = (a2 // g2, a3 // g2) if g2 else (1, 0)
+    p1, q1, _, _ = _complete(u0, u1)
+    p2, q2, _, _ = _complete(u2, u3)
+    w0, w1, w2, w3 = -q1, p1, -q2, p2
+    p, q, _, _ = _complete(g1, g2)
+    return (
+        (p * w0, p * w1, q * w2, q * w3),
+        (-q * u0, -q * u1, p * u2, p * u3),
+        (-g2 * w0, -g2 * w1, g1 * w2, g1 * w3),
+    )

@@ -38,9 +38,10 @@ from .diagram import (
     TorusDiagram,
     _core_lift,
     _FieldTable,
+    _IDENTITY,
     _mark,
+    _marked_torus,
     _rotations,
-    _trusted,
     _Value,
     intersection_invariant,
     require_valid_genus2,
@@ -223,14 +224,19 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
 def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
     """canonical_form on the classes of a diagram known to be valid."""
     p, q, r, s = _complete(*a2)
+    b0, b1 = b2
+    c0, c1 = c2
+    xb, yb = p * b0 + q * b1, r * b0 + s * b1
+    xc, yc = p * c0 + q * c1, r * c0 + s * c1
     k = mono.exponent
-    rest = (b2, c2) if k == 0 else (b2, c2, mono.core)
+    if k:
+        d0, d1 = mono.core
+        xd, yd = p * d0 + q * d1, r * d0 + s * d1
+    # The shear is picked by the first of b2, c2 and the core that is not
+    # parallel to a2, the first whose image (x, y) has y != 0.
+    x, y = (xb, yb) if yb else (xc, yc) if yc or not k else (xd, yd)
     t = 0
-    for v0, v1 in rest:
-        y = r * v0 + s * v1
-        if y == 0:
-            continue
-        x = p * v0 + q * v1
+    if y:
         m = abs(y)
         t0 = x % m
         if 2 * t0 < m:
@@ -240,22 +246,22 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
         else:
             target = t0
         t = (target - x) // y
-        break
     # B is the shear ((1, t), (0, 1)) times the completion; the shear fixes
-    # (1, 0), so B sends a2 to (1, 0) exactly.
+    # (1, 0), so B sends a2 to (1, 0) exactly, and it adds t*y to each x.
     p += t * r
     q += t * s
-    imgs = []
-    for v0, v1 in rest:
-        x = p * v0 + q * v1
-        y = r * v0 + s * v1
-        imgs.append((-x, -y) if x < 0 or (x == 0 and y < 0) else (x, y))
-    # Every class and the monodromy are built here as new tuples and an
-    # exact Monodromy.
-    out = TorusDiagram(
-        (1, 0), imgs[0], imgs[1], Monodromy(None, 0) if k == 0 else Monodromy(imgs[2], k), sign
-    )
-    return _trusted(out), ((p, q), (r, s))
+    xb += t * yb
+    xc += t * yc
+    # Each image is sign-normalized: x > 0, or x == 0 and y > 0.
+    b2 = (-xb, -yb) if xb < 0 or (xb == 0 and yb < 0) else (xb, yb)
+    c2 = (-xc, -yc) if xc < 0 or (xc == 0 and yc < 0) else (xc, yc)
+    if k:
+        xd += t * yd
+        mono = Monodromy((-xd, -yd) if xd < 0 or (xd == 0 and yd < 0) else (xd, yd), k)
+    else:
+        mono = _IDENTITY
+    # Every class is a tuple and the monodromy an exact Monodromy.
+    return _marked_torus((1, 0), b2, c2, mono, sign), ((p, q), (r, s))
 
 
 class EquivalenceWitness(_Value):

@@ -769,6 +769,55 @@ def test_mark_is_not_a_field():
         assert "_valid" not in d._fields
 
 
+def test_only_the_marked_builder_builds_marked_values():
+    # The two diagram classes get a second generated builder that sets the
+    # mark; every other way to build a value leaves it unmarked.
+    d = good_torus()
+    for value, cls, marked_build in (
+        (d, TorusDiagram, trisect.diagram._marked_torus),
+        (embed_torus(d), Genus2Diagram, trisect.diagram._marked_genus2),
+    ):
+        assert marked_build is cls._build_marked
+        fields = [getattr(value, name) for name in cls._fields]
+        marked = marked_build(*fields)
+        assert type(marked) is cls and marked._valid
+        assert marked == value and hash(marked) == hash(value) and repr(marked) == repr(value)
+        built = (
+            cls(*fields),
+            cls(**dict(zip(cls._fields, fields))),
+            cls.__new__(cls, *fields),
+            marked._replace(),
+            *(clone(marked) for clone in _COPIES),
+        )
+        for fresh in built:
+            assert type(fresh) is cls and not fresh._valid and fresh == marked
+        with pytest.raises(AttributeError):
+            marked.a2 = None
+    # sign keeps its default in the marked builder too.
+    assert trisect.diagram._marked_torus(d.a2, d.b2, d.c2, d.monodromy) == d
+    for cls in (Monodromy, HypothesisReport, LensSpace, SixTuple, FamilyMatch, OrbitGraph):
+        assert not hasattr(cls, "_build_marked"), cls
+
+
+def test_identity_monodromy_is_one_shared_value():
+    ident = Monodromy.identity()
+    assert ident is trisect.diagram._IDENTITY and ident is Monodromy.identity()
+    assert type(ident) is Monodromy
+    assert ident == Monodromy(None, 0) and hash(ident) == hash(Monodromy(None, 0))
+    assert ident is not Monodromy(None, 0)
+    # The kernels that build an identity monodromy share it.
+    t = case_diagram(1)
+    assert t.monodromy.is_identity
+    assert canonical_form(t._replace(monodromy=Monodromy(None, 0)))[0].monodromy is ident
+    assert surgery_project(embed_torus(t)).monodromy is ident
+
+    class SubMonodromy(Monodromy):
+        __slots__ = ()
+
+    sub = SubMonodromy.identity()
+    assert type(sub) is SubMonodromy and sub.is_identity and sub != ident
+
+
 def test_value_classes_keep_dataclass_semantics():
     d = good_torus()
     g = embed_torus(d)

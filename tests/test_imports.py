@@ -9,6 +9,8 @@ added here on purpose.
 import ast
 from pathlib import Path
 
+from test_cli import run_python
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisect"
 STDLIB = {"__future__", "json", "math", "sys", "types"}
 # (file, enclosing class and function names, module) of each import allowed
@@ -215,3 +217,51 @@ def test_only_the_value_base_generates_code():
     assert sorted(_code_generators(ast.parse(source))) == [
         ("", "eval"), ("A.f", "compile"), ("A.f", "exec"), ("A.f.g", "compile"),
     ]
+
+
+# Lists the compile calls of one CLI call by the file name each gets,
+# leaving out the import system's compiles of modules without bytecode.
+_COUNT_COMPILES = """
+import builtins, contextlib, io, sys
+compiled = []
+real = builtins.compile
+def counting(source, filename, *args, **kwargs):
+    if str(filename).startswith("<"):
+        compiled.append(filename)
+    return real(source, filename, *args, **kwargs)
+builtins.compile = counting
+from trisect.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+print("\\n".join(compiled))
+sys.exit(status)
+"""
+
+_DIAGRAM_CLASSES = ["Genus2Diagram", "HypothesisReport", "Monodromy", "TorusDiagram"]
+
+
+def test_each_value_class_compiles_once_per_cli_call():
+    # Start-up pays one compile per value class the verb loads, with the
+    # marked builder of the diagram classes in the same call: 4 for the
+    # verbs that load diagram.py alone, 7 for those that also load
+    # moves.py or vertical.py.
+    fixture = str(PACKAGE.parent.parent / "fixtures" / "family3.json")
+    moves = sorted(_DIAGRAM_CLASSES + ["EquivalenceWitness", "OrbitGraph", "OrbitNode"])
+    vertical = sorted(_DIAGRAM_CLASSES + ["FamilyMatch", "LensSpace", "SixTuple"])
+    calls = {
+        ("--help",): _DIAGRAM_CLASSES,
+        ("validate", fixture): _DIAGRAM_CLASSES,
+        ("invariant", fixture): _DIAGRAM_CLASSES,
+        ("check-theorem", fixture): _DIAGRAM_CLASSES,
+        ("move", fixture, "--word", "D2"): moves,
+        ("orbit", fixture, "--depth", "1"): moves,
+        ("six-tuple", fixture): vertical,
+        ("classify", fixture): vertical,
+        ("lens", "9", "4", "9", "2"): vertical,
+    }
+    for argv, classes in calls.items():
+        proc = run_python(_COUNT_COMPILES, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(proc.stdout.split("\n")[:-1]) == [
+            f"<{name} generated methods>" for name in classes
+        ], argv

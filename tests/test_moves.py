@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -44,13 +45,14 @@ from trisect import (
     word_to_torus,
 )
 from trisect import diagram as diagram_module
-from trisect.moves import _node_key
+from trisect.moves import _node_key, _rotated_form
 
 from conftest import (
     rand_genus2_diagram,
     rand_primitive_vec2,
     rand_torus_diagram,
     rand_unimodular,
+    torus_reference_inputs,
 )
 
 
@@ -381,6 +383,12 @@ def test_canonical_form_matches_reference():
     for _ in range(300):
         a, b, c, core = (rand_primitive_vec2(rng, 2**70) for _ in range(4))
         inputs.append(TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4)))))
+    # Every 11th diagram of the radius-3 census box of 131,072.
+    prims = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1]
+    box = itertools.product(prims, prims, prims, (1, -1, 4, -4))
+    for b2, c2, core, k in itertools.islice(box, 0, None, 11):
+        inputs.append(TorusDiagram((1, 0), b2, c2, Monodromy.twist(core, k), 1))
+    assert len(inputs) == 2_500 + 11_916
     identities = 0
     for d in inputs:
         out, b = canonical_form(d)
@@ -388,6 +396,11 @@ def test_canonical_form_matches_reference():
         assert out._valid
         identities += d.monodromy.is_identity
     assert identities > 400
+    # The inner rotation canonicalised from the rotated classes.
+    for v in torus_reference_inputs():
+        rotated = _rotated_form(v)
+        assert rotated == canonical_form(apply_sigma2(v))[0], v
+        assert type(rotated) is TorusDiagram and rotated._valid
 
 
 def test_equivalent_torus_reflexive_and_symmetric():
