@@ -80,10 +80,12 @@ class _Value:
 
     Semantics, those of @dataclass(eq=True, frozen=True): == compares
     the field tuples of two instances of one class, and the hash is that
-    of the field tuple.  This base also refuses assignment and deletion,
-    gives the dataclass repr, and builds changed copies with _replace.
-    copy, deepcopy and pickle rebuild an instance through its constructor
-    (__reduce__).
+    of the field tuple.  An __eq__ or __hash__ that the class itself
+    writes stays, as TorusDiagram's do, and must keep these semantics; a
+    subclass, which may add fields, gets generated ones.  This base also
+    refuses assignment and deletion, gives the dataclass repr, and builds
+    changed copies with _replace.  copy, deepcopy and pickle rebuild an
+    instance through its constructor (__reduce__).
     """
 
     __slots__ = ()
@@ -127,7 +129,12 @@ class _Value:
         exec(compile(source, f"<{cls.__qualname__} generated methods>", "exec"), namespace, methods)
         for name, method in methods.items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+        own = vars(cls)
+        if "__eq__" not in own:
+            cls.__eq__ = methods["__eq__"]
+        # Writing __eq__ alone sets __hash__ to None in the class.
+        if own.get("__hash__") is None:
+            cls.__hash__ = methods["__hash__"]
         build = staticmethod(methods["_build"])
         # A __new__ that the class or a base below _Value wrote stays; an
         # inherited generated one gives way to this class's.
@@ -226,6 +233,26 @@ class TorusDiagram(_Value):
 
     def classes(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.a2, self.b2, self.c2)
+
+    # The generated rule, with an exact Monodromy's two fields read in
+    # place, so that no nested Python call is made.  The hash of the tuple
+    # (core, exponent) is that of the Monodromy, so the hash is still that
+    # of the field tuple.  Any other monodromy takes the generated rule.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        m, n = self.monodromy, other.monodromy
+        if m.__class__ is Monodromy and n.__class__ is Monodromy:
+            return (self.a2, self.b2, self.c2, m.core, m.exponent, self.sign) == (
+                other.a2, other.b2, other.c2, n.core, n.exponent, other.sign
+            )
+        return (self.a2, self.b2, self.c2, m, self.sign) == (other.a2, other.b2, other.c2, n, other.sign)
+
+    def __hash__(self):
+        m = self.monodromy
+        if m.__class__ is Monodromy:
+            m = (m.core, m.exponent)
+        return hash((self.a2, self.b2, self.c2, m, self.sign))
 
 
 class Genus2Diagram(_Value):
@@ -365,7 +392,8 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
 # built diagram: the validators pass them the fields they checked, and the
 # moves and handle_slide mark their outputs through _mark.  surgery_project,
 # embed_torus and moves._canonical, which build every class as a tuple,
-# build their outputs marked through _marked_torus and _marked_genus2.
+# build their outputs marked through _marked_torus and _marked_genus2, and
+# the torus inner rotations build theirs through _moved_torus.
 def _mark_torus(d, a2, b2, c2, mono, core) -> None:
     if (
         type(d) is TorusDiagram
@@ -392,6 +420,16 @@ def _mark(d):
     else:
         _mark_genus2(d, d.a1, d.b1, d.c1, d.a2, d.b2, d.c2)
     return d
+
+
+def _moved_torus(d: TorusDiagram, a2, b2, c2) -> TorusDiagram:
+    """d with the classes (a2, b2, c2), for a move on the valid torus
+    diagram d that builds each class as d's own class or a new tuple.  A
+    marked d has tuple classes, so the output is built marked outright;
+    any other d gives the output the mark _mark gives it."""
+    if type(d) is TorusDiagram and d._valid:
+        return _marked_torus(a2, b2, c2, d.monodromy, d.sign)
+    return _mark(TorusDiagram(a2, b2, c2, d.monodromy, d.sign))
 
 
 def _core_lift(d: Genus2Diagram) -> Vec4:
@@ -425,11 +463,13 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     raises ExponentCoreMismatchError.
 
     With (a1, f1, e2, f2) the basis of SymplecticReduction(a1), a class w
-    disjoint from a1 projects to (-pair4(f2, w), pair4(e2, w)), computed
-    inline.  e2 and f2 come from lattice._reduce, the constructor's
-    formula without its checks, which validate_genus2 has made.  The
-    output is not passed through validate_torus: on a valid genus-2
-    diagram, every torus rule but primitivity already holds.
+    disjoint from a1 projects to (-pair4(f2, w), pair4(e2, w)).  e2 and
+    f2 come from lattice._reduce, the constructor's formula without its
+    checks, which validate_genus2 has made.  a1, b1 and c1 are unpacked
+    once; the core lift a1+b1+c1, a2, b2 and c2 are projected inline, and
+    the sign pair4(a1, b1) too.  The output is not passed through
+    validate_torus: on a valid genus-2 diagram, every torus rule but
+    primitivity already holds.
     - Exponent: validate_genus2 admits only an exact int in {0, +-1, +-4},
       and the exponent-core check pairs 0 with the identity and the
       others with a nonzero core.
@@ -444,36 +484,45 @@ def surgery_project(d: Genus2Diagram) -> TorusDiagram:
     A projected class or a nonzero core can still have gcd > 1: the lift
     ((1,0,0,0), (0,1,0,0), (-1,-1,2,0), (0,0,0,1), (0,0,1,1), (0,0,1,0), 1)
     passes validate_genus2 and projects to core (2, 0).  So primitivity is
-    checked here, and refused with InvalidDiagramError(["NonPrimitive"])
-    as validate_torus would.  validate_genus2 admits integer entries
-    only, so every class is a new tuple and the monodromy an exact
-    Monodromy, and the output is built marked, by _marked_torus.
+    checked here, core first, then a2, b2 and c2, and refused with
+    InvalidDiagramError(["NonPrimitive"]) as validate_torus would.
+    validate_genus2 admits integer entries only, so every class is a new
+    tuple and the monodromy an exact Monodromy, and the output is built
+    marked, by _marked_torus.
     """
     require_valid_genus2(d)
-    a1 = d.a1
-    _, (e0, e1, e2, e3), (f0, f1, f2, f3) = _reduce(*a1)
-    core, a2, b2, c2 = [
-        (f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2)
-        for w0, w1, w2, w3 in (_core_lift(d), d.a2, d.b2, d.c2)
-    ]
+    x0, x1, x2, x3 = d.a1
+    y0, y1, y2, y3 = d.b1
+    z0, z1, z2, z3 = d.c1
+    _, (e0, e1, e2, e3), (f0, f1, f2, f3) = _reduce(x0, x1, x2, x3)
+    w0, w1, w2, w3 = x0 + y0 + z0, x1 + y1 + z1, x2 + y2 + z2, x3 + y3 + z3
+    d0, d1 = f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2
+    w0, w1, w2, w3 = d.a2
+    a0, a1 = f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2
+    w0, w1, w2, w3 = d.b2
+    b0, b1 = f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2
+    w0, w1, w2, w3 = d.c2
+    c0, c1 = f1 * w0 - f0 * w1 + f3 * w2 - f2 * w3, e0 * w1 - e1 * w0 + e2 * w3 - e3 * w2
     k = d.exponent
     if k == 0:
-        if core != (0, 0):
+        if d0 or d1:
             raise ExponentCoreMismatchError(
-                f"identity monodromy but a1+b1+c1 projects to {core}"
+                f"identity monodromy but a1+b1+c1 projects to {(d0, d1)}"
             )
         mono = _IDENTITY
-        primitive = True
     else:
-        if core == (0, 0):
+        if not (d0 or d1):
             raise ExponentCoreMismatchError(
                 f"twist exponent {k} but a1+b1+c1 projects to zero"
             )
-        mono = Monodromy(core, k)
-        primitive = gcd(*core) == 1
-    if not (primitive and gcd(*a2) == 1 and gcd(*b2) == 1 and gcd(*c2) == 1):
+        if gcd(d0, d1) != 1:
+            raise InvalidDiagramError([NON_PRIMITIVE])
+        mono = Monodromy._build(Monodromy, (d0, d1), k)
+    if gcd(a0, a1) != 1 or gcd(b0, b1) != 1 or gcd(c0, c1) != 1:
         raise InvalidDiagramError([NON_PRIMITIVE])
-    return _marked_torus(a2, b2, c2, mono, pair4(a1, d.b1))
+    return _marked_torus(
+        (a0, a1), (b0, b1), (c0, c1), mono, x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2
+    )
 
 
 def torus_of(d: TorusDiagram | Genus2Diagram) -> TorusDiagram:
@@ -629,13 +678,23 @@ class HypothesisReport(_Value):
 
 
 def theorem_hypotheses(d: TorusDiagram) -> HypothesisReport:
-    """Evaluate the certification hypotheses on a valid torus diagram."""
+    """Evaluate the certification hypotheses on a valid torus diagram.
+
+    pair2(a2, mu^-1(c2)) is read off in closed form, with no pulled-back
+    class built.  Proof.  Write e_x = pair2(x, d) for the twist core d.
+    Under mu = T_d^k, mu^-1 x = x + k e_x d, as in Monodromy.inverse_apply,
+    so by bilinearity pair2(a2, mu^-1 c2) = pair2(a2, c2) + k e_c
+    pair2(a2, d) = pair2(a2, c2) + k e_a e_c, the identity six_tuple uses
+    for its ac slot.  Under the identity, k = 0 and it is pair2(a2, c2).
+    """
     require_valid_torus(d)
     mono = d.monodromy
+    k = mono.exponent
     a0, a1 = d.a2
     b0, b1 = d.b2
     c0, c1 = d.c2
-    p0, p1 = mono.inverse_apply(d.c2)
-    return HypothesisReport(
-        mono.exponent != 0, b0 * c1 - b1 * c0 != 0, a0 * p1 - a1 * p0 != 0
-    )
+    pulled = a0 * c1 - a1 * c0
+    if k:
+        d0, d1 = mono.core
+        pulled += k * (a0 * d1 - a1 * d0) * (c0 * d1 - c1 * d0)
+    return HypothesisReport._build(HypothesisReport, k != 0, b0 * c1 - b1 * c0 != 0, pulled != 0)

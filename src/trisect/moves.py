@@ -41,6 +41,7 @@ from .diagram import (
     _IDENTITY,
     _mark,
     _marked_torus,
+    _moved_torus,
     _rotations,
     _Value,
     intersection_invariant,
@@ -115,8 +116,7 @@ def apply_sigma2(d):
         require_valid_genus2(d)
         return _inner(d, d.b2, transvect(_core_lift(d), -d.exponent, d.c2), d.a2)
     require_valid_torus(d)
-    mono = d.monodromy
-    return _mark(TorusDiagram(d.b2, mono.inverse_apply(d.c2), d.a2, mono, d.sign))
+    return _moved_torus(d, d.b2, d.monodromy.inverse_apply(d.c2), d.a2)
 
 
 def apply_sigma2_inverse(d):
@@ -125,8 +125,7 @@ def apply_sigma2_inverse(d):
         require_valid_genus2(d)
         return _inner(d, d.c2, d.a2, transvect(_core_lift(d), d.exponent, d.b2))
     require_valid_torus(d)
-    mono = d.monodromy
-    return _mark(TorusDiagram(d.c2, d.a2, mono.apply(d.b2), mono, d.sign))
+    return _moved_torus(d, d.c2, d.a2, d.monodromy.apply(d.b2))
 
 
 def _inner(d: Genus2Diagram, a2, b2, c2) -> Genus2Diagram:
@@ -257,7 +256,8 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
     c2 = (-xc, -yc) if xc < 0 or (xc == 0 and yc < 0) else (xc, yc)
     if k:
         xd += t * yd
-        mono = Monodromy((-xd, -yd) if xd < 0 or (xd == 0 and yd < 0) else (xd, yd), k)
+        core = (-xd, -yd) if xd < 0 or (xd == 0 and yd < 0) else (xd, yd)
+        mono = Monodromy._build(Monodromy, core, k)
     else:
         mono = _IDENTITY
     # Every class is a tuple and the monodromy an exact Monodromy.

@@ -211,7 +211,8 @@ def six_tuple(d: TorusDiagram) -> SixTuple:
     - p_ac = |pair2(a, c) + k e_a e_c|, q_ac = u_a . c + k e_c (u_a . d);
     - p_cb = |pair2(c, b)| and q_cb = u_c . b, with no pull-back.
     These are the exact integers the pulled-back classes give, so every
-    slot, q reduced mod p by _lens, is the same lens space.
+    slot, q reduced mod p as _lens does, is the same lens space.  Each
+    slot and the tuple are built through _build, with no check repeated.
     """
     require_valid_torus(d)
     mono = d.monodromy
@@ -228,14 +229,21 @@ def six_tuple(d: TorusDiagram) -> SixTuple:
     uc0, uc1, _, _ = _complete(c0, c1)
     ud_a, ud_b, ud_c = ua0 * d0 + ua1 * d1, ub0 * d0 + ub1 * d1, uc0 * d0 + uc1 * d1
     ka, kb, kc = k * ea, k * eb, k * ec
-    return SixTuple(
-        _lens(abs(ka * ea), 1 + ka * ud_a),
-        _lens(abs(kb * eb), 1 + kb * ud_b),
-        _lens(abs(kc * ec), 1 + kc * ud_c),
-        _lens(abs(b0 * a1 - b1 * a0 + ka * eb), ub0 * a0 + ub1 * a1 + ka * ud_b),
-        _lens(abs(c0 * b1 - c1 * b0), uc0 * b0 + uc1 * b1),
-        _lens(abs(a0 * c1 - a1 * c0 + ka * ec), ua0 * c0 + ua1 * c1 + kc * ud_a),
-    )
+    # Each slot as _lens builds it, inline: q is computed only for p >= 2.
+    build = LensSpace._build
+    p = abs(ka * ea)
+    aa = _SMALL[p] if p < 2 else build(LensSpace, p, (1 + ka * ud_a) % p)
+    p = abs(kb * eb)
+    bb = _SMALL[p] if p < 2 else build(LensSpace, p, (1 + kb * ud_b) % p)
+    p = abs(kc * ec)
+    cc = _SMALL[p] if p < 2 else build(LensSpace, p, (1 + kc * ud_c) % p)
+    p = abs(b0 * a1 - b1 * a0 + ka * eb)
+    ba = _SMALL[p] if p < 2 else build(LensSpace, p, (ub0 * a0 + ub1 * a1 + ka * ud_b) % p)
+    p = abs(c0 * b1 - c1 * b0)
+    cb = _SMALL[p] if p < 2 else build(LensSpace, p, (uc0 * b0 + uc1 * b1) % p)
+    p = abs(a0 * c1 - a1 * c0 + ka * ec)
+    ac = _SMALL[p] if p < 2 else build(LensSpace, p, (ua0 * c0 + ua1 * c1 + kc * ud_a) % p)
+    return SixTuple._build(SixTuple, aa, bb, cc, ba, cb, ac)
 
 
 # Slot permutations, in the slot order (aa, bb, cc, ba, cb, ac): slot i of

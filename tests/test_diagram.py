@@ -1,4 +1,6 @@
 import copy
+import itertools
+import math
 import operator
 import pickle
 import random
@@ -113,6 +115,18 @@ def test_invariant_and_hypotheses_match_reference():
         assert report == _hypotheses_reference(d), d
         held += report.all_hold
     assert held > 1_000
+    # Every 7th diagram of the radius-3 census box of 131,072; in 301 of
+    # them a2 and mu^-1(c2) are parallel.
+    prims = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1]
+    box = itertools.product(prims, prims, prims, (1, -1, 4, -4))
+    checked = parallel = 0
+    for b2, c2, core, k in itertools.islice(box, 0, None, 7):
+        d = TorusDiagram((1, 0), b2, c2, Monodromy(core, k), 1)
+        report = theorem_hypotheses(d)
+        assert report == _hypotheses_reference(d), d
+        checked += 1
+        parallel += not report.a2_pulled_c2_independent
+    assert checked == 18_725 and parallel == 301
 
 
 def _bad_shapes(v):
@@ -754,6 +768,43 @@ def test_list_fields_are_never_marked():
             surgery_project(x)
 
 
+def test_inner_rotation_keeps_the_mark_rule():
+    # A marked torus input gives an output built marked, equal to the
+    # constructor-built value; any other valid input, a list-classed one or
+    # one of a TorusDiagram subclass, gets the mark _mark gives it.  The
+    # pulled-back class is a new tuple, so a list there does not carry over.
+    class SubTorus(TorusDiagram):
+        __slots__ = ()
+
+    moves = (
+        (apply_sigma2, lambda x: (x.b2, x.monodromy.inverse_apply(x.c2), x.a2), "c2"),
+        (apply_sigma2_inverse, lambda x: (x.c2, x.a2, x.monodromy.apply(x.b2)), "b2"),
+    )
+    rng = random.Random(7071)
+    for _ in range(100):
+        d = rand_torus_diagram(rng)
+        assert validate_torus(d) == [] and d._valid
+        fields = [getattr(d, name) for name in TorusDiagram._fields]
+        for move, rotated, pulled in moves:
+            out = move(d)
+            built = TorusDiagram(*rotated(d), d.monodromy, d.sign)
+            assert type(out) is TorusDiagram and out._valid and not built._valid
+            assert out == built and hash(out) == hash(built)
+            inputs = [(SubTorus(*fields), True)]
+            for name in ("a2", "b2", "c2"):
+                inputs.append((d._replace(**{name: list(getattr(d, name))}), name == pulled))
+            if not d.monodromy.is_identity:
+                listed = Monodromy(list(d.monodromy.core), d.monodromy.exponent)
+                inputs.append((d._replace(monodromy=listed), False))
+            for x, marked in inputs:
+                assert validate_torus(x) == [] and not x._valid
+                out = move(x)
+                today = trisect.diagram._mark(TorusDiagram(*rotated(x), x.monodromy, x.sign))
+                assert type(out) is TorusDiagram and out == today
+                assert [tuple(c) for c in out.classes()] == list(built.classes())
+                assert out._valid is today._valid is marked, (x, move)
+
+
 _COPIES = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
 
 
@@ -936,6 +987,51 @@ def test_value_classes_keep_dataclass_semantics():
     for method in (Pair.__eq__, Pair.__hash__):
         assert method.__qualname__.endswith("Pair." + method.__name__)
         assert "Pair" in method.__code__.co_filename
+    # TorusDiagram writes its own == and hash, which read an exact
+    # Monodromy's fields in place; the generator keeps them, and gives a
+    # subclass, which may add fields, generated ones.  Any other monodromy,
+    # a Monodromy subclass or None, takes the field-tuple rule.
+    class SubMonodromy(Monodromy):
+        __slots__ = ()
+
+    class SubTorus(TorusDiagram):
+        __slots__ = ()
+
+    for method in (TorusDiagram.__eq__, TorusDiagram.__hash__):
+        assert method is vars(TorusDiagram)[method.__name__]
+        assert "generated" not in method.__code__.co_filename
+    for method in (SubTorus.__eq__, SubTorus.__hash__):
+        assert "generated" in method.__code__.co_filename
+    sub_mono = SubMonodromy((-1, 1), 1)
+    assert sub_mono != d.monodromy and hash(sub_mono) == hash(d.monodromy)
+    for mono in (sub_mono, None):
+        x = d._replace(monodromy=mono)
+        values = (d.a2, d.b2, d.c2, mono, d.sign)
+        assert hash(x) == hash(values) and hash(x._replace()) == hash(x)
+        assert x == x._replace() and x != values and values != x
+        assert x != d and d != x and x.__eq__(d) is False and d.__eq__(x) is False
+    assert d._replace(monodromy=None) != d._replace(monodromy=sub_mono)
+    sub = SubTorus(d.a2, d.b2, d.c2, d.monodromy, d.sign)
+    assert sub != d and d != sub and sub == sub._replace() and hash(sub) == hash(d)
+    rng = random.Random(8081)
+    for _ in range(500):
+        t = rand_torus_diagram(rng)
+        values = tuple(getattr(t, name) for name in t._fields)
+        assert hash(t) == hash(values) and t == t._replace()
+        for name in t._fields:
+            changed = t._replace(**{name: (3, 3) if name != "monodromy" else Monodromy((3, 3), 4)})
+            assert changed != t and t != changed
+    # A class that writes __eq__ alone, so that Python sets its __hash__
+    # to None, still gets the generated hash.
+    class Written(trisect.diagram._Value):
+        _fields = ("x", "y")
+        __slots__ = _fields
+
+        def __eq__(self, other):
+            return NotImplemented
+
+    assert "generated" not in Written.__eq__.__code__.co_filename
+    assert hash(Written(1, 2)) == hash((1, 2)) and Written(1, 2) != Written(1, 2)
 
 
 def test_value_classes_are_slotted_and_copy_to_equal_values():
