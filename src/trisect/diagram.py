@@ -75,8 +75,9 @@ class _Value:
     own twin, so one with an instance dict builds too.  A class with a
     validity mark also gets _build_marked(*fields), from the same compile
     call: the same steps, with the mark set to True and the class fixed.
-    Only diagram.py calls it, through _marked_torus and _marked_genus2;
-    the constructor, _replace, copy and pickle all build unmarked.
+    Only diagram.py calls it, through _marked_torus, _marked_genus2,
+    _moved_torus and _moved_genus2; the constructor, _replace, copy and
+    pickle all build unmarked.
 
     Semantics, those of @dataclass(eq=True, frozen=True): == compares
     the field tuples of two instances of one class, and the hash is that
@@ -228,7 +229,7 @@ class TorusDiagram(_Value):
 
     _fields = ("a2", "b2", "c2", "monodromy", "sign")
     _field_defaults = {"sign": 1}
-    # _valid: the validity mark (see _mark); not a field, so ==, hash and repr ignore it.
+    # _valid: the validity mark (see below); not a field, so ==, hash and repr ignore it.
     __slots__ = (*_fields, "_valid")
 
     def classes(self) -> tuple[Vec2, Vec2, Vec2]:
@@ -263,16 +264,42 @@ class Genus2Diagram(_Value):
     """
 
     _fields = ("a1", "b1", "c1", "a2", "b2", "c2", "exponent")
-    # _valid: the validity mark (see _mark); not a field, so ==, hash and repr ignore it.
+    # _valid: the validity mark (see below); not a field, so ==, hash and repr ignore it.
     __slots__ = (*_fields, "_valid")
 
 
 _IDENTITY = Monodromy(None, 0)
-# Build a diagram marked, in one step, for a caller that has shown it valid
-# and built its classes as tuples and its monodromy as an exact Monodromy
-# (see _mark).
+
+
+# The validity mark; require_valid_torus and require_valid_genus2 trust a
+# marked diagram.  validate_torus and validate_genus2 alone inspect a
+# diagram and mark it: an exact TorusDiagram whose classes and core are
+# tuples, with an exact Monodromy, or an exact Genus2Diagram whose six
+# classes are tuples, since a list could change after the check.  Any
+# other code builds a diagram marked only from tuples it made itself
+# (surgery_project, embed_torus and moves._canonical, through _marked_torus
+# and _marked_genus2) or from the fields of a marked input (the moves,
+# through _moved_torus and _moved_genus2); everything else builds unmarked.
 _marked_torus = TorusDiagram._build_marked
 _marked_genus2 = Genus2Diagram._build_marked
+
+
+def _moved_torus(d: TorusDiagram, a2, b2, c2) -> TorusDiagram:
+    """d with the classes (a2, b2, c2), for a move on the valid torus
+    diagram d that builds each class as d's own class or a new tuple: marked
+    exactly when d is."""
+    if type(d) is TorusDiagram and d._valid:
+        return _marked_torus(a2, b2, c2, d.monodromy, d.sign)
+    return TorusDiagram(a2, b2, c2, d.monodromy, d.sign)
+
+
+def _moved_genus2(d: Genus2Diagram, a1, b1, c1, a2, b2, c2) -> Genus2Diagram:
+    """d with the classes (a1, b1, c1, a2, b2, c2), for a move on the valid
+    genus-2 diagram d that builds each class as d's own class or a new
+    tuple: marked exactly when d is."""
+    if type(d) is Genus2Diagram and d._valid:
+        return _marked_genus2(a1, b1, c1, a2, b2, c2, d.exponent)
+    return Genus2Diagram(a1, b1, c1, a2, b2, c2, d.exponent)
 
 
 def _pairwise_unit(x, y, z, pairing) -> bool:
@@ -306,7 +333,8 @@ def validate_torus(d: TorusDiagram) -> list[str]:
     Each class and the core must first have the shape _is_vec2 checks.
     A class that fails is not primitive, and the arithmetic rules are not
     applied to it.  The exponent and the sign must be exact ints too.  A
-    field d lacks counts as None.  A valid diagram is marked (see _mark).
+    field d lacks counts as None.  A valid diagram is marked when the rule
+    above allows.
     """
     errors = []
     try:
@@ -334,8 +362,13 @@ def validate_torus(d: TorusDiagram) -> list[str]:
         errors.append(NON_PRIMITIVE)
     if type(sign) is not int or sign not in (1, -1):
         errors.append(BAD_SIGN)
-    if not errors:
-        _mark_torus(d, a, b, c, mono, core)
+    if not errors and (
+        type(d) is TorusDiagram
+        and type(a) is type(b) is type(c) is tuple
+        and type(mono) is Monodromy
+        and (core is None or type(core) is tuple)
+    ):
+        object.__setattr__(d, "_valid", True)
     return errors
 
 
@@ -345,9 +378,9 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
     Each class must first have the shape _is_vec4 checks; a1 failing
     is NonPrimitiveA1, any other class failing is NonPrimitive, and the
     pairings are then not computed.  A field d lacks counts as None.  A
-    valid diagram is marked (see _mark).  surgery_project can still refuse
-    it: when the twist exponent and the core disagree, or when a projected
-    class is not primitive.
+    valid diagram is marked when the rule above allows.  surgery_project
+    can still refuse it: when the twist exponent and the core disagree, or
+    when a projected class is not primitive.
     """
     errors = []
     try:
@@ -379,57 +412,12 @@ def validate_genus2(d: Genus2Diagram) -> list[str]:
         # pair4, so the identity-case constraint needs no projection.
         if not _pairwise_unit(a2, b2, c2, pair4):
             errors.append(IDENTITY_CASE_VIOLATION)
-    if not errors:
-        _mark_genus2(d, a1, b1, c1, a2, b2, c2)
-    return errors
-
-
-# The validity mark; require_valid_torus and require_valid_genus2 trust a
-# marked diagram.  Only an exact TorusDiagram whose classes and core are
-# tuples, with an exact Monodromy, or an exact Genus2Diagram whose six
-# classes are tuples, is marked, since a list could change after the check.
-# _mark_torus and _mark_genus2 hold this rule and alone set the mark on a
-# built diagram: the validators pass them the fields they checked, and the
-# moves and handle_slide mark their outputs through _mark.  surgery_project,
-# embed_torus and moves._canonical, which build every class as a tuple,
-# build their outputs marked through _marked_torus and _marked_genus2, and
-# the torus inner rotations build theirs through _moved_torus.
-def _mark_torus(d, a2, b2, c2, mono, core) -> None:
-    if (
-        type(d) is TorusDiagram
-        and type(a2) is type(b2) is type(c2) is tuple
-        and type(mono) is Monodromy
-        and (core is None or type(core) is tuple)
-    ):
-        object.__setattr__(d, "_valid", True)
-
-
-def _mark_genus2(d, a1, b1, c1, a2, b2, c2) -> None:
-    if (
+    if not errors and (
         type(d) is Genus2Diagram
         and type(a1) is type(b1) is type(c1) is type(a2) is type(b2) is type(c2) is tuple
     ):
         object.__setattr__(d, "_valid", True)
-
-
-def _mark(d):
-    """Mark d, known to be valid, if the rule above allows, and return it."""
-    if type(d) is TorusDiagram:
-        mono = d.monodromy
-        _mark_torus(d, d.a2, d.b2, d.c2, mono, mono.core)
-    else:
-        _mark_genus2(d, d.a1, d.b1, d.c1, d.a2, d.b2, d.c2)
-    return d
-
-
-def _moved_torus(d: TorusDiagram, a2, b2, c2) -> TorusDiagram:
-    """d with the classes (a2, b2, c2), for a move on the valid torus
-    diagram d that builds each class as d's own class or a new tuple.  A
-    marked d has tuple classes, so the output is built marked outright;
-    any other d gives the output the mark _mark gives it."""
-    if type(d) is TorusDiagram and d._valid:
-        return _marked_torus(a2, b2, c2, d.monodromy, d.sign)
-    return _mark(TorusDiagram(a2, b2, c2, d.monodromy, d.sign))
+    return errors
 
 
 def _core_lift(d: Genus2Diagram) -> Vec4:
@@ -628,14 +616,16 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
 
     Slides preserve validity, the surgery projection and the intersection
     invariant: the new class pairs with everything disjoint from a1
-    exactly as the old one did.
+    exactly as the old one did.  The output is an exact Genus2Diagram,
+    marked exactly when d is.
     """
     require_valid_genus2(d)
     if target not in ("a2", "b2", "c2"):
         raise ValueError(f"slide target must be one of a2, b2, c2, got {target!r}")
     _check_sign(sign, "slide sign")
-    moved = tuple(wi + sign * ai for wi, ai in zip(getattr(d, target), d.a1))
-    return _mark(d._replace(**{target: moved}))
+    classes = {"a2": d.a2, "b2": d.b2, "c2": d.c2}
+    classes[target] = tuple(wi + sign * ai for wi, ai in zip(classes[target], d.a1))
+    return _moved_genus2(d, d.a1, d.b1, d.c1, *classes.values())
 
 
 def _check_sign(value, name: str) -> None:

@@ -39,8 +39,8 @@ from .diagram import (
     _core_lift,
     _FieldTable,
     _IDENTITY,
-    _mark,
     _marked_torus,
+    _moved_genus2,
     _moved_torus,
     _rotations,
     _Value,
@@ -50,7 +50,6 @@ from .diagram import (
 )
 from .lattice import (
     Mat2,
-    Vec2,
     _complete,
     mat2_apply,
     mat2_inv,
@@ -92,16 +91,9 @@ def apply_sigma1_inverse(d: Genus2Diagram) -> Genus2Diagram:
 def _outer(d: Genus2Diagram, a1, b1, c1, core, k: int) -> Genus2Diagram:
     """The step both outer rotations share: set the first triple to
     (a1, b1, c1), then twist the second triple k times along core."""
-    out = Genus2Diagram(
-        a1=a1,
-        b1=b1,
-        c1=c1,
-        a2=transvect(core, k, d.a2),
-        b2=transvect(core, k, d.b2),
-        c2=transvect(core, k, d.c2),
-        exponent=d.exponent,
+    return _moved_genus2(
+        d, a1, b1, c1, transvect(core, k, d.a2), transvect(core, k, d.b2), transvect(core, k, d.c2)
     )
-    return _mark(out)
 
 
 def apply_sigma2(d):
@@ -114,7 +106,8 @@ def apply_sigma2(d):
     """
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
-        return _inner(d, d.b2, transvect(_core_lift(d), -d.exponent, d.c2), d.a2)
+        c2 = transvect(_core_lift(d), -d.exponent, d.c2)
+        return _moved_genus2(d, d.a1, d.b1, d.c1, d.b2, c2, d.a2)
     require_valid_torus(d)
     return _moved_torus(d, d.b2, d.monodromy.inverse_apply(d.c2), d.a2)
 
@@ -123,15 +116,10 @@ def apply_sigma2_inverse(d):
     """Inverse inner-circle rotation: (a2, b2, c2) -> (c2, a2, mu(b2))."""
     if isinstance(d, Genus2Diagram):
         require_valid_genus2(d)
-        return _inner(d, d.c2, d.a2, transvect(_core_lift(d), d.exponent, d.b2))
+        b2 = transvect(_core_lift(d), d.exponent, d.b2)
+        return _moved_genus2(d, d.a1, d.b1, d.c1, d.c2, d.a2, b2)
     require_valid_torus(d)
     return _moved_torus(d, d.c2, d.a2, d.monodromy.apply(d.b2))
-
-
-def _inner(d: Genus2Diagram, a2, b2, c2) -> Genus2Diagram:
-    """The step both inner rotations share on the genus-2 model: keep the
-    first triple and set the second to (a2, b2, c2)."""
-    return _mark(Genus2Diagram(d.a1, d.b1, d.c1, a2, b2, c2, d.exponent))
 
 
 def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
@@ -276,42 +264,27 @@ class EquivalenceWitness(_Value):
     __slots__ = _fields
 
 
-def _witness_classes(d: TorusDiagram) -> list[Vec2]:
-    out = [d.a2, d.b2, d.c2]
-    if not d.monodromy.is_identity:
-        out.append(d.monodromy.core)
-    return out
-
-
 def equivalent_torus(d1: TorusDiagram, d2: TorusDiagram) -> EquivalenceWitness | None:
     """Witness that d1 and d2 differ by a basis change and sign flips.
 
-    Exponent and sign field must agree.  Returns None when no witness
-    exists; existence coincides with equality of canonical forms.
+    Exponent and sign field must agree.  Returns None exactly when the
+    canonical forms differ; a witness exists exactly when they are equal.
     """
     # The canonical form keeps the exponent and the sign field, so equal
-    # forms agree on both.
+    # forms agree on both, and the core is on both sides or on neither.
     c1, b1 = canonical_form(d1)
     c2, b2 = canonical_form(d2)
     if c1 != c2:
         return None
     # b1 and b2 carry each class of d1 and d2 to the same canonical class up
-    # to sign, so b2^-1 b1 carries d1 to d2 up to sign.
-    return _finish_witness(mat2_mul(mat2_inv(b2), b1), _witness_classes(d1), _witness_classes(d2))
-
-
-def _finish_witness(m: Mat2, vs, ws) -> EquivalenceWitness | None:
-    flips = []
-    for v, (w0, w1) in zip(vs, ws):
-        # Compared as tuples, so a class given as a list matches too.
-        img = mat2_apply(m, v)
-        if img == (w0, w1):
-            flips.append(1)
-        elif img == (-w0, -w1):
-            flips.append(-1)
-        else:
-            return None
-    return EquivalenceWitness(matrix=m, flips=tuple(flips))
+    # to sign, so m = b2^-1 b1 carries each class of d1 to +- that of d2.
+    m = mat2_mul(mat2_inv(b2), b1)
+    pairs = [(d1.a2, d2.a2), (d1.b2, d2.b2), (d1.c2, d2.c2)]
+    if d1.monodromy.exponent:
+        pairs.append((d1.monodromy.core, d2.monodromy.core))
+    # Compared as tuples, so a class given as a list matches too.
+    flips = tuple([1 if mat2_apply(m, v) == (w0, w1) else -1 for v, (w0, w1) in pairs])
+    return EquivalenceWitness(matrix=m, flips=flips)
 
 
 class OrbitNode(_Value):

@@ -768,41 +768,88 @@ def test_list_fields_are_never_marked():
             surgery_project(x)
 
 
-def test_inner_rotation_keeps_the_mark_rule():
-    # A marked torus input gives an output built marked, equal to the
-    # constructor-built value; any other valid input, a list-classed one or
-    # one of a TorusDiagram subclass, gets the mark _mark gives it.  The
-    # pulled-back class is a new tuple, so a list there does not carry over.
+def _slide(name, sign):
+    def move(x):
+        return handle_slide(x, name, sign)
+
+    def expected(x):
+        moved = tuple(w + sign * a for w, a in zip(getattr(x, name), x.a1))
+        return [moved if n == name else getattr(x, n) for n in _GENUS2_CLASSES]
+
+    return move, expected
+
+
+def _twisted(x, first, core, k):
+    # An outer rotation: the first triple set to first, and the second
+    # twisted k times along core.
+    return [*first, *(transvect(core, k, w) for w in (x.a2, x.b2, x.c2))]
+
+
+def _core(x):
+    # a1 + b1 + c1, the lift of the twist core.
+    return tuple(p + q + r for p, q, r in zip(x.a1, x.b1, x.c1))
+
+
+_GENUS2_CLASSES = ("a1", "b1", "c1", "a2", "b2", "c2")
+# Each move -> the classes it gives on x, from the move's formula.
+_TORUS_MOVES = (
+    (apply_sigma2, lambda x: [x.b2, x.monodromy.inverse_apply(x.c2), x.a2]),
+    (apply_sigma2_inverse, lambda x: [x.c2, x.a2, x.monodromy.apply(x.b2)]),
+)
+_GENUS2_MOVES = (
+    (apply_sigma1, lambda x: _twisted(x, (x.b1, x.c1, x.a1), transvect(x.a1, 1, x.b1), 1)),
+    (apply_sigma1_inverse, lambda x: _twisted(x, (x.c1, x.a1, x.b1), transvect(x.c1, 1, x.a1), -1)),
+    (
+        apply_sigma2,
+        lambda x: [x.a1, x.b1, x.c1, x.b2, transvect(_core(x), -x.exponent, x.c2), x.a2],
+    ),
+    (
+        apply_sigma2_inverse,
+        lambda x: [x.a1, x.b1, x.c1, x.c2, x.a2, transvect(_core(x), x.exponent, x.b2)],
+    ),
+    *(_slide(name, sign) for name in ("a2", "b2", "c2") for sign in (1, -1)),
+)
+
+
+def test_every_move_keeps_the_mark_rule():
+    # A move's output has the exact diagram class and is marked exactly
+    # when its input is: a marked input gives a marked output, equal to the
+    # constructor-built value, and any other valid input, a subclass
+    # instance or one with a class given as a list, an unmarked one.
     class SubTorus(TorusDiagram):
         __slots__ = ()
 
-    moves = (
-        (apply_sigma2, lambda x: (x.b2, x.monodromy.inverse_apply(x.c2), x.a2), "c2"),
-        (apply_sigma2_inverse, lambda x: (x.c2, x.a2, x.monodromy.apply(x.b2)), "b2"),
-    )
+    class SubGenus2(Genus2Diagram):
+        __slots__ = ()
+
     rng = random.Random(7071)
-    for _ in range(100):
-        d = rand_torus_diagram(rng)
-        assert validate_torus(d) == [] and d._valid
-        fields = [getattr(d, name) for name in TorusDiagram._fields]
-        for move, rotated, pulled in moves:
-            out = move(d)
-            built = TorusDiagram(*rotated(d), d.monodromy, d.sign)
-            assert type(out) is TorusDiagram and out._valid and not built._valid
-            assert out == built and hash(out) == hash(built)
-            inputs = [(SubTorus(*fields), True)]
-            for name in ("a2", "b2", "c2"):
-                inputs.append((d._replace(**{name: list(getattr(d, name))}), name == pulled))
-            if not d.monodromy.is_identity:
+    models = (
+        (TorusDiagram, SubTorus, validate_torus, ("a2", "b2", "c2"), _TORUS_MOVES,
+         lambda x: [x.monodromy, x.sign], rand_torus_diagram),
+        (Genus2Diagram, SubGenus2, validate_genus2, _GENUS2_CLASSES, _GENUS2_MOVES,
+         lambda x: [x.exponent], rand_genus2_diagram),
+    )
+    for cls, sub, validate, names, moves, rest, rand in models:
+        for _ in range(40):
+            d = rand(rng)
+            assert validate(d) == [] and d._valid
+            fields = [getattr(d, name) for name in cls._fields]
+            inputs = [sub(*fields)]
+            inputs += [d._replace(**{name: list(getattr(d, name))}) for name in names]
+            if cls is TorusDiagram and not d.monodromy.is_identity:
                 listed = Monodromy(list(d.monodromy.core), d.monodromy.exponent)
-                inputs.append((d._replace(monodromy=listed), False))
-            for x, marked in inputs:
-                assert validate_torus(x) == [] and not x._valid
-                out = move(x)
-                today = trisect.diagram._mark(TorusDiagram(*rotated(x), x.monodromy, x.sign))
-                assert type(out) is TorusDiagram and out == today
-                assert [tuple(c) for c in out.classes()] == list(built.classes())
-                assert out._valid is today._valid is marked, (x, move)
+                inputs.append(d._replace(monodromy=listed))
+            for move, expected in moves:
+                out = move(d)
+                built = cls(*expected(d), *rest(d))
+                assert type(out) is cls and out._valid and not built._valid, move
+                assert out == built and hash(out) == hash(built), move
+                classes = [getattr(built, name) for name in names]
+                for x in inputs:
+                    assert validate(x) == [] and not x._valid
+                    out = move(x)
+                    assert type(out) is cls and not out._valid, (x, move)
+                    assert [tuple(getattr(out, name)) for name in names] == classes, (x, move)
 
 
 _COPIES = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
@@ -1113,13 +1160,20 @@ print("ok")
 
 def test_certification_path_validates_each_document_once(monkeypatch):
     calls = []
+    genus2_calls = []
     real = trisect.diagram.validate_torus
+    real_genus2 = trisect.diagram.validate_genus2
 
     def counting(d):
         calls.append(d)
         return real(d)
 
+    def counting_genus2(d):
+        genus2_calls.append(d)
+        return real_genus2(d)
+
     monkeypatch.setattr(trisect.diagram, "validate_torus", counting)
+    monkeypatch.setattr(trisect.diagram, "validate_genus2", counting_genus2)
     rng = random.Random(6061)
     docs = [serialize_document(rand_torus_diagram(rng)) for _ in range(300)]
     for doc in docs:
@@ -1136,10 +1190,19 @@ def test_certification_path_validates_each_document_once(monkeypatch):
     # A genus-2 document is checked by validate_genus2 alone: the projection
     # checks primitivity itself and marks its output.
     for _ in range(100):
-        g = parse_document(serialize_document(rand_genus2_diagram(rng)))
+        doc = serialize_document(rand_genus2_diagram(rng))
+        g = parse_document(doc)
         calls.clear()
+        genus2_calls.clear()
         t = surgery_project(g)
         classify(six_tuple(t))
         theorem_hypotheses(t)
         intersection_invariant(apply_sigma2(t))
-        assert calls == [] and t._valid
+        assert calls == [] and genus2_calls == [g] and t._valid
+        # The genus-2 moves and a slide keep the mark, so a chain of them
+        # checks the document once too.
+        g = parse_document(doc)
+        genus2_calls.clear()
+        moved = handle_slide(word_to_diagram(g, ("D1", "D2", "D2'", "D1'")), "b2", -1)
+        assert surgery_project(moved)._valid
+        assert calls == [] and genus2_calls == [g]

@@ -101,6 +101,57 @@ def test_import_guard_catches_new_imports():
     assert _outside_imports(sources) - ALLOWED == {("vertical.py", "", "dataclasses")}
 
 
+# (file, name) of each name a module imports only to pass it on: perfbench/
+# imports parse_document from trisect.cli, and trisect.document hands the
+# CLI diagram.torus_of.
+REEXPORTS = {("cli.py", "parse_document"), ("document.py", "torus_of")}
+
+
+def _unused_imports(sources):
+    # (file, name) of every name an import statement binds in a module of
+    # the {file name: source} map and the module never reads.
+    unused = set()
+    for name, source in sources.items():
+        tree = ast.parse(source, filename=name)
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        unused.update((name, n) for n in bound - read)
+    return unused
+
+
+def test_every_import_is_used():
+    assert _unused_imports(_package_sources()) == REEXPORTS
+
+
+def test_unused_import_guard_catches_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "import math as m\n"
+        "from .diagram import _marked_torus, require_valid_torus as rv\n"
+        "def f(d) -> Vec2:\n"
+        "    return json.dumps(rv(d)), m.gcd(1, 2)\n"
+    )
+    assert _unused_imports({"x.py": source}) == {("x.py", "os"), ("x.py", "_marked_torus")}
+    # An import a module no longer needs is flagged, in any scope.
+    sources = _package_sources()
+    sources["moves.py"] = "from .diagram import _marked_genus2\n" + sources["moves.py"]
+    sources["vertical.py"] = sources["vertical.py"].replace(
+        "\ndef ", "\ndef _helper():\n    from .lattice import pair4 as unread\n\ndef ", 1
+    )
+    assert _unused_imports(sources) - REEXPORTS == {
+        ("moves.py", "_marked_genus2"), ("vertical.py", "unread"),
+    }
+
+
 def _mark_uses(tree):
     # Every use of the validity mark's name and every __setattr__ access.
     for node in ast.walk(tree):
