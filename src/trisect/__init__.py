@@ -9,8 +9,8 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "MAT2_ID", "Mat2", "NonPrimitiveError", "SymplecticReduction", "Vec2", "Vec4",
-            "ZeroVectorError", "is_primitive", "mat2_apply", "mat2_det", "mat2_inv", "mat2_mul",
-            "pair2", "pair4", "sl2_complete", "transvect",
+            "ZeroVectorError", "mat2_apply", "mat2_det", "mat2_inv", "mat2_mul", "pair2", "pair4",
+            "sl2_complete", "transvect",
         ),
         "lattice",
     ),
@@ -28,7 +28,7 @@ _EXPORTS = {
             "ROTATION_WORD", "SIGMA1", "SIGMA1_INV", "SIGMA2", "SIGMA2_INV", "TOKENS",
             "EquivalenceWitness", "OrbitGraph", "OrbitNode", "WordError", "apply_sigma1",
             "apply_sigma1_inverse", "apply_sigma2", "apply_sigma2_inverse", "canonical_form",
-            "equivalent_torus", "orbit", "parse_word", "reduce_word", "sigma2_cubed_witness",
+            "equivalent_torus", "orbit", "parse_word", "sigma2_cubed_witness",
             "word_to_diagram", "word_to_torus",
         ),
         "moves",

@@ -232,9 +232,6 @@ class TorusDiagram(_Value):
     # _valid: the validity mark (see below); not a field, so ==, hash and repr ignore it.
     __slots__ = (*_fields, "_valid")
 
-    def classes(self) -> tuple[Vec2, Vec2, Vec2]:
-        return (self.a2, self.b2, self.c2)
-
     # The generated rule, with an exact Monodromy's two fields read in
     # place, so that no nested Python call is made.  The hash of the tuple
     # (core, exponent) is that of the Monodromy, so the hash is still that

@@ -67,15 +67,6 @@ def _require_ints(v) -> None:
             raise TypeError(f"{type(x).__name__!r} object cannot be interpreted as an integer")
 
 
-def is_primitive(v) -> bool:
-    """True when the entries of v have gcd exactly 1 (so v is nonzero).
-
-    Raises TypeError on an entry that is not an exact int, bool included.
-    """
-    _require_ints(v)
-    return math.gcd(*v) == 1
-
-
 def mat2_apply(m: Mat2, v: Vec2) -> Vec2:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
@@ -92,7 +83,9 @@ def mat2_det(m: Mat2) -> int:
 
 
 def mat2_inv(m: Mat2) -> Mat2:
-    """Inverse of a determinant +-1 integer matrix (exact)."""
+    """Inverse of a determinant +-1 integer matrix (exact); TypeError on
+    an entry that is not an exact int."""
+    _require_ints((*m[0], *m[1]))
     d = mat2_det(m)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
@@ -107,10 +100,13 @@ def sl2_complete(v: Vec2) -> Mat2:
 
     The second row is forced to (-y, x) by the determinant condition, and
     the Bezout coefficient in the first row is reduced into the window
-    (-|y|/2, |y|/2], which pins the matrix uniquely.  Raises
-    ZeroVectorError on v = 0, TypeError on an entry that is not an exact
-    int, and NonPrimitiveError when gcd(x, y) > 1.
+    (-|y|/2, |y|/2], which pins the matrix uniquely.  Raises ValueError
+    on a length other than 2, ZeroVectorError on v = 0, TypeError on an
+    entry that is not an exact int, and NonPrimitiveError when
+    gcd(x, y) > 1.
     """
+    if len(v) != 2:
+        raise ValueError(f"{v} is not a rank-2 class")
     x, y = v
     if x == 0 and y == 0:
         raise ZeroVectorError("cannot complete the zero vector")
@@ -143,9 +139,7 @@ class SymplecticReduction:
     """Symplectic basis (e1, f1, e2, f2) of Z^4 with e1 a chosen class.
 
     Gram identities: pair4(e1, f1) = pair4(e2, f2) = 1 and the four cross
-    pairings vanish.  For any w with pair4(e1, w) = 0 the coordinates of
-    w in the complement plane span(e2, f2) are returned by project(); this
-    is the class of w in the surgered torus.
+    pairings vanish.
 
     The basis is the columns of M^-1 for a symplectic M with M a = e1,
     built from three _complete calls.  Let g and g' be the gcds of the
@@ -191,21 +185,6 @@ class SymplecticReduction:
         if math.gcd(*a) != 1:
             raise NonPrimitiveError(f"{a} is not primitive")
         self.basis: tuple[Vec4, Vec4, Vec4, Vec4] = (a, *_reduce(*a))
-
-    def project(self, w: Vec4) -> Vec2:
-        """Class of w in the surgered torus; w must be disjoint from e1.
-
-        As the constructor does, it raises ValueError on a length other
-        than 4 and TypeError on a non-int entry, before the disjointness
-        check.
-        """
-        if len(w) != 4:
-            raise ValueError(f"{w} is not a rank-4 class")
-        _require_ints(w)
-        a, _f1, e2, f2 = self.basis
-        if pair4(a, w) != 0:
-            raise ValueError(f"{w} is not disjoint from the surgery class {a}")
-        return (-pair4(f2, w), pair4(e2, w))
 
 
 def _reduce(a0: int, a1: int, a2: int, a3: int) -> tuple[Vec4, Vec4, Vec4]:

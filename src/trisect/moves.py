@@ -135,26 +135,20 @@ def sigma2_cubed_witness(d: TorusDiagram) -> Mat2:
     return ((col1[0], col2[0]), (col1[1], col2[1]))
 
 
-# Each token -> (its inverse token, the move it applies).
+# Each token -> the move it applies.
 _MOVES = {
-    SIGMA1: (SIGMA1_INV, apply_sigma1),
-    SIGMA1_INV: (SIGMA1, apply_sigma1_inverse),
-    SIGMA2: (SIGMA2_INV, apply_sigma2),
-    SIGMA2_INV: (SIGMA2, apply_sigma2_inverse),
+    SIGMA1: apply_sigma1,
+    SIGMA1_INV: apply_sigma1_inverse,
+    SIGMA2: apply_sigma2,
+    SIGMA2_INV: apply_sigma2_inverse,
 }
 
 
-def _move(t) -> tuple:
+def _move(t):
     """_MOVES[t]; WordError when t is no token, TypeError when it is unhashable."""
     if t in _MOVES:
         return _MOVES[t]
     raise WordError(f"unknown move token {t!r} (expected one of {', '.join(TOKENS)})")
-
-
-def _refuse_str(word) -> None:
-    # A str is a sequence of characters, so its tokens would be "D", "2".
-    if isinstance(word, str):
-        raise WordError(f"move word {word!r} is a str: pass parse_word(text)")
 
 
 def parse_word(text: str) -> tuple[str, ...]:
@@ -165,29 +159,17 @@ def parse_word(text: str) -> tuple[str, ...]:
     return tokens
 
 
-def reduce_word(word) -> tuple[str, ...]:
-    """Free reduction of a sequence of tokens: cancel adjacent inverse
-    pairs until none remain."""
-    _refuse_str(word)
-    stack: list[str] = []
-    for t in word:
-        inverse, _ = _move(t)
-        if stack and stack[-1] == inverse:
-            stack.pop()
-        else:
-            stack.append(t)
-    return tuple(stack)
-
-
 def word_to_diagram(d, word):
     """Apply a move word, a sequence of tokens, left to right; the result
     has d's model, and a D1 token on a diagram that is not a Genus2Diagram
     is refused before it is looked up.  word_to_torus is this function."""
-    _refuse_str(word)
+    # A str is a sequence of characters, so its tokens would be "D", "2".
+    if isinstance(word, str):
+        raise WordError(f"move word {word!r} is a str: pass parse_word(text)")
     for t in word:
         if t in (SIGMA1, SIGMA1_INV) and not isinstance(d, Genus2Diagram):
             raise WordError("sigma1 requires genus2 model")
-        d = _move(t)[1](d)
+        d = _move(t)(d)
     return d
 
 

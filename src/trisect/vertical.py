@@ -141,6 +141,8 @@ def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
     q % p is the normal form.
     """
     for u in (v, w):
+        if len(u) != 2:
+            raise ValueError(f"{u} is not a rank-2 class")
         if not any(u):
             raise ZeroVectorError("meridian class is zero")
         _require_ints(u)
@@ -170,9 +172,6 @@ class SixTuple(_Value):
     ba: LensSpace
     cb: LensSpace
     ac: LensSpace
-
-    def as_rows(self):
-        return ((self.aa, self.bb, self.cc), (self.ba, self.cb, self.ac))
 
     def slots(self):
         return tuple([(name, getattr(self, name)) for name in self._fields])
@@ -414,11 +413,17 @@ def case_diagram(
     parameter -q); family 4 takes the extra sign eps2; family 5's two
     sub-cases are selected by epsilon.  Family 1 is the identity-monodromy
     configuration.  Each sign argument must be an exact int +-1, and a q
-    given for any other family is refused with ValueError.
+    given for any other family, or a family that is not an exact int 1-5,
+    is refused with ValueError; upper must be exactly True or False, or
+    TypeError is raised.
     """
     _check_sign(sign, "sign")
+    if upper is not True and upper is not False:
+        raise TypeError(f"upper must be a bool, not {type(upper).__name__}")
     if q is not None and family != 2:
         raise ValueError(f"only family 2 takes a parameter q, got q={q!r} for family {family}")
+    if type(family) is not int or not 1 <= family <= 5:
+        raise ValueError(f"no family {family}")
     a2, b2 = (1, 0), (0, 1)
     if family == 1:
         return TorusDiagram(a2, b2, (-1, -1), Monodromy.identity(), sign)
@@ -438,13 +443,11 @@ def case_diagram(
         _check_sign(eps2, "eps2")
         k = 4 if upper else -4
         c2, core = (-1 + (k // 4) * 4 * eps2, eps2), (1, 0)
-    elif family == 5:
+    else:  # family 5
         _check_sign(epsilon, "epsilon")
         if epsilon == 1:
             c2 = (-2, -1) if upper else (-2, 1)
         else:
             c2 = (0, 1) if upper else (0, -1)
         core, k = (1, 0), 1 if upper else -1
-    else:
-        raise ValueError(f"no family {family}")
     return TorusDiagram(a2, b2, c2, Monodromy.twist(core, k), sign)

@@ -20,6 +20,7 @@ from trisect import (
     handle_slide,
     mat2_apply,
     mat2_mul,
+    pair4,
     sl2_complete,
     surgery_project,
     transvect,
@@ -30,6 +31,15 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
+
+
+def project(reduction, w):
+    """Class of w in the surgered torus of a SymplecticReduction: its
+    coordinates in the complement plane span(e2, f2); w must be disjoint
+    from e1."""
+    e1, _f1, e2, f2 = reduction.basis
+    assert pair4(e1, w) == 0, (w, e1)
+    return (-pair4(f2, w), pair4(e2, w))
 
 
 def rand_primitive_vec2(rng, bound=9):

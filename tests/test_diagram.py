@@ -8,6 +8,7 @@ import types
 
 import pytest
 
+import trisect.cli
 import trisect.diagram
 from trisect import (
     EquivalenceWitness,
@@ -38,6 +39,7 @@ from trisect import (
     orbit,
     pair2,
     pair4,
+    rotations_inequivalent,
     sigma2_cubed_witness,
     six_tuple,
     surgery_project,
@@ -52,6 +54,7 @@ from trisect.diagram import require_valid_genus2, require_valid_torus
 from trisect.document import parse_document, serialize_document
 
 from conftest import (
+    project,
     rand_genus2_diagram,
     rand_primitive_vec2,
     rand_primitive_vec4,
@@ -93,7 +96,7 @@ def _invariant_reference(d):
     mono = d.monodromy
     if mono.is_identity:
         return (0, 0, 0)
-    return tuple(abs(pair2(mono.core, w)) for w in d.classes())
+    return tuple(abs(pair2(mono.core, w)) for w in (d.a2, d.b2, d.c2))
 
 
 def _hypotheses_reference(d):
@@ -379,13 +382,14 @@ def test_projection_block_swap_lift():
 
 
 def _surgery_project_reference(d):
-    """surgery_project as four SymplecticReduction.project calls,
-    Monodromy.twist and a full validate_torus of the output."""
+    """surgery_project as four projections over a SymplecticReduction's
+    basis, Monodromy.twist and a full validate_torus of the output."""
     require_valid_genus2(d)
     red = SymplecticReduction(d.a1)
     a1, b1, c1 = d.a1, d.b1, d.c1
-    core = red.project(
-        (a1[0] + b1[0] + c1[0], a1[1] + b1[1] + c1[1], a1[2] + b1[2] + c1[2], a1[3] + b1[3] + c1[3])
+    core = project(
+        red,
+        (a1[0] + b1[0] + c1[0], a1[1] + b1[1] + c1[1], a1[2] + b1[2] + c1[2], a1[3] + b1[3] + c1[3]),
     )
     if d.exponent == 0:
         if core != (0, 0):
@@ -400,7 +404,7 @@ def _surgery_project_reference(d):
             )
         mono = Monodromy.twist(core, d.exponent)
     out = TorusDiagram(
-        red.project(d.a2), red.project(d.b2), red.project(d.c2), mono, pair4(a1, b1)
+        project(red, d.a2), project(red, d.b2), project(red, d.c2), mono, pair4(a1, b1)
     )
     require_valid_torus(out)
     return out
@@ -1206,3 +1210,28 @@ def test_certification_path_validates_each_document_once(monkeypatch):
         moved = handle_slide(word_to_diagram(g, ("D1", "D2", "D2'", "D1'")), "b2", -1)
         assert surgery_project(moved)._valid
         assert calls == [] and genus2_calls == [g]
+    # check-theorem computes I(V) once, and reads whether the rotations are
+    # inequivalent off it.  The module attribute is patched for
+    # rotations_inequivalent and the name cli.py imported for the verb.
+    invariant_calls = []
+    real_invariant = trisect.diagram.intersection_invariant
+
+    def counting_invariant(d):
+        invariant_calls.append(d)
+        return real_invariant(d)
+
+    monkeypatch.setattr(trisect.diagram, "intersection_invariant", counting_invariant)
+    monkeypatch.setattr(trisect.cli, "intersection_invariant", counting_invariant)
+    genus2_docs = [serialize_document(rand_genus2_diagram(rng)) for _ in range(50)]
+    for doc in docs[:50] + genus2_docs:
+        d = parse_document(doc)
+        calls.clear()
+        genus2_calls.clear()
+        invariant_calls.clear()
+        payload = trisect.cli.cmd_check_theorem(d, None)
+        assert len(invariant_calls) == 1
+        assert payload["rotations_inequivalent"] == rotations_inequivalent(d)
+        if isinstance(d, Genus2Diagram):
+            assert calls == [] and genus2_calls == [d]
+        else:
+            assert calls == [d] and genus2_calls == []

@@ -9,9 +9,11 @@ added here on purpose.
 import ast
 from pathlib import Path
 
+import trisect
 from test_cli import run_python
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisect"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "trisect"
 STDLIB = {"__future__", "json", "math", "sys", "types"}
 # (file, enclosing class and function names, module) of each import allowed
 # beyond those.  dataclasses loads inspect, ast and dis, so no module imports
@@ -150,6 +152,64 @@ def test_unused_import_guard_catches_unused_names():
     assert _unused_imports(sources) - REEXPORTS == {
         ("moves.py", "_marked_genus2"), ("vertical.py", "unread"),
     }
+
+
+# A public function stays in the package when a module calls it, when the
+# acceptance suite or perfbench/ imports it, or when README "Library" names
+# the paper question it answers.  These are the last kind, each with the
+# phrase of that section that names it.
+LIBRARY = {
+    "reflect": "`reflect` and `rotate` are its symmetries",
+    "rotate": "`reflect` and `rotate` are its symmetries",
+    "rotations_inequivalent": "which `rotations_inequivalent` in `trisect.diagram` returns",
+}
+
+
+def _unread_functions(sources, public):
+    # Names in public of the functions defined at the top level of a module
+    # of the {file name: source} map that no module of the map reads.
+    defined, read = set(), set()
+    for name, source in sources.items():
+        tree = ast.parse(source, filename=name)
+        defined.update(node.name for node in tree.body if isinstance(node, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return (defined & set(public)) - read
+
+
+def _trisect_imports(paths):
+    # Every name that a from-trisect import binds in the files.
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "trisect":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_function_has_a_user():
+    importers = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    imported = _trisect_imports(importers)
+    sources = _package_sources()
+    # Exactly the LIBRARY functions have no other user, so the set holds no
+    # name a module or an importer already keeps.
+    assert _unread_functions(sources, trisect.__all__) - imported == set(LIBRARY)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = " ".join(readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0].split())
+    for name, phrase in LIBRARY.items():
+        assert phrase in library, name
+    # An exported function that nothing reads is flagged; a read of it in
+    # any module, or as an attribute, keeps it.
+    sources["lattice.py"] += "\n\ndef orphan(v):\n    return v\n"
+    public = [*trisect.__all__, "orphan"]
+    assert _unread_functions(sources, public) - imported == {*LIBRARY, "orphan"}
+    for use in ("orphan((1, 0))", "lattice.orphan"):
+        used = {**sources, "cli.py": sources["cli.py"] + f"\n\ndef _user():\n    return {use}\n"}
+        assert _unread_functions(used, public) - imported == set(LIBRARY)
 
 
 def _mark_uses(tree):

@@ -33,7 +33,6 @@ from trisect import (
     orbit,
     pair2,
     parse_word,
-    reduce_word,
     rotations_inequivalent,
     sigma2_cubed_witness,
     sl2_complete,
@@ -74,26 +73,6 @@ def test_parse_word():
         parse_word("D3")
     with pytest.raises(WordError):
         parse_word("d2")
-
-
-def test_reduce_word():
-    assert reduce_word(("D2", "D2'")) == ()
-    assert reduce_word(("D1", "D2", "D2'", "D1'")) == ()
-    assert reduce_word(("D2", "D1", "D1'", "D2")) == ("D2", "D2")
-    assert reduce_word(ROTATION_WORD) == ROTATION_WORD
-    rng = random.Random(11)
-    for _ in range(500):
-        w = rand_word(rng, rng.randrange(12))
-        assert reduce_word(w + inverse_word(w)) == ()
-        assert reduce_word(reduce_word(w)) == reduce_word(w)
-    # Tokens are checked as the word appliers check them, a leading one too.
-    for word, match in (
-        ("D2", r"pass parse_word\(text\)"),
-        (("D9",), r"unknown move token 'D9' \(expected one of D1, D1', D2, D2'\)"),
-        (("D2", None), "unknown move token None"),
-    ):
-        with pytest.raises(WordError, match=match):
-            reduce_word(word)
 
 
 def test_sigma2_frozen_values():

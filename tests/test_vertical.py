@@ -140,6 +140,10 @@ def test_lens_from_pair_frozen_values():
             lens_from_pair(v, w)
     with pytest.raises(ZeroVectorError):
         lens_from_pair((0.0, 0), (1, 0))
+    # A class of the wrong length is refused by name.
+    for v, w in (((1,), (0, 1)), ((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 0)), ((1, 0), [1])):
+        with pytest.raises(ValueError, match="is not a rank-2 class"):
+            lens_from_pair(v, w)
 
 
 def test_lens_from_pair_symmetries():
@@ -161,9 +165,8 @@ def test_lens_from_pair_symmetries():
 
 
 def test_six_tuple_frozen_cases():
-    assert six_tuple(case_diagram(1)).as_rows() == (
-        (S1XS2, S1XS2, S1XS2),
-        (S3, S3, S3),
+    assert six_tuple(case_diagram(1)) == tup(
+        S1XS2, S1XS2, S1XS2, S3, S3, S3
     )
     assert six_tuple(case_diagram(2, q=3)) == tup(
         S3, S3, L(4, 3), S1XS2, S3, L(3, 2)
@@ -275,6 +278,15 @@ def test_case_diagram_argument_errors():
     for family, q in ((1, 0), (3, 1.5), (3, 3), (4, True), (5, 0)):
         with pytest.raises(ValueError, match="only family 2 takes a parameter q"):
             case_diagram(family, q=q)
+    # A family or an upper that only compares equal to an accepted value,
+    # or is merely truthy, is refused.
+    for family in (True, False, 3.0, "3", None, 0, 6):
+        with pytest.raises(ValueError, match=f"^no family {family}$"):
+            case_diagram(family)
+    for upper in ("no", 0, 1, None, 1.0):
+        with pytest.raises(TypeError, match=f"^upper must be a bool, not {type(upper).__name__}$"):
+            case_diagram(3, upper=upper)
+    assert case_diagram(3, upper=False) != case_diagram(3, upper=True)
     assert case_diagram(1, sign=-1).sign == -1
 
 

@@ -59,7 +59,6 @@ from trisect import (
     lens_equiv,
     lens_from_pair,
     orbit,
-    reduce_word,
     reflect,
     rotate,
     rotations_inequivalent,
@@ -365,9 +364,6 @@ def shape_answers() -> None:
     # Slide signs equal to +-1 that are not exact ints.
     for sign in (1.0, True):
         show(f"handle_slide sign {sign!r}", handle_slide, embed_torus(d), "a2", sign)
-    # Words reduce_word refuses as the word appliers do, with one message.
-    for word in ("D2", ("D9",), ("D2", None)):
-        show(f"reduce_word {word!r}", reduce_word, word)
     show("word_to_torus ('D9',)", word_to_torus, d, ("D9",))
     show("transvect (1, 0) (0, 1, 0, 0)", transvect, (1, 0), 1, (0, 1, 0, 0))
     for k in (1.0, True):
@@ -403,11 +399,10 @@ def copy_answers() -> None:
 
 
 def move_answers() -> None:
-    """equivalent_torus of each case diagram against two partners, and
-    reduce_word on words of real moves.  The first partner is the diagram
-    under the basis change ((2, 1), (1, 1)) with b2 negated, so its witness
-    flips b2; the second is its sigma2 image, equivalent exactly when
-    I(V) = (0, 0, 0)."""
+    """equivalent_torus of each case diagram against two partners.  The
+    first partner is the diagram under the basis change ((2, 1), (1, 1))
+    with b2 negated, so its witness flips b2; the second is its sigma2
+    image, equivalent exactly when I(V) = (0, 0, 0)."""
     m = ((2, 1), (1, 1))
     for i, d in enumerate(CASES):
         mono = d.monodromy
@@ -417,11 +412,6 @@ def move_answers() -> None:
         partner = TorusDiagram(apply(m, d.a2), b2, apply(m, d.c2), mono, d.sign)
         show(f"equivalent_torus[{i}] basis change", equivalent_torus, d, partner)
         show(f"equivalent_torus[{i}] sigma2", equivalent_torus, d, apply_sigma2(d))
-    for word in (
-        ("D2", "D2'", "D1", "D2", "D2"), ("D1", "D1'"), ("D2'", "D2", "D2"),
-        ("D1", "D2", "D2'", "D1'", "D2'"), (),
-    ):
-        show(f"reduce_word {word!r}", reduce_word, word)
 
 
 def cli_answers() -> None:
