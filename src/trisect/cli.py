@@ -242,10 +242,6 @@ def text_lens(payload: dict, args) -> str:
     return "equivalent" if payload["equivalent"] else "not equivalent"
 
 
-def _text(text: str, name: str) -> str:
-    return text
-
-
 def _output_format(text: str, name: str) -> str:
     if text not in ("text", "dot"):
         raise DocumentError(f"{name}: expected text or dot, got {text!r}")
@@ -263,12 +259,12 @@ _REQUIRED = object()
 # text output without its final newline; only text_orbit reads the
 # arguments.  The arguments map each name, in usage order, to (help,
 # converter, default).
-# A name without dashes is a positional.  A converter of None makes a
-# flag, which is False unless given; any other converter reads the text
-# of the value and raises DocumentError on a bad one.  An option whose
-# default is _REQUIRED must be given.  --depth and the lens arguments are
-# read by _as_int, the rule that integer entries of documents follow.
-_PATH = {"path": ("JSON diagram document", _text, None)}
+# A name without dashes is a positional.  An option whose default is False
+# is a flag, True when given.  A converter of None reads a value's text as
+# given; any other reads it and raises DocumentError on a bad one.  An option
+# whose default is _REQUIRED must be given.  --depth and the lens arguments
+# are read by _as_int, the rule that integer entries of documents follow.
+_PATH = {"path": ("JSON diagram document", None, None)}
 _ORIENTED = {"--oriented": ("compare lens spaces with orientation", None, False)}
 _JSON = {"--json": ("machine-readable output", None, False)}
 _DOC = {**_PATH, **_JSON}
@@ -281,8 +277,8 @@ VERBS = {
         "apply a move word and write the result",
         {
             **_PATH,
-            "--word": ("comma-separated tokens D1, D1', D2, D2'", _text, _REQUIRED),
-            "--out": ("output path (default: print the document)", _text, None),
+            "--word": ("comma-separated tokens D1, D1', D2, D2'", None, _REQUIRED),
+            "--out": ("output path (default: print the document)", None, None),
             **_JSON,
         },
     ),
@@ -339,7 +335,7 @@ def _is_option(token: str) -> bool:
 def _value(verb: str, name: str, text: str):
     _, convert, _ = VERBS[verb][3][name]
     try:
-        return convert(text, name)
+        return text if convert is None else convert(text, name)
     except DocumentError as e:
         raise _UsageError(str(e), verb) from None
 
@@ -376,7 +372,7 @@ def _parse_args(argv: list) -> tuple:
             name, eq, text = token.partition("=")
             if name not in arguments:
                 raise _UsageError(f"unknown option {token!r}", verb)
-            if arguments[name][1] is None:
+            if arguments[name][2] is False:
                 if eq:
                     raise _UsageError(f"{name} takes no value, got {token!r}", verb)
                 values[name[2:]] = True
@@ -402,10 +398,10 @@ def _usage(verb: str | None) -> str:
     if verb is None:
         return "usage: trisect <verb> [arguments]"
     words = ["usage: trisect", verb]
-    for name, (_, convert, default) in VERBS[verb][3].items():
+    for name, (_, _, default) in VERBS[verb][3].items():
         if name[0] != "-":
             words.append(name)
-        elif convert is None:
+        elif default is False:
             words.append(f"[{name}]")
         else:
             word = f"{name} {name[2:].upper()}"
@@ -453,22 +449,16 @@ def main(argv=None) -> int:
         payload = build(args) if doc is None else build(doc, args)
         print(json.dumps(payload, indent=2) if args.json else fmt(payload, args))
         return 1 if verb == "validate" and not payload["ok"] else 0
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except InvalidDiagramError as e:
         for code in e.errors:
             print(code, file=sys.stderr)
         return 1
-    except (ExponentCoreMismatchError, _RefusedError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ValueError as e:
-        # Bad argument values that are not diagram defects (a negative
-        # orbit depth, an unknown move token, p and q of no lens space) are
-        # usage errors.
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        # A diagram that cannot be projected or acted on as asked exits 1;
+        # unreadable input and other bad values (a negative orbit depth, an
+        # unknown move token, p and q of no lens space) are usage errors.
+        return 1 if isinstance(e, (ExponentCoreMismatchError, _RefusedError)) else 2
     finally:
         sys.set_int_max_str_digits(limit)
 

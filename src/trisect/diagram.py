@@ -21,6 +21,7 @@ from math import gcd
 from .lattice import (
     Vec2,
     Vec4,
+    _check_sign,
     _reduce,
     pair2,
     pair4,
@@ -623,12 +624,6 @@ def handle_slide(d: Genus2Diagram, target: str, sign: int = 1) -> Genus2Diagram:
     classes = {"a2": d.a2, "b2": d.b2, "c2": d.c2}
     classes[target] = tuple(wi + sign * ai for wi, ai in zip(classes[target], d.a1))
     return _moved_genus2(d, d.a1, d.b1, d.c1, *classes.values())
-
-
-def _check_sign(value, name: str) -> None:
-    # 1.0 and True compare equal to 1 but would build non-int classes.
-    if type(value) is not int or value not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
 
 
 class HypothesisReport(_Value):

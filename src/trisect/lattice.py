@@ -45,17 +45,19 @@ def pair4(v: Vec4, w: Vec4) -> int:
 def transvect(core, k: int, x):
     """Apply the k-th power of the transvection along core to x.
 
-    Rank 2 and rank 4 inputs are both accepted; core and x must have the
-    same length, or ValueError is raised, and k must be an exact int, or
-    TypeError is raised.  k = +1 is the right-handed Dehn twist about
-    core, and transvect(core, -k, transvect(core, k, x)) == x since the
-    core pairs to zero with itself.
+    Rank 2 and rank 4 inputs are both accepted.  It raises TypeError on a
+    k that is not an exact int, then ValueError on a core and x of unequal
+    lengths, then TypeError on an entry that is not an exact int.  k = +1 is
+    the right-handed Dehn twist about core, and transvect(core, -k,
+    transvect(core, k, x)) == x since the core pairs to zero with itself.
     """
     if type(k) is not int:
         _require_ints((k,))
     n = len(core)
     if n != len(x):
         raise ValueError(f"core {core} and class {x} have different lengths")
+    _require_ints(core)
+    _require_ints(x)
     m = k * (pair2(core, x) if n == 2 else pair4(core, x))
     return tuple(xi + m * ci for xi, ci in zip(x, core))
 
@@ -65,6 +67,31 @@ def _require_ints(v) -> None:
     for x in v:
         if type(x) is not int:
             raise TypeError(f"{type(x).__name__!r} object cannot be interpreted as an integer")
+
+
+def _require_class(v, n: int, zero: str, primitive: str) -> None:
+    """The rule for a primitive class of rank n, in this order: its length,
+    ZeroVectorError(zero) when every entry is 0, exact int entries, then
+    NonPrimitiveError(primitive.format(v=v, g=gcd)) when the gcd is not 1."""
+    if len(v) != n:
+        raise ValueError(f"{v} is not a rank-{n} class")
+    if all(x == 0 for x in v):
+        raise ZeroVectorError(zero)
+    _require_ints(v)
+    g = math.gcd(*v)
+    if g != 1:
+        raise NonPrimitiveError(primitive.format(v=v, g=g))
+
+
+def _require_bool(value, name: str) -> None:
+    if value is not True and value is not False:
+        raise TypeError(f"{name} must be a bool, not {type(value).__name__}")
+
+
+def _check_sign(value, name: str) -> None:
+    # 1.0 and True compare equal to 1 but would build non-int classes.
+    if type(value) is not int or value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
 
 
 def mat2_apply(m: Mat2, v: Vec2) -> Vec2:
@@ -105,16 +132,8 @@ def sl2_complete(v: Vec2) -> Mat2:
     entry that is not an exact int, and NonPrimitiveError when
     gcd(x, y) > 1.
     """
-    if len(v) != 2:
-        raise ValueError(f"{v} is not a rank-2 class")
-    x, y = v
-    if x == 0 and y == 0:
-        raise ZeroVectorError("cannot complete the zero vector")
-    _require_ints(v)
-    g = math.gcd(x, y)
-    if g != 1:
-        raise NonPrimitiveError(f"{v} is not primitive (gcd {g})")
-    p, q, r, s = _complete(x, y)
+    _require_class(v, 2, "cannot complete the zero vector", "{v} is not primitive (gcd {g})")
+    p, q, r, s = _complete(*v)
     return ((p, q), (r, s))
 
 
@@ -177,13 +196,7 @@ class SymplecticReduction:
 
     def __init__(self, a: Vec4):
         a = tuple(a)
-        if len(a) != 4:
-            raise ValueError(f"{a} is not a rank-4 class")
-        if not any(a):
-            raise ZeroVectorError("cannot reduce along the zero class")
-        _require_ints(a)
-        if math.gcd(*a) != 1:
-            raise NonPrimitiveError(f"{a} is not primitive")
+        _require_class(a, 4, "cannot reduce along the zero class", "{v} is not primitive")
         self.basis: tuple[Vec4, Vec4, Vec4, Vec4] = (a, *_reduce(*a))
 
 

@@ -51,6 +51,7 @@ from .diagram import (
 from .lattice import (
     Mat2,
     _complete,
+    _require_bool,
     mat2_apply,
     mat2_inv,
     mat2_mul,
@@ -153,6 +154,8 @@ def _move(t):
 
 def parse_word(text: str) -> tuple[str, ...]:
     """Parse a comma-separated move word such as "D2,D2',D1"."""
+    if not isinstance(text, str):
+        raise TypeError(f"move word must be a str, not {type(text).__name__}")
     tokens = tuple(t.strip() for t in text.split(",") if t.strip())
     for t in tokens:
         _move(t)
@@ -316,8 +319,11 @@ _EDGES_21 = _orbit_edges([0, 2, 1], 3)
 def _check_depth(depth) -> None:
     if depth is True or depth is False:
         raise TypeError("depth must be a number, not bool")
-    if not depth >= 0:
-        raise ValueError("depth must be nonnegative")
+    try:
+        if not depth >= 0:
+            raise ValueError("depth must be nonnegative")
+    except TypeError:
+        raise TypeError(f"depth must be a number, not {type(depth).__name__}") from None
 
 
 def orbit(
@@ -346,8 +352,7 @@ def orbit(
     beyond.
     """
     _check_depth(depth)
-    if include_sigma1 is not True and include_sigma1 is not False:
-        raise TypeError(f"include_sigma1 must be a bool, not {type(include_sigma1).__name__}")
+    _require_bool(include_sigma1, "include_sigma1")
     v0, _ = canonical_form(start)
     inv = intersection_invariant(v0)
     if not depth > 0:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 
-from .diagram import Monodromy, TorusDiagram, _check_sign, _FieldTable, _Value, require_valid_torus
-from .lattice import NonPrimitiveError, Vec2, ZeroVectorError, _complete, _require_ints
+from .diagram import Monodromy, TorusDiagram, _FieldTable, _Value, require_valid_torus
+from .lattice import Vec2, _check_sign, _complete, _require_bool, _require_class
 
 
 class LensSpace(_Value):
@@ -113,8 +113,7 @@ def lens_equiv(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> bool:
     """Homeomorphism of lens spaces: equal orders and equal class keys
     (q' = q^{+-1} mod p, also negated when orientation is ignored).
     S^3 and S^1 x S^2 only match themselves."""
-    if oriented is not True and oriented is not False:
-        raise TypeError(f"oriented must be a bool, not {type(oriented).__name__}")
+    _require_bool(oriented, "oriented")
     return l1.p == l2.p and _lens_key(l1.p, l1.q, oriented) == _lens_key(l2.p, l2.q, oriented)
 
 
@@ -141,13 +140,7 @@ def lens_from_pair(v: Vec2, w: Vec2) -> LensSpace:
     q % p is the normal form.
     """
     for u in (v, w):
-        if len(u) != 2:
-            raise ValueError(f"{u} is not a rank-2 class")
-        if not any(u):
-            raise ZeroVectorError("meridian class is zero")
-        _require_ints(u)
-        if math.gcd(*u) != 1:
-            raise NonPrimitiveError(f"meridian class {u} is not primitive")
+        _require_class(u, 2, "meridian class is zero", "meridian class {v} is not primitive")
     v0, v1 = v
     w0, w1 = w
     u0, u1, _, _ = _complete(v0, v1)
@@ -371,8 +364,7 @@ def classify(t: SixTuple, oriented: bool = False) -> FamilyMatch | None:
     symmetries only permute the slots and mirroring keeps p, so this
     condition is necessary and never changes the match found.
     """
-    if oriented is not True and oriented is not False:
-        raise TypeError(f"oriented must be a bool, not {type(oriented).__name__}")
+    _require_bool(oriented, "oriented")
     slots = (t.aa, t.bb, t.cc, t.ba, t.cb, t.ac)
     ps = [l.p for l in slots]
     if ps == [0, 0, 0, 1, 1, 1]:
@@ -418,8 +410,7 @@ def case_diagram(
     TypeError is raised.
     """
     _check_sign(sign, "sign")
-    if upper is not True and upper is not False:
-        raise TypeError(f"upper must be a bool, not {type(upper).__name__}")
+    _require_bool(upper, "upper")
     if q is not None and family != 2:
         raise ValueError(f"only family 2 takes a parameter q, got q={q!r} for family {family}")
     if type(family) is not int or not 1 <= family <= 5:

@@ -487,11 +487,14 @@ def _projection_inputs(rng):
         ident = embed_torus(ident)
         yield moved(ident._replace(c1=(ident.c1[0], ident.c1[1], x, y)))
         yield moved(lift._replace(exponent=0))
-        # A float entry in any class, and an integer type other than int.
+        # A float entry in any class of a moved lift (transvect refuses a
+        # float, so the lift is moved first), and an integer type other
+        # than int.
         name, i = rng.choice(("a1", "b1", "c1", "a2", "b2", "c2")), rng.randrange(4)
-        w = list(getattr(lift, name))
+        g = moved(lift)
+        w = list(getattr(g, name))
         w[i] = float(w[i])
-        yield moved(lift._replace(**{name: tuple(w)}))
+        yield g._replace(**{name: tuple(w)})
         w = list(getattr(lift, name))
         w[i] = _Integer(w[i])
         yield lift._replace(**{name: tuple(w)})

@@ -212,6 +212,51 @@ def test_every_public_function_has_a_user():
         assert _unread_functions(used, public) - imported == set(LIBRARY)
 
 
+def _argument_rules(tree):
+    # Every raise of ZeroVectorError or NonPrimitiveError, by name or as an
+    # attribute, and every spelling of the flag rule, "x is not True and x
+    # is not False".
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if name in ("ZeroVectorError", "NonPrimitiveError"):
+                yield name
+        elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            tested = {
+                (ast.unparse(v.left), v.comparators[0].value)
+                for v in node.values
+                if isinstance(v, ast.Compare) and [type(op) for op in v.ops] == [ast.IsNot]
+                and isinstance(v.comparators[0], ast.Constant)
+            }
+            for x, value in tested:
+                if value is True and (x, False) in tested:
+                    yield f"{x} is not True and {x} is not False"
+
+
+def test_argument_rules_live_in_lattice():
+    # lattice.py states the primitive-class rule (_require_class) and the
+    # flag rule (_require_bool); every other module calls them.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "lattice.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found.update((path.name, rule) for rule in _argument_rules(tree))
+    assert found == set()
+    source = (
+        "def f(v, flag):\n"
+        "    if not any(v):\n"
+        "        raise lattice.ZeroVectorError('meridian class is zero')\n"
+        "    if flag is not True and flag is not False:\n"
+        "        raise TypeError(flag)\n"
+        "    if v is not None and v is not True:\n"
+        "        raise NonPrimitiveError\n"
+    )
+    assert sorted(_argument_rules(ast.parse(source))) == [
+        "NonPrimitiveError", "ZeroVectorError", "flag is not True and flag is not False",
+    ]
+
+
 def _mark_uses(tree):
     # Every use of the validity mark's name and every __setattr__ access.
     for node in ast.walk(tree):

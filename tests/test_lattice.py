@@ -58,6 +58,10 @@ def test_transvect_values():
     for core, x in (((1, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 1))):
         with pytest.raises(ValueError, match="different lengths"):
             transvect(core, 1, x)
+    # An entry of the core or the class that is not an exact int.
+    for core, x in (((1, 0), (0.5, 1)), ((True, 0), (0, 1))):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            transvect(core, 1, x)
     # An exponent that is not an exact int, even one equal to an int.
     for k in (1.0, 0.0, -1.0, True, False, "1", None):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -305,6 +309,10 @@ def test_symplectic_reduce_errors():
     for a in ((0.0, 0, 0, 0), (False, False, False, False)):
         with pytest.raises(ZeroVectorError):
             SymplecticReduction(a)
+    # Only the zero vector is a ZeroVectorError: falsy entries that are not
+    # numbers are refused by type.
+    with pytest.raises(TypeError, match="'NoneType' object cannot be interpreted"):
+        SymplecticReduction((None, None, None, None))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

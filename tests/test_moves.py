@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import math
 import random
@@ -73,6 +74,10 @@ def test_parse_word():
         parse_word("D3")
     with pytest.raises(WordError):
         parse_word("d2")
+    # A text that is not a str is refused by type, before it is split.
+    for text, name in ((5, "int"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"move word must be a str, not {name}"):
+            parse_word(text)
 
 
 def test_sigma2_frozen_values():
@@ -666,6 +671,11 @@ def test_orbit_refuses_a_flag_or_depth_of_another_type():
     for depth in (True, False):
         with pytest.raises(TypeError, match="depth must be a number, not bool"):
             orbit(d, depth)
+    # A depth that does not compare with 0 is refused by type.
+    for depth, name in (("2", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"depth must be a number, not {name}"):
+            orbit(d, depth)
+    assert orbit(d, fractions.Fraction(5, 2)) == orbit(d, math.inf) == orbit(d, 2)
     assert len(orbit(d, 2, include_sigma1=False).edges) == 6
 
 

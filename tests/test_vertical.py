@@ -140,6 +140,11 @@ def test_lens_from_pair_frozen_values():
             lens_from_pair(v, w)
     with pytest.raises(ZeroVectorError):
         lens_from_pair((0.0, 0), (1, 0))
+    # Only the zero vector is a ZeroVectorError: falsy entries that are not
+    # numbers are refused by type.
+    for v, w in (((None, None), (1, 0)), ((1, 0), (None, None))):
+        with pytest.raises(TypeError, match="'NoneType' object cannot be interpreted"):
+            lens_from_pair(v, w)
     # A class of the wrong length is refused by name.
     for v, w in (((1,), (0, 1)), ((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 0)), ((1, 0), [1])):
         with pytest.raises(ValueError, match="is not a rank-2 class"):
