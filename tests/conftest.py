@@ -4,6 +4,10 @@ Every test seeds its own random.Random, so runs are reproducible; these
 helpers build valid objects from a supplied generator.  The one exception
 is torus_reference_inputs, the fixed-seed corpus that the kernel oracles
 share.
+
+tools/answers.py draws its golden corpus from these generators and
+imports this file outside pytest, so it imports only the standard library
+and trisect (not pytest).
 """
 
 import math
@@ -45,32 +49,26 @@ def project(reduction, w):
 def rand_primitive_vec2(rng, bound=9):
     while True:
         v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if v != (0, 0) and math.gcd(abs(v[0]), abs(v[1])) == 1:
+        if math.gcd(*v) == 1:
             return v
 
 
 def rand_primitive_vec4(rng, bound=2):
     while True:
         v = tuple(rng.randint(-bound, bound) for _ in range(4))
-        if any(v) and math.gcd(*(abs(c) for c in v)) == 1:
+        if math.gcd(*v) == 1:
             return v
 
 
-def rand_unimodular(rng, entry_cap=20):
-    # Random product of elementary matrices, rejected if entries blow up.
+def rand_unimodular(rng):
+    # Random product of elementary matrices, redrawn if an entry passes 20.
     while True:
         m = MAT2_ID
         for _ in range(rng.randrange(1, 6)):
             t = rng.randrange(-3, 4)
-            which = rng.randrange(3)
-            if which == 0:
-                e = ((1, t), (0, 1))
-            elif which == 1:
-                e = ((1, 0), (t, 1))
-            else:
-                e = ((0, -1), (1, 0))
+            e = (((1, t), (0, 1)), ((1, 0), (t, 1)), ((0, -1), (1, 0)))[rng.randrange(3)]
             m = mat2_mul(m, e)
-        if max(abs(c) for row in m for c in row) <= entry_cap:
+        if max(abs(c) for row in m for c in row) <= 20:
             return m
 
 

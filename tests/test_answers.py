@@ -9,14 +9,18 @@ names the changed families.
 import hashlib
 import importlib.util
 import os
+import subprocess
 import sys
 from pathlib import Path
 
+import trisect
+
 ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "answers.py"
 
 
 def _load_answers():
-    spec = importlib.util.spec_from_file_location("answers", ROOT / "tools" / "answers.py")
+    spec = importlib.util.spec_from_file_location("answers", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -88,3 +92,22 @@ def test_digest_names_each_changed_family_and_its_first_changed_line():
     assert _changes(answers, digest, text.replace("torus[2] c -> 3\n", "")) == [
         "torus: 2 lines, was 3; first changed line 3: (gone)",
     ]
+
+
+def _run_tool(*argv):
+    # A fresh interpreter that finds only the suite's trisect, so the tool
+    # must find tests/conftest.py by itself.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trisect.__file__)))
+    return subprocess.run([sys.executable, str(TOOL), *argv], capture_output=True, text=True, env=env)
+
+
+def test_the_standalone_tool_prints_the_checked_in_digest():
+    proc = _run_tool("--digest")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (ROOT / "tests" / "answers.sha256").read_text(encoding="utf-8")
+
+
+def test_the_standalone_tool_refuses_an_unknown_argument():
+    proc = _run_tool("--digets")
+    assert proc.returncode != 0
+    assert (proc.stdout, proc.stderr) == ("", f"usage: {TOOL} [--digest]\n")

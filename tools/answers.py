@@ -13,7 +13,8 @@ To compare two checkouts, run on each
 
     PYTHONPATH=<tree>/src python3 tools/answers.py > <tree>.txt
 
-and diff the two files.  Only the standard library and trisect are used.
+and diff the two files.  Only the standard library, trisect and the seeded
+generators of tests/conftest.py are used.
 
 With --digest the tool prints, instead, the digest that
 tests/answers.sha256 holds (see digest).  A change that means to change
@@ -76,7 +77,16 @@ from trisect import (
 from trisect.cli import main
 from trisect.document import document_text, load_document
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from conftest import (  # noqa: E402
+    basis_change,
+    rand_genus2_diagram,
+    rand_primitive_vec2,
+    rand_torus_diagram,
+)
+
+FIXTURES = ROOT / "fixtures"
 SEED = 8080
 BIG = 2**70
 
@@ -107,59 +117,6 @@ def variant(d, **changes):
     return type(d)(**{name: changes.get(name, getattr(d, name)) for name in names})
 
 
-def primitive2(rng, bound=9):
-    while True:
-        v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if math.gcd(*v) == 1:
-            return v
-
-
-def primitive4(rng, bound=2):
-    while True:
-        v = tuple(rng.randint(-bound, bound) for _ in range(4))
-        if math.gcd(*v) == 1:
-            return v
-
-
-def unimodular(rng):
-    m = ((1, 0), (0, 1))
-    for _ in range(rng.randrange(1, 6)):
-        t = rng.randrange(-3, 4)
-        e = rng.choice((((1, t), (0, 1)), ((1, 0), (t, 1)), ((0, -1), (1, 0))))
-        m = tuple(
-            tuple(sum(m[i][k] * e[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-        )
-    return m
-
-
-def apply(m, v):
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-def torus(rng, bound=9):
-    sign = rng.choice((1, -1))
-    if rng.random() < 0.3:
-        m = unimodular(rng)
-        a, b, c = (
-            tuple(s * x for x in apply(m, v))
-            for v, s in zip(((1, 0), (0, 1), (1, 1)), (rng.choice((1, -1)) for _ in range(3)))
-        )
-        return TorusDiagram(a, b, c, Monodromy.identity(), sign)
-    a, b, c, core = (primitive2(rng, bound) for _ in range(4))
-    return TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))), sign)
-
-
-def genus2(rng):
-    g = embed_torus(torus(rng))
-    for _ in range(rng.randrange(4)):
-        g = handle_slide(g, rng.choice(("a2", "b2", "c2")), rng.choice((1, -1)))
-    for _ in range(rng.randrange(4)):
-        v, k = primitive4(rng), rng.choice((1, -1))
-        classes = (g.a1, g.b1, g.c1, g.a2, g.b2, g.c2)
-        g = Genus2Diagram(*(transvect(v, k, w) for w in classes), g.exponent)
-    return g
-
-
 # The paper's case diagrams, one or two of each family.
 CASES = tuple(
     case_diagram(family, **kwargs) for family, kwargs in (
@@ -172,9 +129,10 @@ CASES = tuple(
 def torus_inputs(rng):
     yield from CASES
     for _ in range(400):
-        yield torus(rng)
+        yield rand_torus_diagram(rng)
     for _ in range(50):
-        yield torus(rng, BIG)
+        a, b, c, core = (rand_primitive_vec2(rng, BIG) for _ in range(4))
+        yield TorusDiagram(a, b, c, Monodromy.twist(core, rng.choice((1, -1, 4, -4))))
     good = TorusDiagram((1, 0), (0, 1), (1, 1), Monodromy.twist((-1, 1), 1))
     for bad in (
         variant(good, a2=(2, 0)),
@@ -207,7 +165,7 @@ def torus_inputs(rng):
 
 def genus2_inputs(rng):
     for _ in range(300):
-        yield genus2(rng)
+        yield rand_genus2_diagram(rng, mixes=4)
     lift = embed_torus(case_diagram(3))
     for bad in (
         variant(lift, a1=(2, 0, 0, 0)),
@@ -324,8 +282,8 @@ def completion_answers(rng) -> None:
 def lens_answers(rng) -> None:
     pairs = [((0, 0), (1, 0)), ([0, 0], (1, 0)), ((1, 0), [0, 0]), ((2, 0), (0, 1)),
              ((1, 0), (2, 2)), ([2, 1], [0, 1]), ((1, 0), (1, 0)), ((1, 0), (0, 1))]
-    pairs += [(primitive2(rng, 30), primitive2(rng, 30)) for _ in range(300)]
-    pairs += [(primitive2(rng, BIG), primitive2(rng, BIG)) for _ in range(30)]
+    pairs += [(rand_primitive_vec2(rng, 30), rand_primitive_vec2(rng, 30)) for _ in range(300)]
+    pairs += [(rand_primitive_vec2(rng, BIG), rand_primitive_vec2(rng, BIG)) for _ in range(30)]
     for i, (v, w) in enumerate(pairs):
         show(f"lens_from_pair[{i}] {v!r} {w!r}", lens_from_pair, v, w)
     spaces = [LensSpace(1, 0), LensSpace(0, 1)]
@@ -405,11 +363,8 @@ def move_answers() -> None:
     image, equivalent exactly when I(V) = (0, 0, 0)."""
     m = ((2, 1), (1, 1))
     for i, d in enumerate(CASES):
-        mono = d.monodromy
-        if not mono.is_identity:
-            mono = Monodromy.twist(apply(m, mono.core), mono.exponent)
-        b2 = tuple(-x for x in apply(m, d.b2))
-        partner = TorusDiagram(apply(m, d.a2), b2, apply(m, d.c2), mono, d.sign)
+        moved = basis_change(d, m)
+        partner = variant(moved, b2=tuple(-x for x in moved.b2))
         show(f"equivalent_torus[{i}] basis change", equivalent_torus, d, partner)
         show(f"equivalent_torus[{i}] sigma2", equivalent_torus, d, apply_sigma2(d))
 
