@@ -24,8 +24,8 @@ from .diagram import (
     ExponentCoreMismatchError,
     Genus2Diagram,
     InvalidDiagramError,
+    _invariant,
     _rotations,
-    intersection_invariant,
     theorem_hypotheses,
 )
 from .document import (
@@ -68,7 +68,7 @@ def text_validate(payload: dict, args) -> str:
 
 
 def cmd_invariant(d, args) -> dict:
-    return {"invariant": list(intersection_invariant(torus_of(d)))}
+    return {"invariant": list(_invariant(torus_of(d)))}
 
 
 def text_invariant(payload: dict, args) -> str:
@@ -136,7 +136,7 @@ def cmd_check_theorem(d, args) -> dict:
     d = torus_of(d)
     report = theorem_hypotheses(d)
     # The rows I(V), I(s2 V), I(s2^2 V), as diagram._rotations proves them.
-    rows = _rotations(intersection_invariant(d))
+    rows = _rotations(_invariant(d))
     certified = report.all_hold and len(set(rows)) == 3
     if certified:
         verdict = "three pairwise-inequivalent diagrams certified"

@@ -553,7 +553,11 @@ def intersection_invariant(d: TorusDiagram | Genus2Diagram) -> tuple[int, int, i
     projected by surgery_project first, so it is refused exactly when its
     projection is.
     """
-    d = torus_of(d)
+    return _invariant(torus_of(d))
+
+
+def _invariant(d: TorusDiagram) -> tuple[int, int, int]:
+    """intersection_invariant of the valid torus diagram d, unchecked."""
     mono = d.monodromy
     if mono.exponent == 0:
         return (0, 0, 0)

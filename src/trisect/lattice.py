@@ -33,7 +33,7 @@ class NonPrimitiveError(ValueError):
 
 
 def pair2(v: Vec2, w: Vec2) -> int:
-    """Algebraic intersection number of two classes on the torus."""
+    """Intersection number of two torus classes, unchecked: the caller passes exact ints."""
     return v[0] * w[1] - v[1] * w[0]
 
 
@@ -95,10 +95,12 @@ def _check_sign(value, name: str) -> None:
 
 
 def mat2_apply(m: Mat2, v: Vec2) -> Vec2:
+    """m v, unchecked: the caller passes exact ints."""
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
 def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
+    """a b, unchecked: the caller passes exact ints."""
     return (
         (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
         (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),

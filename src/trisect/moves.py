@@ -20,14 +20,8 @@ sign flips of the classes, with exponent and sign field fixed:
 canonical_form computes a unique orbit representative and
 equivalent_torus reads an explicit witness off the two canonical forms.
 
-On canonical forms the moves generate a small graph, which orbit builds
-in closed form: the inner rotation cycles at most three nodes, because
-its cube is a basis change, and the outer rotation fixes every node.
-There is one node exactly when I(V) = (0, 0, 0), as
-diagram.rotations_inequivalent proves.  Each rotation (b2, mu^-1(c2),
-a2) is canonicalised straight from its classes, without building the
-rotated diagram, and the node invariants are the rows of
-diagram._rotations, whose docstring proves them.
+On canonical forms the moves generate a graph of one or three nodes,
+which orbit builds in closed form; its docstring says why.
 """
 
 from __future__ import annotations
@@ -39,12 +33,12 @@ from .diagram import (
     _core_lift,
     _FieldTable,
     _IDENTITY,
+    _invariant,
     _marked_torus,
     _moved_genus2,
     _moved_torus,
     _rotations,
     _Value,
-    intersection_invariant,
     require_valid_genus2,
     require_valid_torus,
 )
@@ -190,11 +184,12 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
     sign-normalize every class.  Idempotent, and constant on orbits.
     """
     require_valid_torus(d)
-    return _canonical(d.a2, d.b2, d.c2, d.monodromy, d.sign)
+    v, p, q, r, s = _canonical(d.a2, d.b2, d.c2, d.monodromy, d.sign)
+    return v, ((p, q), (r, s))
 
 
-def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
-    """canonical_form on the classes of a diagram known to be valid."""
+def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, int, int, int, int]:
+    """canonical_form on a valid diagram's classes, with B as its entries p, q, r, s."""
     p, q, r, s = _complete(*a2)
     b0, b1 = b2
     c0, c1 = c2
@@ -206,17 +201,17 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
         xd, yd = p * d0 + q * d1, r * d0 + s * d1
     # The shear is picked by the first of b2, c2 and the core that is not
     # parallel to a2, the first whose image (x, y) has y != 0.
-    x, y = (xb, yb) if yb else (xc, yc) if yc or not k else (xd, yd)
+    if yb:
+        x, y = xb, yb
+    elif yc or not k:
+        x, y = xc, yc
+    else:
+        x, y = xd, yd
     t = 0
     if y:
         m = abs(y)
         t0 = x % m
-        if 2 * t0 < m:
-            target = t0
-        elif 2 * t0 > m or y > 0:
-            target = t0 - m
-        else:
-            target = t0
+        target = t0 - m if 2 * t0 > m or (2 * t0 == m and y > 0) else t0
         t = (target - x) // y
     # B is the shear ((1, t), (0, 1)) times the completion; the shear fixes
     # (1, 0), so B sends a2 to (1, 0) exactly, and it adds t*y to each x.
@@ -234,7 +229,7 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, Mat2]:
     else:
         mono = _IDENTITY
     # Every class is a tuple and the monodromy an exact Monodromy.
-    return _marked_torus((1, 0), b2, c2, mono, sign), ((p, q), (r, s))
+    return _marked_torus((1, 0), b2, c2, mono, sign), p, q, r, s
 
 
 class EquivalenceWitness(_Value):
@@ -283,11 +278,6 @@ class OrbitGraph(_Value):
     __dataclass_fields__ = _FieldTable()
     nodes: tuple[OrbitNode, ...]
     edges: tuple[tuple[int, str, int], ...]
-
-
-def _node_key(d: TorusDiagram):
-    core = d.monodromy.core if d.monodromy.core is not None else (0, 0)
-    return (d.monodromy.exponent, core, d.a2, d.b2, d.c2, d.sign)
 
 
 def _rotated_form(v: TorusDiagram) -> TorusDiagram:
@@ -348,27 +338,31 @@ def orbit(
     the rows of diagram._rotations, whose docstring proves them.
 
     Edges come from fixed tables in breadth-first order: node 0 at depth
-    1, then nodes 1 and 2 in lexicographic node-key order at depth 2 and
-    beyond.
+    1, then nodes 1 and 2 at depth 2 and beyond, in the lexicographic
+    order of the key (exponent, core, a2, b2, c2, sign).  They are
+    ordered by (core, b2, c2) alone.  Proof: canonical nodes all have
+    a2 = (1, 0), and the moves keep the exponent and the sign, so the
+    keys of nodes 1 and 2 agree there; a 3-node orbit has I(V) !=
+    (0, 0, 0), so its exponent k is not 0 and every node has a core.
     """
     _check_depth(depth)
     _require_bool(include_sigma1, "include_sigma1")
-    v0, _ = canonical_form(start)
-    inv = intersection_invariant(v0)
+    require_valid_torus(start)
+    v0 = _canonical(start.a2, start.b2, start.c2, start.monodromy, start.sign)[0]
+    inv = _invariant(v0)
+    node, graph = OrbitNode._build, OrbitGraph._build
     if not depth > 0:
-        return OrbitGraph((OrbitNode(0, v0, inv),), ())
+        return graph(OrbitGraph, (node(OrbitNode, 0, v0, inv),), ())
     if inv == (0, 0, 0):
-        return OrbitGraph((OrbitNode(0, v0, inv),), _EDGES_ONE[include_sigma1])
+        return graph(OrbitGraph, (node(OrbitNode, 0, v0, inv),), _EDGES_ONE[include_sigma1])
     v1 = _rotated_form(v0)
     v2 = _rotated_form(v1)
     if not depth > 1:
         edges = _EDGES_DEPTH1
-    elif _node_key(v1) <= _node_key(v2):
+    elif (v1.monodromy.core, v1.b2, v1.c2) <= (v2.monodromy.core, v2.b2, v2.c2):
         edges = _EDGES_12
     else:
         edges = _EDGES_21
     inv0, inv1, inv2 = _rotations(inv)
-    return OrbitGraph(
-        (OrbitNode(0, v0, inv0), OrbitNode(1, v1, inv1), OrbitNode(2, v2, inv2)),
-        edges[include_sigma1],
-    )
+    nodes = node(OrbitNode, 0, v0, inv0), node(OrbitNode, 1, v1, inv1), node(OrbitNode, 2, v2, inv2)
+    return graph(OrbitGraph, nodes, edges[include_sigma1])

@@ -113,7 +113,9 @@ def _hypotheses_reference(d):
 def test_invariant_and_hypotheses_match_reference():
     held = 0
     for d in torus_reference_inputs():
-        assert intersection_invariant(d) == _invariant_reference(d), d
+        # The unchecked _invariant, which orbit and the CLI call on
+        # diagrams they hold valid, is intersection_invariant past torus_of.
+        assert intersection_invariant(d) == trisect.diagram._invariant(d) == _invariant_reference(d), d
         report = theorem_hypotheses(d)
         assert report == _hypotheses_reference(d), d
         held += report.all_hold
@@ -559,7 +561,8 @@ def test_invariant_commutes_with_projection():
     rng = random.Random(808)
     for _ in range(1_000):
         g = rand_genus2_diagram(rng)
-        assert intersection_invariant(g) == intersection_invariant(surgery_project(g))
+        t = surgery_project(g)
+        assert intersection_invariant(g) == intersection_invariant(t) == trisect.diagram._invariant(t)
 
 
 def test_invariant_handle_slide_invariance():
@@ -639,6 +642,7 @@ TORUS_ENTRY_POINTS = (
     sigma2_cubed_witness,
     embed_torus,
     lambda d: equivalent_torus(d, d),
+    lambda d: orbit(d, 0),
     lambda d: orbit(d, 2),
     lambda d: word_to_torus(d, ("D2",)),
 )
@@ -1214,17 +1218,18 @@ def test_certification_path_validates_each_document_once(monkeypatch):
         assert surgery_project(moved)._valid
         assert calls == [] and genus2_calls == [g]
     # check-theorem computes I(V) once, and reads whether the rotations are
-    # inequivalent off it.  The module attribute is patched for
-    # rotations_inequivalent and the name cli.py imported for the verb.
+    # inequivalent off it.  The trusting _invariant is patched in diagram,
+    # where intersection_invariant and rotations_inequivalent reach it, and
+    # under the name cli.py imported for the verb.
     invariant_calls = []
-    real_invariant = trisect.diagram.intersection_invariant
+    real_invariant = trisect.diagram._invariant
 
     def counting_invariant(d):
         invariant_calls.append(d)
         return real_invariant(d)
 
-    monkeypatch.setattr(trisect.diagram, "intersection_invariant", counting_invariant)
-    monkeypatch.setattr(trisect.cli, "intersection_invariant", counting_invariant)
+    monkeypatch.setattr(trisect.diagram, "_invariant", counting_invariant)
+    monkeypatch.setattr(trisect.cli, "_invariant", counting_invariant)
     genus2_docs = [serialize_document(rand_genus2_diagram(rng)) for _ in range(50)]
     for doc in docs[:50] + genus2_docs:
         d = parse_document(doc)

@@ -45,7 +45,7 @@ from trisect import (
     word_to_torus,
 )
 from trisect import diagram as diagram_module
-from trisect.moves import _node_key, _rotated_form
+from trisect.moves import _rotated_form
 
 from conftest import (
     rand_genus2_diagram,
@@ -569,6 +569,13 @@ def test_equivalent_torus_list_classes():
             assert w.flips == _flips(w.matrix, _classes(src), _classes(dst))
 
 
+def _node_key(d):
+    """The search's node order: exponent, core ((0, 0) for identity
+    monodromy), the classes, then the sign."""
+    core = d.monodromy.core if d.monodromy.core is not None else (0, 0)
+    return (d.monodromy.exponent, core, d.a2, d.b2, d.c2, d.sign)
+
+
 def _orbit_bfs(start, depth, include_sigma1=False, lift=None):
     """Reference orbit: breadth-first search over the four generators.
 
@@ -848,3 +855,45 @@ def test_orbit_validates_its_start_once(monkeypatch):
                 calls.clear()
                 orbit(marked, depth, include_sigma1)
                 assert calls == []
+
+
+def _three_node_orbits(rng):
+    """Depth-2 orbits of 3 nodes: 1,000 from torus diagrams and projected
+    genus-2 lifts, then 500 from twist diagrams with entries in [-2, 2],
+    where nodes 1 and 2 often share a canonical core."""
+    graphs = []
+    for i in itertools.count():
+        if len(graphs) == 1_500:
+            return graphs
+        if len(graphs) < 1_000:
+            start = rand_torus_diagram(rng) if i % 2 else surgery_project(rand_genus2_diagram(rng))
+        else:
+            a2, b2, c2, core = (rand_primitive_vec2(rng, 2) for _ in range(4))
+            k = rng.choice((1, -1, 4, -4))
+            start = TorusDiagram(a2, b2, c2, Monodromy.twist(core, k), rng.choice((1, -1)))
+        g = orbit(start, 2)
+        if len(g.nodes) == 3:
+            graphs.append(g)
+
+
+def test_orbit_nodes_are_marked_canonical_and_in_key_order():
+    # orbit builds its nodes and graph through _build and orders nodes 1
+    # and 2 by (core, b2, c2) alone.  Each node is still an exact, marked
+    # TorusDiagram equal to its own canonical form, and the edge table
+    # expands nodes 1 and 2 in the search's _node_key order.
+    shared_core = shared_b2 = 0
+    for g in _three_node_orbits(random.Random(7351)):
+        assert type(g) is OrbitGraph and [type(n) for n in g.nodes] == [OrbitNode] * 3
+        for node in g.nodes:
+            d = node.diagram
+            assert type(d) is TorusDiagram and type(d.monodromy) is Monodromy and d._valid
+            assert canonical_form(d)[0] == d and canonical_form(d._replace())[0] == d
+        expanded = list(dict.fromkeys(src for src, _, _ in g.edges))
+        assert expanded[0] == 0 and sorted(expanded) == [0, 1, 2]
+        first, second = (g.nodes[i].diagram for i in expanded[1:])
+        assert _node_key(first) < _node_key(second)
+        if first.monodromy.core == second.monodromy.core:
+            shared_core += 1
+            shared_b2 += first.b2 == second.b2
+    assert shared_core >= 50 and shared_b2 >= 1
+

@@ -12,6 +12,10 @@ from trisect import (
     NonPrimitiveError,
     SixTuple,
     ZeroVectorError,
+    apply_sigma1,
+    apply_sigma1_inverse,
+    apply_sigma2,
+    apply_sigma2_inverse,
     canonical_form,
     case_diagram,
     surgery_project,
@@ -211,6 +215,23 @@ def test_six_tuple_invariance():
         for (name, lens), (cname, clens) in zip(t.slots(), ct.slots()):
             assert name == cname
             assert lens_equiv(lens, clens), (name, lens, clens)
+
+
+def test_moves_act_on_the_six_tuple():
+    # sigma2 acts on the six-tuple as rotate twice, its inverse as rotate,
+    # and sigma1 fixes the six-tuple of the projection: oracles for the
+    # moves that do not go through I(V).
+    rng = random.Random(11)
+    for _ in range(4_000):
+        d = rand_torus_diagram(rng)
+        t = six_tuple(d)
+        assert six_tuple(apply_sigma2(d)) == rotate(rotate(t)), d
+        assert six_tuple(apply_sigma2_inverse(d)) == rotate(t), d
+    for _ in range(2_000):
+        g = rand_genus2_diagram(rng)
+        t = six_tuple(surgery_project(g))
+        assert six_tuple(surgery_project(apply_sigma1(g))) == t, g
+        assert six_tuple(surgery_project(apply_sigma1_inverse(g))) == t, g
 
 
 def test_classify_symmetry_images():
