@@ -184,12 +184,12 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
     sign-normalize every class.  Idempotent, and constant on orbits.
     """
     require_valid_torus(d)
-    v, p, q, r, s = _canonical(d.a2, d.b2, d.c2, d.monodromy, d.sign)
-    return v, ((p, q), (r, s))
+    return _canonical(d.a2, d.b2, d.c2, d.monodromy, d.sign, basis=True)
 
 
-def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, int, int, int, int]:
-    """canonical_form on a valid diagram's classes, with B as its entries p, q, r, s."""
+def _canonical(a2, b2, c2, mono, sign, basis=False):
+    """The canonical diagram of a valid diagram's classes, or canonical_form's
+    pair (diagram, B) when basis is set; B is built only then."""
     p, q, r, s = _complete(*a2)
     b0, b1 = b2
     c0, c1 = c2
@@ -215,8 +215,6 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, int, int, int, int
         t = (target - x) // y
     # B is the shear ((1, t), (0, 1)) times the completion; the shear fixes
     # (1, 0), so B sends a2 to (1, 0) exactly, and it adds t*y to each x.
-    p += t * r
-    q += t * s
     xb += t * yb
     xc += t * yc
     # Each image is sign-normalized: x > 0, or x == 0 and y > 0.
@@ -229,7 +227,8 @@ def _canonical(a2, b2, c2, mono, sign) -> tuple[TorusDiagram, int, int, int, int
     else:
         mono = _IDENTITY
     # Every class is a tuple and the monodromy an exact Monodromy.
-    return _marked_torus((1, 0), b2, c2, mono, sign), p, q, r, s
+    v = _marked_torus((1, 0), b2, c2, mono, sign)
+    return (v, ((p + t * r, q + t * s), (r, s))) if basis else v
 
 
 class EquivalenceWitness(_Value):
@@ -285,7 +284,7 @@ def _rotated_form(v: TorusDiagram) -> TorusDiagram:
     from the rotated classes (b2, mu^-1(c2), a2) without building the
     rotated diagram."""
     mono = v.monodromy
-    return _canonical(v.b2, mono.inverse_apply(v.c2), v.a2, mono, v.sign)[0]
+    return _canonical(v.b2, mono.inverse_apply(v.c2), v.a2, mono, v.sign)
 
 
 def _orbit_edges(expanded, n) -> tuple[tuple, tuple]:
@@ -348,7 +347,7 @@ def orbit(
     _check_depth(depth)
     _require_bool(include_sigma1, "include_sigma1")
     require_valid_torus(start)
-    v0 = _canonical(start.a2, start.b2, start.c2, start.monodromy, start.sign)[0]
+    v0 = _canonical(start.a2, start.b2, start.c2, start.monodromy, start.sign)
     inv = _invariant(v0)
     node, graph = OrbitNode._build, OrbitGraph._build
     if not depth > 0:

@@ -896,4 +896,3 @@ def test_orbit_nodes_are_marked_canonical_and_in_key_order():
             shared_core += 1
             shared_b2 += first.b2 == second.b2
     assert shared_core >= 50 and shared_b2 >= 1
-
