@@ -201,17 +201,17 @@ def _canonical(a2, b2, c2, mono, sign, basis=False):
         xd, yd = p * d0 + q * d1, r * d0 + s * d1
     # The shear is picked by the first of b2, c2 and the core that is not
     # parallel to a2, the first whose image (x, y) has y != 0.
-    if yb:
-        x, y = xb, yb
-    elif yc or not k:
-        x, y = xc, yc
-    else:
-        x, y = xd, yd
+    x, y = (xb, yb) if yb else (xc, yc) if yc or not k else (xd, yd)
     t = 0
     if y:
         m = abs(y)
         t0 = x % m
-        target = t0 - m if 2 * t0 > m or (2 * t0 == m and y > 0) else t0
+        if 2 * t0 < m:
+            target = t0
+        elif 2 * t0 > m or y > 0:
+            target = t0 - m
+        else:
+            target = t0
         t = (target - x) // y
     # B is the shear ((1, t), (0, 1)) times the completion; the shear fixes
     # (1, 0), so B sends a2 to (1, 0) exactly, and it adds t*y to each x.
