@@ -184,7 +184,7 @@ def canonical_form(d: TorusDiagram) -> tuple[TorusDiagram, Mat2]:
     sign-normalize every class.  Idempotent, and constant on orbits.
     """
     require_valid_torus(d)
-    return _canonical(d.a2, d.b2, d.c2, d.monodromy, d.sign, basis=True)
+    return _canonical(d.a2, d.b2, d.c2, d.monodromy, d.sign, True)
 
 
 def _canonical(a2, b2, c2, mono, sign, basis=False):

@@ -3,6 +3,11 @@
 import importlib.util
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,3 +62,30 @@ def test_read_result_takes_the_last_line_and_rows_format():
         "-8.70%", "0.67", "3/4",
     ]
     assert pairs.HEADER.split()[:2] == ["metric", "better"]
+
+
+def test_sigterm_stops_the_running_benchmark(tmp_path):
+    # A stand-in checkout whose run.py records its pid and sleeps.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text('{"workloads": [{"name": "w"}], "end_to_end": []}')
+    pid_file = tmp_path / "pid"
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import os, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\ntime.sleep(60)\n"
+    )
+    tool = subprocess.Popen(
+        [sys.executable, str(TOOL), str(tmp_path), str(tmp_path), "--pairs", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert time.monotonic() < deadline and tool.poll() is None
+            time.sleep(0.05)
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) != 0
+    finally:
+        tool.kill()
+        tool.wait()
+    # subprocess.run killed and reaped the benchmark run before the tool exited.
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)

@@ -16,13 +16,15 @@ change's median with their quartiles, the change in the median, that
 change over the parent's interquartile range, and in how many pairs the
 change was strictly better.  A run that reports correct false or a
 failed operation is printed as a warning line.  Progress goes to
-standard error.  Only the standard library is used.
+standard error.  SIGTERM or Ctrl-C stops the running benchmark too.
+Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -104,6 +106,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=10001, help="seed of the first pair")
     parser.add_argument("--workload", action="append", help="a workload to run (default: all)")
     args = parser.parse_args(argv)
+    # SIGTERM raises KeyboardInterrupt, on which subprocess.run kills the
+    # running benchmark instead of leaving it to load the host.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
