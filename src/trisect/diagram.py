@@ -61,7 +61,7 @@ class _Value:
     Each subclass names its fields in _fields and stores them in
     __slots__; _field_defaults gives defaults for trailing fields, as in
     namedtuple.  __init_subclass__ generates from _fields the subclass's
-    constructor, __eq__ and __hash__.
+    constructors, and nothing else; __eq__ and __hash__ are this base's.
 
     Construction.  Assignment is refused, and a store through
     object.__setattr__ costs a call per field.  So each subclass gets an
@@ -84,7 +84,8 @@ class _Value:
     the field tuples of two instances of one class, and the hash is that
     of the field tuple.  An __eq__ or __hash__ that the class itself
     writes stays, as TorusDiagram's do, and must keep these semantics; a
-    subclass, which may add fields, gets generated ones.  This base also
+    subclass, which may add fields, takes this base's pair again, and a
+    class that writes __eq__ alone gets this base's __hash__.  This base also
     refuses assignment and deletion, gives the dataclass repr, and builds
     changed copies with _replace.  copy, deepcopy and pickle rebuild an
     instance through its constructor (__reduce__).
@@ -101,8 +102,6 @@ class _Value:
         marks = [n for k in cls.__mro__ for n in vars(k).get("__slots__", ()) if n not in fields]
         params = "".join(f", {n}=defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
         stores = "".join(f"    self.{name} = {name}\n" for name in fields)
-        mine = "".join(f"self.{name}," for name in fields)
-        theirs = "".join(f"other.{name}," for name in fields)
         source = (
             f"def _build(cls{params}):\n"
             "    self = new(cls._open)\n"
@@ -110,12 +109,6 @@ class _Value:
             + "".join(f"    self.{name} = False\n" for name in marks)
             + "    self.__class__ = cls\n"
             "    return self\n"
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n"
-            "def __hash__(self):\n"
-            f"    return hash(({mine}))\n"
         )
         if marks:
             source += (
@@ -133,10 +126,10 @@ class _Value:
             method.__qualname__ = f"{cls.__qualname__}.{name}"
         own = vars(cls)
         if "__eq__" not in own:
-            cls.__eq__ = methods["__eq__"]
+            cls.__eq__ = _Value.__eq__
         # Writing __eq__ alone sets __hash__ to None in the class.
         if own.get("__hash__") is None:
-            cls.__hash__ = methods["__hash__"]
+            cls.__hash__ = _Value.__hash__
         build = staticmethod(methods["_build"])
         # A __new__ that the class or a base below _Value wrote stays; an
         # inherited generated one gives way to this class's.
@@ -149,6 +142,17 @@ class _Value:
         }, twin=True)
         if marks:
             cls._build_marked = staticmethod(methods["_build_marked"])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -169,7 +173,7 @@ class _Value:
 
     def __reduce__(self):
         # The copy is unmarked, as one from _replace is.
-        return (self.__class__, tuple([getattr(self, name) for name in self._fields]))
+        return (self.__class__, self._values())
 
 
 class _FieldTable:
@@ -233,10 +237,11 @@ class TorusDiagram(_Value):
     # _valid: the validity mark (see below); not a field, so ==, hash and repr ignore it.
     __slots__ = (*_fields, "_valid")
 
-    # The generated rule, with an exact Monodromy's two fields read in
-    # place, so that no nested Python call is made.  The hash of the tuple
-    # (core, exponent) is that of the Monodromy, so the hash is still that
-    # of the field tuple.  Any other monodromy takes the generated rule.
+    # The base generates only constructors; this is a fast path of its
+    # pair, with an exact Monodromy's two fields read in place, so that no
+    # nested Python call is made.  The hash of the tuple (core, exponent)
+    # is that of the Monodromy, so the hash is still that of the field
+    # tuple.  Any other monodromy takes the field tuple itself.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -245,7 +250,7 @@ class TorusDiagram(_Value):
             return (self.a2, self.b2, self.c2, m.core, m.exponent, self.sign) == (
                 other.a2, other.b2, other.c2, n.core, n.exponent, other.sign
             )
-        return (self.a2, self.b2, self.c2, m, self.sign) == (other.a2, other.b2, other.c2, n, other.sign)
+        return self._values() == other._values()
 
     def __hash__(self):
         m = self.monodromy

@@ -4,6 +4,7 @@ import importlib.metadata
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1035,6 +1036,24 @@ def test_output_deterministic(capsys):
     first = run(capsys, "orbit", fixture("family3.json"), "--depth", "3")
     second = run(capsys, "orbit", fixture("family3.json"), "--depth", "3")
     assert first == second
+
+
+def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
+    # Each "$ trisect ..." line of README's "Command line" block prints
+    # exactly the lines shown under it, run from a copy of the fixtures so
+    # that "move --out" writes into the temporary directory.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    examples = [
+        (shlex.split(command), shown.strip("\n"))
+        for command, shown in (e.partition("\n")[::2] for e in block.split("$ trisect ")[1:])
+    ]
+    assert len(examples) == 8
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in examples:
+        assert run(capsys, *argv) == (0, shown + "\n", ""), argv
+    assert (tmp_path / "rotated.json").is_file()
 
 
 # Top-level modules whose loading _modules_after reports.

@@ -1015,7 +1015,7 @@ def test_value_classes_keep_dataclass_semantics():
     assert OrbitGraph(nodes=graph.nodes, edges=graph.edges) == graph
     assert OrbitNode(index=0, diagram=node.diagram, invariant=(1, 3, 2)) == node
     assert EquivalenceWitness(matrix=((1, 0), (0, 1)), flips=(1, 1, 1, 1)) == witness
-    # == and hash are generated from _fields, so a change to any one
+    # == and hash read every field in _fields, so a change to any one
     # field alone gives an unequal value.
     for x, _ in fields:
         for name in x._fields:
@@ -1041,14 +1041,16 @@ def test_value_classes_keep_dataclass_semantics():
         assert p != other and other != p
         assert p.__eq__(other) is NotImplemented
     assert SubPair(1, (2, 3)) == SubPair(1, (2, 3))
-    # A traceback through the generated methods names the class.
-    for method in (Pair.__eq__, Pair.__hash__):
-        assert method.__qualname__.endswith("Pair." + method.__name__)
-        assert "Pair" in method.__code__.co_filename
+    # == and hash are the base's one pair; only the constructor is
+    # generated, and a traceback through it names the class.
+    _Value = trisect.diagram._Value
+    assert Pair.__eq__ is _Value.__eq__ and Pair.__hash__ is _Value.__hash__
+    assert Pair._build.__qualname__.endswith("Pair._build")
+    assert "Pair" in Pair._build.__code__.co_filename
     # TorusDiagram writes its own == and hash, which read an exact
-    # Monodromy's fields in place; the generator keeps them, and gives a
-    # subclass, which may add fields, generated ones.  Any other monodromy,
-    # a Monodromy subclass or None, takes the field-tuple rule.
+    # Monodromy's fields in place; the base keeps them, and gives a
+    # subclass, which may add fields, its own pair again.  Any other
+    # monodromy, a Monodromy subclass or None, takes the field-tuple rule.
     class SubMonodromy(Monodromy):
         __slots__ = ()
 
@@ -1057,9 +1059,8 @@ def test_value_classes_keep_dataclass_semantics():
 
     for method in (TorusDiagram.__eq__, TorusDiagram.__hash__):
         assert method is vars(TorusDiagram)[method.__name__]
-        assert "generated" not in method.__code__.co_filename
-    for method in (SubTorus.__eq__, SubTorus.__hash__):
-        assert "generated" in method.__code__.co_filename
+        assert method is not getattr(_Value, method.__name__)
+    assert SubTorus.__eq__ is _Value.__eq__ and SubTorus.__hash__ is _Value.__hash__
     sub_mono = SubMonodromy((-1, 1), 1)
     assert sub_mono != d.monodromy and hash(sub_mono) == hash(d.monodromy)
     for mono in (sub_mono, None):
@@ -1071,16 +1072,32 @@ def test_value_classes_keep_dataclass_semantics():
     assert d._replace(monodromy=None) != d._replace(monodromy=sub_mono)
     sub = SubTorus(d.a2, d.b2, d.c2, d.monodromy, d.sign)
     assert sub != d and d != sub and sub == sub._replace() and hash(sub) == hash(d)
+    # The written pair is a fast path of the base's: both give the same
+    # answers on equal copies, on one changed field, and on a Monodromy
+    # subclass or None as the monodromy.
+    def same_answers(x, y):
+        assert TorusDiagram.__eq__(x, y) is _Value.__eq__(x, y)
+        assert TorusDiagram.__eq__(y, x) is _Value.__eq__(y, x)
+        assert TorusDiagram.__hash__(x) == _Value.__hash__(x)
+        assert TorusDiagram.__hash__(y) == _Value.__hash__(y)
+
     rng = random.Random(8081)
     for _ in range(500):
         t = rand_torus_diagram(rng)
         values = tuple(getattr(t, name) for name in t._fields)
         assert hash(t) == hash(values) and t == t._replace()
+        same_answers(t, t._replace())
         for name in t._fields:
             changed = t._replace(**{name: (3, 3) if name != "monodromy" else Monodromy((3, 3), 4)})
             assert changed != t and t != changed
+            same_answers(t, changed)
+        m = t.monodromy
+        for mono in (SubMonodromy(m.core, m.exponent), None):
+            other = t._replace(monodromy=mono)
+            same_answers(other, other._replace())
+            same_answers(t, other)
     # A class that writes __eq__ alone, so that Python sets its __hash__
-    # to None, still gets the generated hash.
+    # to None, keeps that __eq__ and gets the base's hash.
     class Written(trisect.diagram._Value):
         _fields = ("x", "y")
         __slots__ = _fields
@@ -1088,7 +1105,7 @@ def test_value_classes_keep_dataclass_semantics():
         def __eq__(self, other):
             return NotImplemented
 
-    assert "generated" not in Written.__eq__.__code__.co_filename
+    assert Written.__eq__ is vars(Written)["__eq__"] and Written.__hash__ is _Value.__hash__
     assert hash(Written(1, 2)) == hash((1, 2)) and Written(1, 2) != Written(1, 2)
 
 

@@ -352,8 +352,8 @@ def _code_generators(tree, where=()):
 
 
 def test_only_the_value_base_generates_code():
-    # _Value.__init_subclass__ writes each value class's __eq__ and
-    # __hash__; no other code in the package compiles or runs source text.
+    # _Value.__init_subclass__ writes each value class's constructors; no
+    # other code in the package compiles or runs source text.
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -375,32 +375,40 @@ def test_only_the_value_base_generates_code():
     ]
 
 
-# Lists the compile calls of one CLI call by the file name each gets,
-# leaving out the import system's compiles of modules without bytecode.
+# Lists the compile calls of one CLI call by the file name each gets, with
+# the functions each compiled source defines, leaving out the import
+# system's compiles of modules without bytecode.
 _COUNT_COMPILES = """
 import builtins, contextlib, io, sys
 compiled = []
 real = builtins.compile
 def counting(source, filename, *args, **kwargs):
     if str(filename).startswith("<"):
-        compiled.append(filename)
+        compiled.append((filename, source))
     return real(source, filename, *args, **kwargs)
 builtins.compile = counting
 from trisect.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
-print("\\n".join(compiled))
+builtins.compile = real
+import ast
+for filename, source in compiled:
+    defs = [n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)]
+    print(filename, *defs)
 sys.exit(status)
 """
 
 _DIAGRAM_CLASSES = ["Genus2Diagram", "HypothesisReport", "Monodromy", "TorusDiagram"]
+# The classes with a validity mark, which also get _build_marked.
+_MARKED = ("Genus2Diagram", "TorusDiagram")
 
 
 def test_each_value_class_compiles_once_per_cli_call():
     # Start-up pays one compile per value class the verb loads, with the
     # marked builder of the diagram classes in the same call: 4 for the
     # verbs that load diagram.py alone, 7 for those that also load
-    # moves.py or vertical.py.
+    # moves.py or vertical.py.  Each source defines the constructors
+    # alone; == and hash are ordinary methods of the base.
     fixture = str(PACKAGE.parent.parent / "fixtures" / "family3.json")
     moves = sorted(_DIAGRAM_CLASSES + ["EquivalenceWitness", "OrbitGraph", "OrbitNode"])
     vertical = sorted(_DIAGRAM_CLASSES + ["FamilyMatch", "LensSpace", "SixTuple"])
@@ -419,5 +427,6 @@ def test_each_value_class_compiles_once_per_cli_call():
         proc = run_python(_COUNT_COMPILES, *argv)
         assert proc.returncode == 0, proc.stderr
         assert sorted(proc.stdout.split("\n")[:-1]) == [
-            f"<{name} generated methods>" for name in classes
+            f"<{name} generated methods> _build" + (" _build_marked" if name in _MARKED else "")
+            for name in classes
         ], argv
